@@ -139,7 +139,7 @@ def dyadic_profile(
         error_bounds=bounds,
         grid=top_grid,
         degree=degree,
-        truncated=(1 << (nmax + 1)) < degree,
+        truncated=(1 << (nmax + 1)) <= degree,
     )
 
 

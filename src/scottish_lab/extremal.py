@@ -296,7 +296,9 @@ def weighted_moment(
 
     Divergence is diagnosed from the fitted growth exponent over the last
     third of the checkpoints, never from the size of the sum: finite
-    truncations cannot witness divergence, fitted growth laws can.
+    truncations cannot witness divergence, fitted growth laws can.  A window
+    holding an increment that lies wholly past the last coefficient reads
+    flat for want of data, not by convergence, and is labelled inconclusive.
     """
     if t <= 0:
         raise InvalidRegime("moment exponent t must be positive")
@@ -316,7 +318,10 @@ def weighted_moment(
     m_lo = max(1, m_hi - window + 1)
     svals = dict((int(round(math.log2(K))), S) for K, S in checkpoints)
     inc = np.array([svals[m] - svals[m - 1] for m in range(m_lo, m_hi + 1)])
-    if inc.size == 0 or inc.max() <= 0.0:
+    if inc.size and (1 << (m_hi - 1)) >= c.size - 1:
+        # increment m_hi sums k in (2^(m_hi-1), 2^m_hi], all past index c.size - 1
+        diag = MomentDiagnosis("inconclusive", None, False, (m_lo, m_hi))
+    elif inc.size == 0 or inc.max() <= 0.0:
         diag = MomentDiagnosis("convergent", None, True, (m_lo, m_hi))
     else:
         p = fit_growth_exponent(checkpoints, m_lo, m_hi)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .core import (
     CoeffSeq,
@@ -48,15 +47,19 @@ def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
 
     Entrywise equal to antidiagonal_average of the outer product.  Small
     inputs convolve directly (exact for dyadic-rational data); large inputs
-    switch to FFT convolution.
+    switch to FFT convolution on a power-of-two grid, through the real
+    transform when both inputs are real so the result stays real.
     """
     a, b = x.coeffs, y.coeffs
     if a.size * b.size <= _DIRECT_CONV_LIMIT:
         conv = np.convolve(a, b)
     else:
-        conv = fftconvolve(a, b)
-        if not (x.is_complex or y.is_complex):
-            conv = conv.real
+        size = a.size + b.size - 1
+        n = 1 << (size - 1).bit_length()
+        if x.is_complex or y.is_complex:
+            conv = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
+        else:
+            conv = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
     return CoeffSeq(conv / (np.arange(conv.size) + 1.0))
 
 

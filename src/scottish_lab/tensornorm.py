@@ -5,9 +5,10 @@ profiles.
 The exact maximizer enumerates sign vectors in Gray-code order with O(K)
 incremental column-sum updates per flip; the walk is vectorized across fixed
 sign prefixes, so parallel partitioning by prefix and the serial walk give
-identical results.  Ties are broken toward the lexicographically smallest
-canonical sign vector (+1 sorts before -1, entry 0 pinned to +1), which makes
-every run reproducible.
+identical results.  Only the shorter side of the matrix is enumerated.  Ties
+are broken toward the lexicographically smallest canonical sign vector on
+that side (+1 sorts before -1, entry 0 pinned to +1), which makes every run
+reproducible.
 """
 
 from __future__ import annotations
@@ -77,11 +78,19 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
     For real matrices the inner maximum over y is attained at the signs of
     the column sums, so only x is enumerated; global sign symmetry halves the
     search to x_0 = +1.  Returns the optimum value with its optimizer pair.
+
+    When J > K the transpose is solved and the pair swapped, so the cap
+    applies to min(J, K).  The tie-break then picks y (the lexicographically
+    smallest canonical maximizer) and x holds the signs of the row sums A y,
+    zero sums getting +1; for J <= K the roles are as described above.
     """
     A = Q.entries
     J, K = A.shape
+    if J > K:
+        value, y, x = injective_norm_exact(DenseMatrix(A.T))
+        return value, x, y
     if J > EXACT_ENUM_CAP:
-        raise TooLargeForExact(f"row count {J} exceeds the cap {EXACT_ENUM_CAP}")
+        raise TooLargeForExact(f"shorter side {J} exceeds the cap {EXACT_ENUM_CAP}")
 
     if J == 1:
         x = np.ones(1)
@@ -262,10 +271,10 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
     exact detection of (numerically) rank-one matrices.  Lower bound: best
     duality quotient |<Q, T>| / norm(T) over a pool of test matrices whose
     bilinear-form norm is certified (single entries, the identity, and Q
-    itself via exact enumeration when within the cap, otherwise via the
-    entrywise absolute-sum upper envelope).  budget and seed are part of the
-    stable call surface; the current strategy pool is deterministic and does
-    not consume them.
+    itself via exact enumeration when min(J, K) is within the cap, otherwise
+    via the entrywise absolute-sum upper envelope).  budget and seed are part
+    of the stable call surface; the current strategy pool is deterministic
+    and does not consume them.
     """
     A = Q.entries
     J, K = A.shape
@@ -322,7 +331,7 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
         )
     )
     frob2 = float(np.sum(A * A))
-    if J <= EXACT_ENUM_CAP:
+    if m <= EXACT_ENUM_CAP:
         denom, _, _ = injective_norm_exact(Q)
         kind = "self-exact"
     else:

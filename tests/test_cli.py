@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,3 +217,16 @@ class TestReproducibility:
         assert [c.detail for r in pooled for c in r.cases] == [
             c.detail for r in serial for c in r.cases
         ]
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        # startup dominates a cold CLI call; scipy is loaded only where it is used
+        code = (
+            "import sys, scottish_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip() == "[]"

@@ -133,6 +133,17 @@ class TestProfile:
         f = CoeffSeq(np.ones(100))
         assert dyadic_profile(f, 0.0, 1.0, 2).truncated
         assert not dyadic_profile(f, 0.0, 1.0, 6).truncated
+        # z^4 lies outside every kernel up to nmax = 1
+        assert dyadic_profile(CoeffSeq([0, 0, 0, 0, 1.0]), 0.0, 1.0, 1).truncated
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 6), st.integers(-3, 3))
+    def test_monomial_truncated_iff_outside_kernels(self, nmax, offset):
+        d = max(0, (1 << (nmax + 1)) + offset)  # degrees around the top kernel's end
+        e = np.zeros(d + 1)
+        e[d] = 1.0
+        prof = dyadic_profile(CoeffSeq(e), 0.0, 1.0, nmax)
+        assert prof.truncated == (d >= 1 << (nmax + 1))
 
     def test_grid_meets_floor(self):
         prof = dyadic_profile(CoeffSeq([1.0, 1.0]), 0.0, 1.0, 4, oversample=8)

@@ -224,6 +224,13 @@ class TestWeightedMoment:
         p = fit_growth_exponent(rep.checkpoints, 13, 18)
         assert 0.15 <= p <= 0.35
 
+    def test_running_out_of_data_is_inconclusive(self):
+        # the same law reads divergent with nmax 22; past the end it is flat
+        alpha, _ = problem88_witness(0.5, 10)
+        rep = weighted_moment(alpha, 0.5, -0.25, kmax=1 << 22)
+        assert rep.diagnosis.label == "inconclusive"
+        assert rep.diagnosis.growth_exponent is None
+
     def test_convergent_geometric(self):
         k = np.arange(1 << 12, dtype=float)
         g = CoeffSeq(2.0 ** (-np.minimum(k, 60)))

@@ -15,6 +15,7 @@ from scottish_lab import (
     problem8_witness,
     range_diagnostic,
 )
+from scottish_lab import mazur
 from scottish_lab.errors import InvalidParameter, TooShort
 
 
@@ -86,6 +87,20 @@ class TestProduct:
         z = cesaro_product(x, y)
         d = limit_estimate(CoeffSeq(z.coeffs[:4096]))  # stay in the filled range
         assert abs(d - 6.0) < 0.01
+
+    def test_fft_branch_matches_direct(self):
+        # 5000 * 4000 products lie past _DIRECT_CONV_LIMIT
+        assert 5000 * 4000 > mazur._DIRECT_CONV_LIMIT
+        rng = make_rng(54)
+        a = rng.standard_normal(5000)
+        b = rng.standard_normal(4000)
+        ac = a + 1j * rng.standard_normal(5000)
+        n = np.arange(5000 + 4000 - 1) + 1.0
+        for x, y in ((a, b), (ac, b), (b, ac)):
+            conv = np.convolve(x, y)
+            z = cesaro_product(CoeffSeq(x), CoeffSeq(y)).coeffs
+            assert z.dtype == (np.complex128 if np.iscomplexobj(conv) else np.float64)
+            assert np.abs(z - conv / n).max() <= 1e-12 * np.abs(conv).max()
 
 
 class TestWitness:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,11 @@ from scottish_lab import (
 )
 from scottish_lab.errors import InvalidParameter, TooLargeForExact
 from scottish_lab.verify import brute_force_norm
+
+
+def brute_signs(n):
+    """All sign vectors of length n in lexicographic order, +1 before -1."""
+    return [np.array(s) for s in itertools.product((1.0, -1.0), repeat=n)]
 
 
 def int_matrix(rng, jmax=8, kmax=8):
@@ -94,7 +101,21 @@ class TestExact:
 
     def test_cap(self):
         with pytest.raises(TooLargeForExact):
-            injective_norm_exact(DenseMatrix(np.zeros((27, 1))))
+            injective_norm_exact(DenseMatrix(np.zeros((27, 27))))
+
+    @pytest.mark.parametrize("rows", [24, 30])
+    def test_tall_enumerates_columns(self, rows):
+        rng = make_rng(24 + rows)
+        A = rng.integers(-3, 4, (rows, 3)).astype(float)
+        value, x, y = injective_norm_exact(DenseMatrix(A))
+        # brute force over the 3 columns: max over x of x^T A y is |A y|_1
+        sums = [float(np.abs(A @ ys).sum()) for ys in brute_signs(3)]
+        assert value == max(sums)
+        assert x.entries.astype(float) @ A @ y.entries.astype(float) == value
+        # tie-break: the first canonical maximizer y, x the signs of A y
+        first = brute_signs(3)[sums.index(value)]
+        assert np.array_equal(y.entries, first)
+        assert np.array_equal(x.entries, np.where(A @ first < 0, -1, 1))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
@@ -189,6 +210,13 @@ class TestBracket:
     def test_zero(self):
         br = projective_bracket(DenseMatrix(np.zeros((2, 3))))
         assert br.lower == br.upper == 0.0
+
+    def test_tall_uses_exact_denominator(self):
+        A = make_rng(0).integers(-3, 4, (30, 3)).astype(float)
+        br = projective_bracket(DenseMatrix(A))
+        exact, _, _ = injective_norm_exact(DenseMatrix(A))
+        assert br.lower_certificate["kind"] == "self-exact"
+        assert br.lower_certificate["denominator"] == exact
 
     def test_certificates_reproduce_endpoints(self):
         rng = make_rng(42)
