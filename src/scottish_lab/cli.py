@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,25 +46,6 @@ from .extremal import (
 )
 from .mazur import antidiagonal_average, cesaro_product, problem8_witness
 from .tensornorm import injective_norm_exact, injective_norm_search, projective_bracket, v2_profile
-
-GOLDEN_SCHEMAS = {
-    "wn": ("n", "length", "sequence"),
-    "besov": ("s", "p", "q", "nmax", "grid", "values", "norm", "error_bound", "truncated"),
-    "profile": ("s", "p", "q", "nmax", "grid", "values", "norm", "error_bound", "truncated"),
-    "inj-norm": ("value", "method", "x", "y", "evaluations"),
-    "proj-norm": ("lower", "upper", "lower_cert", "upper_cert", "strategies"),
-    "v2": ("nmax", "brackets"),
-    "mazur-a": ("length", "sequence"),
-    "mazur-b": ("length", "sequence"),
-    "witness8": ("params", "blocks", "fit", "flags"),
-    "witness88": ("t", "g", "nmax", "length", "block_bound"),
-    "flatpoly": ("targets_l2", "sup_norm", "ratio", "method", "seed", "descent_iterations"),
-    "lkk": ("k_achieved", "besov_value", "chain_bound", "block_bound", "blocks", "fidelity_exact"),
-    "moment": ("t", "beta", "kmax", "checkpoints", "diagnosis"),
-    "psi": ("t", "value"),
-    "verify": ("suites", "passed"),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64."""
@@ -111,13 +93,7 @@ def _sequence_entries(seq: CoeffSeq) -> list:
 
 
 def _options(args) -> dict:
-    skip = {"command", "handler"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        out[key] = _jsonable(value)
-    return out
+    return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "command"}
 
 
 def _run_config(args, argv) -> dict:
@@ -363,121 +339,101 @@ def _cmd_verify(args, argv):
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly.
+# The command table.  FLAGS defines every flag once; each COMMANDS row names
+# a subcommand's handler, help, flags, the top-level keys of its JSON report
+# and an example argv that the cli-roundtrip suite runs ({f}, {m} and {x}
+# stand for its coefficient, matrix and all-ones input files).
 # ---------------------------------------------------------------------------
+
+FLAGS = {
+    "--n": dict(type=int, required=True),
+    "--input": dict(required=True),
+    "--input2": dict(required=True),
+    "--s": dict(type=float, required=True),
+    "--p": dict(type=_parse_exponent, required=True),
+    "--q": dict(type=_parse_exponent, required=True),
+    "--nmax": dict(type=int, required=True),
+    "--t": dict(type=float, required=True),
+    "--beta": dict(type=float, required=True),
+    "--kmax": dict(type=int, required=True),
+    "--method": dict(choices=("exact", "search"), default="exact"),
+    "--sign-mode": dict(choices=("random", "rudin_shapiro"), default="random"),
+    "--suite": dict(choices=tuple(verify.SUITES) + ("all",), default="all"),
+    "--override": dict(action="append", default=None, metavar="KEY=VALUE",
+                       help="threshold override; repeatable"),
+    "--seed": dict(type=int, default=0),
+    "--budget": dict(type=int, default=4096),
+    "--oversample": dict(type=int, default=DEFAULT_OVERSAMPLE),
+    "--coeffs-out": dict(default=None, help="also export the constructed sequence as CSV"),
+    "--out": dict(default=None, help="output path (stdout if omitted)"),
+    "--format": dict(choices=("json", "csv"), default=None,
+                     help="default: csv when --out ends in .csv, else json"),
+}
+
+
+class Command(NamedTuple):
+    """One subcommand; flags, schema and example are space-separated."""
+
+    handler: Callable
+    help: str
+    flags: str
+    schema: str
+    example: str
+
+
+COMMANDS = {
+    "wn": Command(_cmd_wn, "coefficients of the n-th dyadic kernel",
+                  "--n", "n length sequence", "--n 2"),
+    "besov": Command(_cmd_besov, "weighted dyadic-profile norm of a polynomial",
+                     "--input --s --p --q --nmax --oversample",
+                     "s p q nmax grid values norm error_bound truncated",
+                     "--input {f} --s 1 --p inf --q 1 --nmax 4"),
+    "profile": Command(_cmd_profile, "dyadic block profile of a polynomial",
+                       "--input --s --p --nmax --oversample",
+                       "s p q nmax grid values norm error_bound truncated",
+                       "--input {f} --s 0 --p 1 --nmax 4"),
+    "inj-norm": Command(_cmd_inj_norm, "bilinear sign-form norm of a matrix",
+                        "--input --method --seed --budget", "value method x y evaluations",
+                        "--input {m}"),
+    "proj-norm": Command(_cmd_proj_norm, "bracket for the decomposition norm",
+                         "--input --seed --budget", "lower upper lower_cert upper_cert strategies",
+                         "--input {m}"),
+    "v2": Command(_cmd_v2, "brackets for leading corner truncations",
+                  "--input --nmax", "nmax brackets", "--input {m} --nmax 1"),
+    "mazur-a": Command(_cmd_mazur_a, "antidiagonal averages of a matrix",
+                       "--input", "length sequence", "--input {m}"),
+    "mazur-b": Command(_cmd_mazur_b, "Cesaro-normalized Cauchy product",
+                       "--input --input2", "length sequence", "--input {x} --input2 {x}"),
+    "witness8": Command(_cmd_witness8, "decaying sequence with growing block norms",
+                        "--nmax --sign-mode --seed --oversample --coeffs-out",
+                        "params blocks fit flags", "--nmax 6 --seed 1 --sign-mode rudin_shapiro"),
+    "witness88": Command(_cmd_witness88, "slow-decay block-constant target sequence",
+                         "--t --nmax --coeffs-out", "t g nmax length block_bound",
+                         "--t 0.5 --nmax 8"),
+    "flatpoly": Command(_cmd_flatpoly, "signs for prescribed coefficient moduli",
+                        "--input --seed --budget --oversample --coeffs-out",
+                        "targets_l2 sup_norm ratio method seed descent_iterations",
+                        "--input {f} --seed 2"),
+    "lkk": Command(_cmd_lkk, "assemble a coefficient majorant block by block",
+                   "--input --seed --budget --oversample --coeffs-out",
+                   "k_achieved besov_value chain_bound block_bound blocks fidelity_exact",
+                   "--input {f} --seed 2"),
+    "moment": Command(_cmd_moment, "weighted coefficient moments at dyadic checkpoints",
+                      "--input --t --beta --kmax", "t beta kmax checkpoints diagnosis",
+                      "--input {f} --t 1 --beta 0.5 --kmax 8"),
+    "psi": Command(_cmd_psi, "regime boundary exponent", "--t", "t value", "--t 1"),
+    "verify": Command(_cmd_verify, "run verification suites", "--suite --override --seed",
+                      "suites passed", "--suite besov"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="scottish-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def common(p, seeded=False, budgeted=False, oversampled=False, coeffs_out=False):
-        p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="default: csv when --out ends in .csv, else json")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
-        if budgeted:
-            p.add_argument("--budget", type=int, default=4096)
-        if oversampled:
-            p.add_argument("--oversample", type=int, default=DEFAULT_OVERSAMPLE)
-        if coeffs_out:
-            p.add_argument("--coeffs-out", default=None,
-                           help="also export the constructed sequence as CSV")
-
-    p = sub.add_parser("wn", help="coefficients of the n-th dyadic kernel")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_wn)
-
-    p = sub.add_parser("besov", help="weighted dyadic-profile norm of a polynomial")
-    p.add_argument("--input", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--p", type=_parse_exponent, required=True)
-    p.add_argument("--q", type=_parse_exponent, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    common(p, oversampled=True)
-    p.set_defaults(handler=_cmd_besov)
-
-    p = sub.add_parser("profile", help="dyadic block profile of a polynomial")
-    p.add_argument("--input", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--p", type=_parse_exponent, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    common(p, oversampled=True)
-    p.set_defaults(handler=_cmd_profile)
-
-    p = sub.add_parser("inj-norm", help="bilinear sign-form norm of a matrix")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("exact", "search"), default="exact")
-    common(p, seeded=True, budgeted=True)
-    p.set_defaults(handler=_cmd_inj_norm)
-
-    p = sub.add_parser("proj-norm", help="bracket for the decomposition norm")
-    p.add_argument("--input", required=True)
-    common(p, seeded=True, budgeted=True)
-    p.set_defaults(handler=_cmd_proj_norm)
-
-    p = sub.add_parser("v2", help="brackets for leading corner truncations")
-    p.add_argument("--input", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_v2)
-
-    p = sub.add_parser("mazur-a", help="antidiagonal averages of a matrix")
-    p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_mazur_a)
-
-    p = sub.add_parser("mazur-b", help="Cesaro-normalized Cauchy product")
-    p.add_argument("--input", required=True)
-    p.add_argument("--input2", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_mazur_b)
-
-    p = sub.add_parser("witness8", help="decaying sequence with growing block norms")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--sign-mode", choices=("random", "rudin_shapiro"), default="random")
-    common(p, seeded=True, oversampled=True, coeffs_out=True)
-    p.set_defaults(handler=_cmd_witness8)
-
-    p = sub.add_parser("witness88", help="slow-decay block-constant target sequence")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    common(p, coeffs_out=True)
-    p.set_defaults(handler=_cmd_witness88)
-
-    p = sub.add_parser("flatpoly", help="signs for prescribed coefficient moduli")
-    p.add_argument("--input", required=True)
-    common(p, seeded=True, budgeted=True, oversampled=True, coeffs_out=True)
-    p.set_defaults(handler=_cmd_flatpoly)
-
-    p = sub.add_parser("lkk", help="assemble a coefficient majorant block by block")
-    p.add_argument("--input", required=True)
-    common(p, seeded=True, budgeted=True, oversampled=True, coeffs_out=True)
-    p.set_defaults(handler=_cmd_lkk)
-
-    p = sub.add_parser("moment", help="weighted coefficient moments at dyadic checkpoints")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_moment)
-
-    p = sub.add_parser("psi", help="regime boundary exponent")
-    p.add_argument("--t", type=float, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_psi)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=tuple(verify.SUITES) + ("all",))
-    p.add_argument("--override", action="append", default=None,
-                   metavar="KEY=VALUE", help="threshold override; repeatable")
-    common(p, seeded=True)
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for flag in cmd.flags.split() + ["--out", "--format"]:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -488,11 +444,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) is None:
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 64
     try:
-        return args.handler(args, argv)
+        return COMMANDS[args.command].handler(args, argv)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -544,22 +500,10 @@ def self_check(seed: int = 0):
         xcsv = os.path.join(tmp, "x.csv")
         write_coeff_csv(xcsv, CoeffSeq(np.ones(8)))
 
+        files = {"f": fcsv, "m": mcsv, "x": xcsv}
         invocations = {
-            "wn": ["wn", "--n", "2"],
-            "besov": ["besov", "--input", fcsv, "--s", "1", "--p", "inf", "--q", "1", "--nmax", "4"],
-            "profile": ["profile", "--input", fcsv, "--s", "0", "--p", "1", "--nmax", "4"],
-            "inj-norm": ["inj-norm", "--input", mcsv],
-            "proj-norm": ["proj-norm", "--input", mcsv],
-            "v2": ["v2", "--input", mcsv, "--nmax", "1"],
-            "mazur-a": ["mazur-a", "--input", mcsv],
-            "mazur-b": ["mazur-b", "--input", xcsv, "--input2", xcsv],
-            "witness8": ["witness8", "--nmax", "6", "--seed", "1", "--sign-mode", "rudin_shapiro"],
-            "witness88": ["witness88", "--t", "0.5", "--nmax", "8"],
-            "flatpoly": ["flatpoly", "--input", fcsv, "--seed", "2"],
-            "lkk": ["lkk", "--input", fcsv, "--seed", "2"],
-            "moment": ["moment", "--input", fcsv, "--t", "1", "--beta", "0.5", "--kmax", "8"],
-            "psi": ["psi", "--t", "1"],
-            "verify": ["verify", "--suite", "besov"],
+            name: [name] + [arg.format(**files) for arg in cmd.example.split()]
+            for name, cmd in COMMANDS.items()
         }
         for name, argv in invocations.items():
             out = os.path.join(tmp, f"{name}.json")
@@ -569,7 +513,7 @@ def self_check(seed: int = 0):
             if ok:
                 with open(out, "r", encoding="utf-8") as fh:
                     doc = json.load(fh)
-                expected = set(GOLDEN_SCHEMAS[name]) | {"run_config"}
+                expected = set(COMMANDS[name].schema.split()) | {"run_config"}
                 keys_ok = set(doc.keys()) == expected
             check(f"schema-{name}", ok and keys_ok, f"rc={rc}, keys match documented schema: {keys_ok}")
 

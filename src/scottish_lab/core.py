@@ -16,10 +16,24 @@ from .errors import (
     ComplexNotSupported,
     EmptyDimension,
     InvalidInput,
+    InvalidParameter,
     TooShort,
 )
 
 _MASK64 = (1 << 64) - 1
+
+# Size cap: no operation allocates a sequence or circle grid of more than
+# 2^SIZE_CAP_LOG2 points (512 MiB as complex128).  That admits the largest
+# size in use, the 2^25-point grid of the top profile block that `lkk`
+# evaluates on the nmax = 20 witness88 targets (about 1.8 GB peak), and
+# makes larger requests fail fast instead of exhausting memory.
+SIZE_CAP_LOG2 = 25
+
+
+def check_size(log2_points: int, what: str) -> None:
+    """Raise InvalidParameter if 2^log2_points points would pass the size cap."""
+    if log2_points > SIZE_CAP_LOG2:
+        raise InvalidParameter(f"{what} exceeds the size cap of 2^{SIZE_CAP_LOG2} points")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -106,10 +120,6 @@ class DenseMatrix:
             raise InvalidInput("matrix entries must be finite")
         object.__setattr__(self, "entries", _frozen(arr))
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.entries.shape
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
@@ -118,22 +128,9 @@ class DenseMatrix:
         )
 
 
-@dataclass(frozen=True)
-class HankelSymbol:
-    """Symbol sequence together with a materialization size."""
-
-    symbol: CoeffSeq
-    size: int
-
-    def materialize(self) -> DenseMatrix:
-        return hankel_matrix(self.symbol, self.size)
-
-
 # ---------------------------------------------------------------------------
 # Dyadic index algebra.  Hard block n is the integer interval
-# [2^n, 2^(n+1) - 1]; the blocks partition [1, inf).  The multiplier support
-# of the n-th kernel is the open interval (2^(n-1), 2^(n+1)) for n >= 1 and
-# {0, 1} for n = 0; supports two or more apart are disjoint.
+# [2^n, 2^(n+1) - 1]; the blocks partition [1, inf).
 # ---------------------------------------------------------------------------
 
 
@@ -149,30 +146,6 @@ def block_of(k: int) -> int:
     if k < 1:
         raise InvalidInput("only indices >= 1 belong to a hard block")
     return k.bit_length() - 1
-
-
-def multiplier_support(n: int) -> range:
-    """Indices where the n-th dyadic kernel has a nonzero coefficient."""
-    if n < 0:
-        raise InvalidInput("block index must be nonnegative")
-    if n == 0:
-        return range(0, 2)
-    return range((1 << (n - 1)) + 1, 1 << (n + 1))
-
-
-@dataclass(frozen=True)
-class BlockIndex:
-    """A dyadic block: its hard index interval and kernel support."""
-
-    n: int
-
-    @property
-    def hard(self) -> range:
-        return hard_block(self.n)
-
-    @property
-    def support(self) -> range:
-        return multiplier_support(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +299,7 @@ def read_coeff_csv(path) -> CoeffSeq:
             vals.append(_parse_float(parts[1]))
     if not ks:
         raise InvalidInput("coefficient file has no data rows")
+    check_size(ks[-1].bit_length(), f"last index {ks[-1]}")
     out = np.zeros(ks[-1] + 1, dtype=np.complex128 if is_complex else np.float64)
     out[np.array(ks)] = np.array(vals)
     return CoeffSeq(out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoeffSeq
+from .core import CoeffSeq, check_size
 from .errors import InvalidExponent, InvalidParameter, TooShort
 
 DEFAULT_OVERSAMPLE = 8
@@ -31,6 +31,7 @@ def dyadic_kernel(n: int) -> CoeffSeq:
     """
     if n < 0:
         raise InvalidParameter("kernel index must be nonnegative")
+    check_size(n + 1, f"kernel {n}")
     if n == 0:
         return CoeffSeq(np.array([1.0, 1.0]))
     lo, mid, hi = 1 << (n - 1), 1 << n, 1 << (n + 1)
@@ -51,7 +52,9 @@ def grid_size(length: int, oversample: int) -> int:
     """Smallest power of two that is >= oversample * length."""
     if oversample < 2:
         raise InvalidParameter("oversample must be at least 2")
-    return 1 << max(1, (oversample * length - 1).bit_length())
+    log2 = max(1, (oversample * length - 1).bit_length())
+    check_size(log2, f"grid for {length} coefficients at oversample {oversample}")
+    return 1 << log2
 
 
 def grid_values(f: CoeffSeq, oversample: int = DEFAULT_OVERSAMPLE) -> np.ndarray:
@@ -118,6 +121,8 @@ def dyadic_profile(
     """
     if nmax < 0:
         raise InvalidParameter("nmax must be nonnegative")
+    check_size(nmax + 1, f"profile to block {nmax}")
+    grid_size(1 << (nmax + 1), oversample)  # the top block's grid, checked before any block
     _validate_exponent(p)
     values = np.zeros(nmax + 1)
     bounds = np.zeros(nmax + 1)

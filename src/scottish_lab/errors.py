@@ -22,7 +22,7 @@ class InvalidExponent(DomainError):
 
 
 class TooLargeForExact(DomainError):
-    """Row count exceeds the exact-enumeration cap."""
+    """The shorter side of a matrix exceeds the exact-enumeration cap."""
 
 
 class InvalidTarget(DomainError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoeffSeq, block_of, derive_seed, least_squares_line, make_rng
+from .core import CoeffSeq, block_of, check_size, derive_seed, least_squares_line, make_rng
 from .dyadic import (
     DEFAULT_OVERSAMPLE,
     besov_detail,
@@ -248,6 +248,7 @@ def problem88_witness(t: float, nmax: int) -> tuple[CoeffSeq, DecayWitnessParams
         raise InvalidRegime("the witness regime needs 0 < t < 1")
     if nmax < 0:
         raise InvalidParameter("nmax must be nonnegative")
+    check_size(nmax + 1, f"witness of nmax {nmax}")
     params = DecayWitnessParams(t=t, g=(1.0 + 1.0 / t) / 2.0, nmax=nmax)
     a = np.zeros(1 << (nmax + 1))
     for n in range(nmax + 1):

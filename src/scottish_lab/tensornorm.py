@@ -3,9 +3,8 @@ vectors, certified brackets for the rank-one decomposition norm, and corner
 profiles.
 
 The exact maximizer enumerates sign vectors in Gray-code order with O(K)
-incremental column-sum updates per flip; the walk is vectorized across fixed
-sign prefixes, so parallel partitioning by prefix and the serial walk give
-identical results.  Only the shorter side of the matrix is enumerated.  Ties
+incremental column-sum updates per flip, vectorized across fixed sign
+prefixes.  Only the shorter side of the matrix is enumerated.  Ties
 are broken toward the lexicographically smallest canonical sign vector on
 that side (+1 sorts before -1, entry 0 pinned to +1), which makes every run
 reproducible.
@@ -46,12 +45,6 @@ class SignVector:
         if not isinstance(other, SignVector):
             return NotImplemented
         return bool(np.array_equal(self.entries, other.entries))
-
-    def canonicalized(self) -> "SignVector":
-        """Flip globally so entry 0 is +1; the objective is flip-invariant."""
-        if self.entries[0] < 0:
-            return SignVector(-self.entries)
-        return self
 
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:

@@ -1,17 +1,13 @@
 """Verification suites.
 
 Each suite implements one acceptance criterion at its stated size and
-tolerance and returns a report with one case per checked assertion.  Suites
-are pure given (seed, thresholds), so the runner may farm them out to a
-worker pool; SCOTTISH_LAB_THREADS caps the pool and results are ordered by
-suite index regardless of scheduling.
+tolerance and returns a report with one case per checked assertion, which
+depends only on (seed, thresholds).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,7 +93,13 @@ def merged_thresholds(overrides: dict | None) -> dict:
         for key, value in overrides.items():
             if key not in th:
                 raise InvalidParameter(f"unknown threshold {key!r}")
-            th[key] = type(th[key])(value)
+            kind = type(th[key])
+            try:
+                th[key] = kind(value)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameter(
+                    f"threshold {key!r} expects {kind.__name__}, got {value!r}"
+                ) from exc
     return th
 
 
@@ -624,19 +626,5 @@ def run_suite(name: str, seed: int = 0, thresholds: dict | None = None) -> Suite
     return SUITES[name](seed=seed, thresholds=thresholds)
 
 
-def worker_cap() -> int:
-    raw = os.environ.get("SCOTTISH_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suites(names, seed: int = 0, thresholds: dict | None = None) -> list[SuiteReport]:
-    names = list(names)
-    workers = min(worker_cap(), max(1, len(names)))
-    if workers == 1:
-        return [run_suite(n, seed, thresholds) for n in names]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_suite, n, seed, thresholds) for n in names]
-        return [f.result() for f in futures]
+    return [run_suite(n, seed, thresholds) for n in names]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scottish_lab import CoeffSeq, read_coeff_csv, write_coeff_csv, write_matrix_csv, DenseMatrix
-from scottish_lab.cli import GOLDEN_SCHEMAS, rerun_config_argv, run
+from scottish_lab.cli import COMMANDS, _options, build_parser, rerun_config_argv, run
 
 
 def run_json(argv, path):
@@ -48,7 +48,7 @@ class TestCommands:
         )
         assert abs(doc["norm"] - 10.0) < 1e-6
         assert doc["truncated"] is False
-        assert set(doc) == set(GOLDEN_SCHEMAS["besov"]) | {"run_config"}
+        assert set(doc) == set(COMMANDS["besov"].schema.split()) | {"run_config"}
 
     def test_besov_csv_table(self, two_block, tmp_path):
         out = tmp_path / "b.csv"
@@ -176,6 +176,29 @@ class TestExitCodes:
     def test_unknown_override_key(self):
         assert run(["verify", "--suite", "besov", "--override", "nope.key=1"]) == 1
 
+    @pytest.mark.parametrize("override", ["besov.rel_tol=abc", "besov.jmax=2.5"])
+    def test_malformed_override_value(self, override, capsys):
+        assert run(["verify", "--suite", "besov", "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and override.split("=")[0] in err
+
+    def test_oversized_inputs(self, tmp_path, capsys):
+        # each would allocate terabytes; the size cap refuses them up front
+        huge = tmp_path / "huge.csv"
+        huge.write_text(f"k,re\n{1 << 40},1.0\n")
+        small = tmp_path / "small.csv"
+        small.write_text("k,re\n0,1.0\n")
+        for argv in (
+            ["besov", "--input", str(huge), "--s", "0", "--p", "1", "--q", "1", "--nmax", "2"],
+            ["wn", "--n", "40"],
+            ["besov", "--input", str(small), "--s", "0", "--p", "1", "--q", "1", "--nmax", str(10**12)],
+            ["witness88", "--t", "0.5", "--nmax", "40"],
+            ["profile", "--input", str(small), "--s", "0", "--p", "1", "--nmax", "2",
+             "--oversample", str(1 << 40)],
+        ):
+            assert run(argv) == 1, argv
+            assert capsys.readouterr().err.startswith("error:"), argv
+
 
 class TestReproducibility:
     def test_byte_identical_rerun(self, two_block, tmp_path):
@@ -207,16 +230,39 @@ class TestReproducibility:
         assert doc["passed"] is True
         assert doc["suites"][0]["suite"] == "besov"
 
-    def test_worker_pool_matches_serial(self, monkeypatch):
-        from scottish_lab.verify import run_suites
-
-        serial = run_suites(["besov", "hankel-shadow"], seed=0)
-        monkeypatch.setenv("SCOTTISH_LAB_THREADS", "2")
-        pooled = run_suites(["besov", "hankel-shadow"], seed=0)
-        assert [r.suite for r in pooled] == [r.suite for r in serial]
-        assert [c.detail for r in pooled for c in r.cases] == [
-            c.detail for r in serial for c in r.cases
-        ]
+    def test_report_options_per_subcommand(self):
+        # Every report embeds run_config.options, so a flag added, dropped or
+        # re-defaulted changes the report bytes; these are the options as
+        # parsed from a minimal argv of each subcommand.
+        expected = {
+            "wn": ("--n 2", {"n": 2}),
+            "besov": ("--input f --s 1 --p 1 --q inf --nmax 1",
+                      {"input": "f", "nmax": 1, "oversample": 8, "p": 1.0, "q": "inf", "s": 1.0}),
+            "profile": ("--input f --s 1 --p inf --nmax 1",
+                        {"input": "f", "nmax": 1, "oversample": 8, "p": "inf", "s": 1.0}),
+            "inj-norm": ("--input m", {"budget": 4096, "input": "m", "method": "exact", "seed": 0}),
+            "proj-norm": ("--input m", {"budget": 4096, "input": "m", "seed": 0}),
+            "v2": ("--input m --nmax 1", {"input": "m", "nmax": 1}),
+            "mazur-a": ("--input m", {"input": "m"}),
+            "mazur-b": ("--input x --input2 y", {"input": "x", "input2": "y"}),
+            "witness8": ("--nmax 2", {"coeffs_out": None, "nmax": 2, "oversample": 8, "seed": 0,
+                                      "sign_mode": "random"}),
+            "witness88": ("--t 0.5 --nmax 2", {"coeffs_out": None, "nmax": 2, "t": 0.5}),
+            "flatpoly": ("--input f", {"budget": 4096, "coeffs_out": None, "input": "f",
+                                       "oversample": 8, "seed": 0}),
+            "lkk": ("--input f", {"budget": 4096, "coeffs_out": None, "input": "f",
+                                  "oversample": 8, "seed": 0}),
+            "moment": ("--input f --t 1 --beta 0.5 --kmax 8",
+                       {"beta": 0.5, "input": "f", "kmax": 8, "t": 1.0}),
+            "psi": ("--t 1", {"t": 1.0}),
+            "verify": ("", {"override": None, "seed": 0, "suite": "all"}),
+        }
+        assert list(COMMANDS) == list(expected)
+        parser = build_parser()
+        for name, (rest, options) in expected.items():
+            got = _options(parser.parse_args([name] + rest.split()))
+            want = dict(options, format=None, out=None)
+            assert got == want and list(got) == sorted(want), name
 
 
 class TestImports:

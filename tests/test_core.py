@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 from scottish_lab import (
     CoeffSeq,
     DenseMatrix,
-    HankelSymbol,
     block_of,
     derive_seed,
+    dyadic_kernel,
     hankel_matrix,
     hard_block,
     least_squares_line,
     limit_estimate,
     make_rng,
-    multiplier_support,
     read_coeff_csv,
     read_matrix_csv,
     write_coeff_csv,
@@ -92,10 +91,6 @@ class TestHankel:
         Q = hankel_matrix(CoeffSeq(sym), n)
         assert np.array_equal(Q.entries, Q.entries.T)
 
-    def test_materialize(self):
-        hs = HankelSymbol(CoeffSeq([1.0, 2.0]), 3)
-        assert hs.materialize() == hankel_matrix(CoeffSeq([1.0, 2.0]), 3)
-
 
 class TestBlocks:
     def test_partition_up_to_2_20(self):
@@ -113,19 +108,15 @@ class TestBlocks:
     def test_support_disjointness(self):
         for n in range(0, 13):
             for m in range(n + 2, 14):
-                a = set(multiplier_support(n))
-                b = set(multiplier_support(m))
+                a = set(np.nonzero(dyadic_kernel(n).coeffs)[0].tolist())
+                b = set(np.nonzero(dyadic_kernel(m).coeffs)[0].tolist())
                 assert not (a & b)
 
     def test_adjacent_supports_overlap(self):
-        assert set(multiplier_support(2)) & set(multiplier_support(3))
-
-    def test_block_index_views(self):
-        from scottish_lab import BlockIndex
-
-        b = BlockIndex(3)
-        assert list(b.hard) == list(range(8, 16))
-        assert b.support == multiplier_support(3)
+        for n in range(1, 13):
+            a = set(np.nonzero(dyadic_kernel(n).coeffs)[0].tolist())
+            b = set(np.nonzero(dyadic_kernel(n + 1).coeffs)[0].tolist())
+            assert a & b
 
 
 class TestSeeding:

@@ -177,10 +177,6 @@ class TestSignVector:
         with pytest.raises(InvalidParameter):
             SignVector([1, 0, -1])
 
-    def test_canonicalized(self):
-        v = SignVector([-1, 1, -1]).canonicalized()
-        assert np.array_equal(v.entries, [1, -1, 1])
-
 
 class TestBracket:
     def test_rank_one_tight(self):
