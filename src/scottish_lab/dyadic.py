@@ -58,9 +58,18 @@ def grid_size(length: int, oversample: int) -> int:
 
 
 def grid_values(f: CoeffSeq, oversample: int = DEFAULT_OVERSAMPLE) -> np.ndarray:
-    """Values of f on the uniform circle grid, via one inverse FFT."""
+    """Values of f at the grid points w_j = exp(2 pi i j / G), G = grid_size.
+
+    Complex f gets all G points, j = 0..G-1, from one inverse FFT.  Real f
+    gets the G/2 + 1 upper-half points j = 0..G/2 from one real FFT: then
+    f(conj w) = conj f(w), so the lower half mirrors the upper half and holds
+    the same moduli.
+    """
     G = grid_size(len(f), oversample)
-    return np.fft.ifft(f.coeffs, n=G) * G
+    if f.is_complex:
+        return np.fft.ifft(f.coeffs, n=G) * G
+    out = np.fft.rfft(f.coeffs, n=G)
+    return np.conjugate(out, out=out)
 
 
 def lp_norm_detail(
@@ -70,19 +79,31 @@ def lp_norm_detail(
 
     The norm is the normalized p-mean of |f| over G equispaced points, G the
     smallest power of two >= oversample * (deg + 1); p = inf takes the grid
-    maximum (a lower estimate of the true sup).  The bound pi * D * max|f| / G
-    comes from the derivative estimate for degree-D polynomials and is added
-    to tolerance accounting by callers, never silently absorbed.
+    maximum (a lower estimate of the true sup).  For real f the half grid of
+    `grid_values` stands for the whole: its end points j = 0 and G/2 count
+    once and every interior point twice, for its mirror image.
+
+    The bound pi * D * peak / (G - pi * D), for degree D and grid peak
+    `peak`, covers the gap between the grid value and the true norm.  Every
+    point of the circle lies within pi / G of the grid and |f'| <= D * sup|f|
+    (Bernstein), so sup|f| <= peak + pi * D * sup|f| / G, hence
+    sup|f| <= peak * G / (G - pi * D), and both the grid p-mean and the grid
+    maximum lie within pi * D * sup|f| / G of the true norm.  When
+    G <= pi * D the estimate gives nothing and the bound is inf.  Callers
+    add it to their tolerance accounting, never silently absorb it.
     """
     p = _validate_exponent(p)
+    G = grid_size(len(f), oversample)
     mags = np.abs(grid_values(f, oversample))
-    G = mags.size
     peak = float(mags.max())
     if math.isinf(p):
         value = peak
     else:
-        value = float(np.mean(mags**p) ** (1.0 / p))
-    bound = math.pi * f.degree * peak / G
+        powers = mags**p
+        total = powers.sum() if f.is_complex else 2 * powers.sum() - powers[0] - powers[-1]
+        value = float((total / G) ** (1.0 / p))
+    slack = G - math.pi * f.degree
+    bound = math.pi * f.degree * peak / slack if slack > 0 else math.inf
     return value, bound, G
 
 

@@ -15,6 +15,7 @@ from .core import CoeffSeq, block_of, check_size, derive_seed, least_squares_lin
 from .dyadic import (
     DEFAULT_OVERSAMPLE,
     besov_detail,
+    grid_size,
     hard_block_bound,
     lp_norm_circle,
 )
@@ -176,6 +177,7 @@ def assemble_majorant(
         raise InvalidTarget("targets must be nonnegative")
 
     top_block = block_of(alpha.degree) if alpha.degree >= 1 else 0
+    grid_size(1 << (top_block + 2), oversample)  # the final profile's top grid, checked first
     length = 1 << (top_block + 1)
     phi = np.zeros(length)
     blocks = []

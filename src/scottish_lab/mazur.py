@@ -18,7 +18,7 @@ from .core import (
     limit_estimate,
     make_rng,
 )
-from .dyadic import DEFAULT_OVERSAMPLE, dyadic_profile, lp_norm_circle
+from .dyadic import DEFAULT_OVERSAMPLE, dyadic_profile, grid_size, lp_norm_circle
 from .errors import InvalidParameter
 from .extremal import rudin_shapiro
 
@@ -100,6 +100,10 @@ def problem8_witness(
     """
     if not 0 <= nmax <= WITNESS_NMAX_CAP:
         raise InvalidParameter(f"nmax must lie in [0, {WITNESS_NMAX_CAP}]")
+    profiled = sign_mode == "rudin_shapiro" and nmax >= 12
+    # The largest grid of the call (the profile's top block, else block nmax),
+    # checked before any block is built.
+    grid_size(1 << (nmax + 1 if profiled else nmax), oversample)
     length = 1 << (nmax + 1)
     z = np.zeros(length)
     blocks = []
@@ -135,7 +139,7 @@ def problem8_witness(
             linfs[i + 1] < linfs[i] for i in range(len(linfs) - 1)
         ),
     }
-    if sign_mode == "rudin_shapiro" and nmax >= 12:
+    if profiled:
         prof = dyadic_profile(CoeffSeq(z), 0.0, 1.0, nmax, oversample).values
         flags["profile_growth"] = bool(
             prof[-1] >= prof[0] * 2.0 ** ((nmax - 8) / 2 - 1)

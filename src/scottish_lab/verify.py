@@ -580,6 +580,8 @@ def suite_mazur(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
     worst_rel = 0.0
     for k in range(int(th["mazur.flat_kmax"]) + 1):
         P, Q = rudin_shapiro(k)
+        # Real P and Q give the upper half of the grid; |P|^2 + |Q|^2 on the
+        # lower half is its mirror image, so every grid point is checked.
         total = np.abs(grid_values(P)) ** 2 + np.abs(grid_values(Q)) ** 2
         rel = float(np.abs(total - 2.0 ** (k + 1)).max()) / 2.0 ** (k + 1)
         worst_rel = max(worst_rel, rel)

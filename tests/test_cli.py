@@ -195,9 +195,12 @@ class TestExitCodes:
             ["witness88", "--t", "0.5", "--nmax", "40"],
             ["profile", "--input", str(small), "--s", "0", "--p", "1", "--nmax", "2",
              "--oversample", str(1 << 40)],
+            # its 2^26-point profile grid is refused before any block is built
+            ["witness8", "--nmax", "20", "--sign-mode", "rudin_shapiro", "--oversample", "32"],
         ):
             assert run(argv) == 1, argv
-            assert capsys.readouterr().err.startswith("error:"), argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 class TestReproducibility:

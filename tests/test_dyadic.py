@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scottish_lab import (
     CoeffSeq,
@@ -16,6 +16,7 @@ from scottish_lab import (
     paley_diagnostic,
     problem88_witness,
 )
+from scottish_lab.dyadic import grid_values
 from scottish_lab.errors import InvalidExponent, InvalidParameter, TooShort
 
 # Independent quadrature oracle for ||W_2||_1 at G = 2^16: Horner evaluation
@@ -97,14 +98,47 @@ class TestLpNorm:
         with pytest.raises(InvalidParameter):
             lp_norm_circle(CoeffSeq([1.0]), 1, oversample=1)
 
-    def test_quadrature_consistency(self):
-        # doubling the grid moves the value by less than the reported bound
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            c = rng.standard_normal(int(rng.integers(2, 200)))
-            v8, bound8, _ = lp_norm_detail(CoeffSeq(c), 1, oversample=8)
-            v16 = lp_norm_circle(CoeffSeq(c), 1, oversample=16)
-            assert abs(v8 - v16) <= bound8 + 1e-12
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1, 1), min_size=1, max_size=200),
+        st.integers(2, 16),
+        st.sampled_from([1.0, 2.0, math.inf]),
+    )
+    def test_quadrature_consistency(self, coeffs, oversample, p):
+        # a grid four times finer moves the value by at most the reported bound
+        f = CoeffSeq(coeffs)
+        v, bound, G = lp_norm_detail(f, p, oversample)
+        fine, _, fine_G = lp_norm_detail(f, p, 4 * oversample)
+        assert fine_G == 4 * G
+        assert abs(v - fine) <= bound + 1e-12 * np.abs(f.coeffs).sum()
+
+    def test_bound_is_inf_on_coarse_grids(self):
+        # G = 8 <= pi * 3: the derivative estimate bounds nothing
+        assert lp_norm_detail(CoeffSeq([1.0, 0, 0, 1.0]), 1, oversample=2)[1] == math.inf
+        assert lp_norm_detail(CoeffSeq([1.0]), 1, oversample=2)[1] == 0.0
+
+
+class TestHalfGrid:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1, max_size=400),
+        st.integers(2, 16),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+    )
+    @example([0.75], 2, 1.0)
+    @example([1.0, -0.5], 3, math.inf)
+    def test_matches_full_grid(self, coeffs, oversample, p):
+        # the complex path evaluates all G points: the oracle for the half grid
+        real = CoeffSeq(coeffs)
+        full = CoeffSeq(real.coeffs.astype(complex))
+        v, bound, G = lp_norm_detail(real, p, oversample)
+        want, want_bound, want_G = lp_norm_detail(full, p, oversample)
+        assert G == want_G
+        assert abs(v - want) <= 1e-12 * want
+        assert math.isclose(bound, want_bound, rel_tol=1e-12)
+        half, grid = grid_values(real, oversample), grid_values(full, oversample)
+        assert half.size == G // 2 + 1 and grid.size == G
+        assert np.abs(half - grid[: G // 2 + 1]).max() <= 1e-12 * np.abs(real.coeffs).sum()
 
 
 class TestProfile:
@@ -146,8 +180,28 @@ class TestProfile:
         assert prof.truncated == (d >= 1 << (nmax + 1))
 
     def test_grid_meets_floor(self):
+        # profiles promise these grids, for real and complex input alike; a
+        # faster path may not shrink them
+        def smallest_power_of_two(x):
+            g = 1
+            while g < x:
+                g *= 2
+            return g
+
         prof = dyadic_profile(CoeffSeq([1.0, 1.0]), 0.0, 1.0, 4, oversample=8)
-        assert prof.grid >= 8 * (1 << 5)
+        assert prof.grid == 8 * (1 << 5)
+        rng = np.random.default_rng(11)
+
+        def complex_normal(n):
+            return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        for make in (rng.standard_normal, complex_normal):
+            for n, oversample in ((1, 2), (2, 3), (100, 8), (257, 5)):
+                G = lp_norm_detail(CoeffSeq(make(n)), 1.0, oversample)[2]
+                assert G == smallest_power_of_two(oversample * n)
+            for nmax, oversample in ((0, 2), (4, 3), (7, 8)):
+                prof = dyadic_profile(CoeffSeq(make(1 << nmax)), 0.0, 1.0, nmax, oversample)
+                assert prof.grid == smallest_power_of_two(oversample << (nmax + 1))
 
 
 class TestBesov:

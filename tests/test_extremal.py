@@ -17,6 +17,7 @@ from scottish_lab import (
     rudin_shapiro,
     weighted_moment,
 )
+from scottish_lab import extremal
 from scottish_lab.dyadic import grid_values
 from scottish_lab.extremal import fit_growth_exponent
 from scottish_lab.errors import InvalidParameter, InvalidRegime, InvalidTarget
@@ -42,6 +43,8 @@ class TestRudinShapiro:
     def test_flatness_identity(self):
         for k in range(13):
             P, Q = rudin_shapiro(k)
+            # real P and Q give the upper half of the grid; |P|^2 + |Q|^2 on
+            # the lower half is its mirror image, so every point is checked
             total = np.abs(grid_values(P)) ** 2 + np.abs(grid_values(Q)) ** 2
             target = 2.0 ** (k + 1)
             assert np.abs(total - target).max() <= 1e-9 * target
@@ -150,6 +153,19 @@ class TestMajorant:
         phi, rep = assemble_majorant(alpha)
         assert rep.fidelity_exact
         assert rep.besov_value <= 4.5 * rep.k_achieved * rep.block_bound + 1e-6
+
+    def test_size_cap_before_any_block(self, monkeypatch):
+        # the final profile's 2^26-point top grid is refused before any block
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return 1.0
+
+        monkeypatch.setattr(extremal, "lp_norm_circle", counting)
+        with pytest.raises(InvalidParameter, match="size cap"):
+            assemble_majorant(CoeffSeq(np.ones(8)), oversample=1 << 22)
+        assert calls == []
 
     def test_blocks_use_flat_signs(self):
         alpha, _ = problem88_witness(0.5, 8)

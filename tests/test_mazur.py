@@ -150,6 +150,19 @@ class TestWitness:
         _, rep = problem8_witness(1, seed=1)
         assert rep.fit["slope"] is not None  # two blocks suffice
 
+    def test_size_cap_before_any_block(self, monkeypatch):
+        # the profile's 2^26-point top grid is refused before block 0 is measured
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return 1.0
+
+        monkeypatch.setattr(mazur, "lp_norm_circle", counting)
+        with pytest.raises(InvalidParameter, match="size cap"):
+            problem8_witness(12, sign_mode="rudin_shapiro", oversample=1 << 13)
+        assert calls == []
+
     def test_bad_sign_mode(self):
         with pytest.raises(InvalidParameter):
             problem8_witness(4, sign_mode="alternating")
