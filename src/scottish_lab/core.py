@@ -134,15 +134,8 @@ class DenseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def hard_block(n: int) -> range:
-    """Integer indices of the n-th hard dyadic block."""
-    if n < 0:
-        raise InvalidInput("block index must be nonnegative")
-    return range(1 << n, 1 << (n + 1))
-
-
 def block_of(k: int) -> int:
-    """The unique n with k in hard_block(n); requires k >= 1."""
+    """The unique n with 2^n <= k < 2^(n+1); requires k >= 1."""
     if k < 1:
         raise InvalidInput("only indices >= 1 belong to a hard block")
     return k.bit_length() - 1

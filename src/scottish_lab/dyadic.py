@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CoeffSeq, check_size
-from .errors import InvalidExponent, InvalidParameter, TooShort
+from .errors import InvalidExponent, InvalidParameter
 
 DEFAULT_OVERSAMPLE = 8
 
@@ -223,21 +223,3 @@ def hard_block_bound(gamma: CoeffSeq, nmax: int) -> float:
         if blk.size:
             total += (2.0**n) * float(np.sqrt(np.sum(np.abs(blk) ** 2)))
     return total
-
-
-def paley_diagnostic(f: CoeffSeq, nmax: int) -> np.ndarray:
-    """The sums D_n = sum_{k=0..n} |f_hat(2^n + 2^k)|^2 for n = 0..nmax.
-
-    Diagnostic data only: nothing in this package asserts boundedness of
-    these sums for any function class.
-    """
-    if nmax < 0:
-        raise InvalidParameter("nmax must be nonnegative")
-    if f.degree < (1 << (nmax + 1)):
-        raise TooShort("need degree >= 2^(nmax+1) to form the diagnostic")
-    c = f.coeffs
-    out = np.zeros(nmax + 1)
-    for n in range(nmax + 1):
-        idx = (1 << n) + (1 << np.arange(n + 1))
-        out[n] = float(np.sum(np.abs(c[idx]) ** 2))
-    return out

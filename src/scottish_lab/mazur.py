@@ -25,6 +25,8 @@ from .extremal import rudin_shapiro
 _DIRECT_CONV_LIMIT = 1 << 24  # below this many products, convolve exactly
 
 WITNESS_NMAX_CAP = 20
+_SLOPE_THRESHOLD = 0.15  # range_diagnostic: |trailing slope| for a trend
+_RESIDUAL_THRESHOLD = 0.2  # range_diagnostic: largest fit residual for a trend
 
 
 def antidiagonal_average(Q: DenseMatrix) -> CoeffSeq:
@@ -86,7 +88,6 @@ def problem8_witness(
     nmax: int,
     seed: int = 0,
     sign_mode: str = "random",
-    fit_start: int | None = None,
     oversample: int = DEFAULT_OVERSAMPLE,
 ) -> tuple[CoeffSeq, WitnessReport]:
     """A decaying sequence whose dyadic block L1 norms grow like 2^(n/2)/(n+1).
@@ -96,7 +97,7 @@ def problem8_witness(
     2^(n/2)/(n+1) in expectation; Rudin-Shapiro signs give the deterministic
     bound L1 >= 2^(n/2) / ((n+1) sqrt(2)) via the flatness identity.  The
     report stores per-block measurements and fits the exponent of 2 in
-    l1 * (n+1) against n.
+    l1 * (n+1) against n from block 8 on (block nmax // 2 when nmax < 12).
     """
     if not 0 <= nmax <= WITNESS_NMAX_CAP:
         raise InvalidParameter(f"nmax must lie in [0, {WITNESS_NMAX_CAP}]")
@@ -122,8 +123,7 @@ def problem8_witness(
             }
         )
 
-    if fit_start is None:
-        fit_start = 8 if nmax >= 12 else max(1, nmax // 2)
+    fit_start = 8 if nmax >= 12 else max(1, nmax // 2)
     fit_start = min(fit_start, max(0, nmax - 1))  # keep two or more fit points
     fit_ns = np.arange(fit_start, nmax + 1)
     if fit_ns.size >= 2:
@@ -176,17 +176,14 @@ def range_diagnostic(
     z: CoeffSeq,
     nmax: int,
     oversample: int = DEFAULT_OVERSAMPLE,
-    slope_threshold: float = 0.15,
-    residual_threshold: float = 0.2,
 ) -> RangeDiagnostic:
     """Classify the dyadic (s=0, p=1) profile of z minus its estimated limit.
 
     A growing profile certifies that z is not a coefficient-plus-constant
     sequence of a bounded-profile function (the truncation-visible
     direction); a decaying one is merely consistent with membership.
-    Thresholds: growing needs trailing slope > slope_threshold with fit
-    residual < residual_threshold; decaying is the mirrored slope test; the
-    rest is bounded-flat.
+    Thresholds: growing needs trailing slope > 0.15 with fit residual < 0.2;
+    decaying is the mirrored slope test; the rest is bounded-flat.
     """
     d = limit_estimate(z)
     resid = z.coeffs - d
@@ -202,9 +199,9 @@ def range_diagnostic(
     if tail.size < 2:
         return RangeDiagnostic(d, v, sup, None, None, "bounded-flat")
     slope, _, fit_resid = least_squares_line(ns, np.log2(np.maximum(tail, 1e-300)))
-    if slope > slope_threshold and fit_resid < residual_threshold:
+    if slope > _SLOPE_THRESHOLD and fit_resid < _RESIDUAL_THRESHOLD:
         label = "growing"
-    elif slope < -slope_threshold and fit_resid < residual_threshold:
+    elif slope < -_SLOPE_THRESHOLD and fit_resid < _RESIDUAL_THRESHOLD:
         label = "bounded-decaying"
     else:
         label = "bounded-flat"

@@ -2,12 +2,13 @@
 vectors, certified brackets for the rank-one decomposition norm, and corner
 profiles.
 
-The exact maximizer enumerates sign vectors in Gray-code order with O(K)
-incremental column-sum updates per flip, vectorized across fixed sign
-prefixes.  Only the shorter side of the matrix is enumerated.  Ties
-are broken toward the lexicographically smallest canonical sign vector on
-that side (+1 sorts before -1, entry 0 pinned to +1), which makes every run
-reproducible.
+The exact maximizer scans sign vectors in lexicographic order: a table holds
+the column sums of every pattern of the low bits, and each pattern of the
+high bits, in ascending order, adds its row to that table in one reused
+buffer.  Only the shorter side of the matrix is enumerated.  Ties are broken
+toward the lexicographically smallest canonical sign vector on that side
+(+1 sorts before -1, entry 0 pinned to +1) -- the first maximum the scan
+meets -- which makes every run reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .core import DenseMatrix, derive_seed, make_rng
 from .errors import InvalidParameter, TooLargeForExact
 
 EXACT_ENUM_CAP = 26
-_SUFFIX_BITS = 12  # Gray-walked bits; the rest are vectorized prefixes
+_SCAN_ENTRIES = 1 << 16  # float64 entries per scan buffer, unless K is wider
+_MIN_LOW_BITS = 5  # so each block's high row costs little next to its 2^lo x K scan
 _RANK_ONE_TOL = 1e-10
 
 
@@ -65,6 +67,12 @@ def _y_from_sums(col_sums: np.ndarray) -> np.ndarray:
     return y
 
 
+def _lex_signs(q, n: int) -> np.ndarray:
+    """Sign patterns of length n for the integers q, ascending with q in
+    lexicographic order: bit n-1-i of q set gives entry i = -1."""
+    return 1.0 - 2.0 * ((np.asarray(q)[..., None] >> np.arange(n - 1, -1, -1)) & 1)
+
+
 def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]:
     """Exact maximum of |sum q_jk x_j y_k| over sign vectors x, y.
 
@@ -85,55 +93,23 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
     if J > EXACT_ENUM_CAP:
         raise TooLargeForExact(f"shorter side {J} exceeds the cap {EXACT_ENUM_CAP}")
 
-    if J == 1:
-        x = np.ones(1)
-        col = x @ A
-        return _objective(A, x), SignVector(x), SignVector(_y_from_sums(col))
-
-    s = min(J - 1, _SUFFIX_BITS)
-    p = J - 1 - s
-    P = 1 << p
-
-    # Prefix block: sign patterns of x_1..x_p, bit (p-1-i) of the row index
-    # encoding x_{1+i}, so ascending row index is ascending lexicographic
-    # order and np.argmax lands on the lexicographically smallest tie.
-    if p:
-        bits = (np.arange(P)[:, None] >> np.arange(p - 1, -1, -1)[None, :]) & 1
-        x_pre = 1.0 - 2.0 * bits
-        pre_part = x_pre @ A[1 : 1 + p]
-    else:
-        x_pre = np.zeros((1, 0))
-        pre_part = 0.0
-
-    suffix = np.ones(s)
-    base = A[0] + A[1 + p :].sum(axis=0)  # x_0 = +1, suffix all +1
-    col_sums = pre_part + base[None, :]  # (P, K)
-
-    def assemble(q: int) -> np.ndarray:
-        x = np.ones(J)
-        if p:
-            x[1 : 1 + p] = x_pre[q]
-        x[1 + p :] = suffix
-        return x
-
-    vals = np.abs(col_sums).sum(axis=1)
-    q = int(np.argmax(vals))
-    best_val = float(vals[q])
-    best_x = assemble(q)
-
-    for i in range(1, 1 << s):
-        j = (i & -i).bit_length() - 1  # Gray code: flip the ctz(i)-th suffix bit
-        suffix[j] = -suffix[j]
-        col_sums += (2.0 * suffix[j]) * A[1 + p + j][None, :]
-        vals = np.abs(col_sums).sum(axis=1)
-        m = float(vals.max())
-        if m > best_val:
-            best_val = m
-            best_x = assemble(int(np.argmax(vals)))
-        elif m == best_val:
-            cand = assemble(int(np.argmax(vals)))
-            if _lex_smaller(cand, best_x):
-                best_x = cand
+    # x = (+1, high bits, low bits).  One table holds the column sums of all
+    # low patterns; each high pattern, in ascending order, adds its row to it.
+    lo = min(J - 1, max(_MIN_LOW_BITS, (_SCAN_ENTRIES // K).bit_length() - 1))
+    hi = J - 1 - lo
+    x_lo = _lex_signs(np.arange(1 << lo), lo)
+    low = x_lo @ A[1 + hi :]
+    buf = np.empty_like(low)
+    ones = np.ones(K)
+    best_val = -1.0
+    for q in range(1 << hi):
+        x_hi = _lex_signs(q, hi)
+        np.add(low, A[0] + x_hi @ A[1 : 1 + hi], out=buf)
+        vals = np.abs(buf, out=buf) @ ones
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:  # ties keep the first, lexicographically smallest x
+            best_val = vals[i]
+            best_x = np.concatenate(([1.0], x_hi, x_lo[i]))
 
     col = best_x @ A
     return _objective(A, best_x), SignVector(best_x), SignVector(_y_from_sums(col))
@@ -282,16 +258,15 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
     j_star, k_star = np.unravel_index(int(np.argmax(np.abs(A))), A.shape)
     a1 = A[:, k_star] / A[j_star, k_star]
     b1 = A[j_star, :].copy()
+    entry = {
+        "kind": "entry",
+        "j": int(j_star),
+        "k": int(k_star),
+        "pairing": float(A[j_star, k_star]),
+        "denominator": 1.0,
+    }
     if float(np.abs(A - np.outer(a1, b1)).max()) <= _RANK_ONE_TOL * scale:
-        cert = ((a1, b1),)
-        lower_cert = {
-            "kind": "entry",
-            "j": int(j_star),
-            "k": int(k_star),
-            "pairing": float(A[j_star, k_star]),
-            "denominator": 1.0,
-        }
-        return NormBracket(scale, scale, lower_cert, cert, ("rank-one", "entry"))
+        return NormBracket(scale, scale, entry, ((a1, b1),), ("rank-one", "entry"))
 
     upper_candidates = [
         ("rows",) + _row_decomposition(A),
@@ -302,19 +277,7 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
     strategies.append(tag)
 
     # Lower bound via duality against test matrices of certified norm.
-    lower_candidates = []
-    lower_candidates.append(
-        (
-            scale,
-            {
-                "kind": "entry",
-                "j": int(j_star),
-                "k": int(k_star),
-                "pairing": float(A[j_star, k_star]),
-                "denominator": 1.0,
-            },
-        )
-    )
+    lower_candidates = [(scale, entry)]
     m = min(J, K)
     trace = float(np.trace(A))
     lower_candidates.append(

@@ -19,7 +19,7 @@ from .core import (
     hankel_matrix,
     make_rng,
 )
-from .dyadic import besov_norm, dyadic_kernel, grid_values, lp_norm_circle
+from .dyadic import besov_norm, dyadic_kernel, grid_values, hard_block_bound, lp_norm_circle
 from .errors import InvalidParameter
 from .extremal import (
     assemble_majorant,
@@ -324,11 +324,7 @@ def suite_theorem_re(seed: int = 0, thresholds: dict | None = None) -> SuiteRepo
         k = np.arange(g.size, dtype=float)
         lhs = float(np.sum(g**t * (1.0 + k) ** (1.5 * t - 1.0)))
         nmax = 0 if g.size <= 1 else (g.size - 1).bit_length() - 1
-        M = float(abs(g[0]))
-        for n in range(nmax + 1):
-            blk = g[1 << n : 1 << (n + 1)]
-            if blk.size:
-                M += (2.0**n) * float(np.sqrt(np.sum(blk**2)))
+        M = hard_block_bound(CoeffSeq(g), nmax)
         rhs = const * M**t
         if lhs > rhs * (1 + 1e-12):
             violations += 1

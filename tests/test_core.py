@@ -11,7 +11,6 @@ from scottish_lab import (
     derive_seed,
     dyadic_kernel,
     hankel_matrix,
-    hard_block,
     least_squares_line,
     limit_estimate,
     make_rng,
@@ -102,8 +101,7 @@ class TestBlocks:
         assert np.all((ks >= lows) & (ks < 2 * lows))
         for k in (1, 2, 3, 4, 1023, 1024, (1 << 20)):
             n = block_of(k)
-            assert k in hard_block(n)
-            assert k not in hard_block(n + 1) and (n == 0 or k not in hard_block(n - 1))
+            assert (1 << n) <= k < (1 << (n + 1))
 
     def test_support_disjointness(self):
         for n in range(0, 13):

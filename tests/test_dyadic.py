@@ -13,11 +13,10 @@ from scottish_lab import (
     hard_block_bound,
     lp_norm_circle,
     lp_norm_detail,
-    paley_diagnostic,
     problem88_witness,
 )
 from scottish_lab.dyadic import grid_values
-from scottish_lab.errors import InvalidExponent, InvalidParameter, TooShort
+from scottish_lab.errors import InvalidExponent, InvalidParameter
 
 # Independent quadrature oracle for ||W_2||_1 at G = 2^16: Horner evaluation
 # on a dense grid (no shared code with the FFT path), frozen before the build.
@@ -276,28 +275,3 @@ class TestHardBlockBound:
         a = hard_block_bound(g, 6)
         b = hard_block_bound(CoeffSeq(c * g.coeffs), 6)
         assert abs(b - c * a) <= 1e-9 * max(1.0, a) * c
-
-
-class TestPaley:
-    def test_all_ones_counts(self):
-        nmax = 6
-        f = CoeffSeq(np.ones((1 << (nmax + 1)) + 1))
-        d = paley_diagnostic(f, nmax)
-        assert np.array_equal(d, np.arange(1, nmax + 2, dtype=float))
-
-    def test_monomial(self):
-        j = 5
-        e = np.zeros((1 << 5) + 1)
-        e[-1] = 1.0
-        d = paley_diagnostic(CoeffSeq(e), 4)
-        expected = np.zeros(5)
-        expected[j - 1] = 1.0  # 2^n + 2^k = 2^j forces k = n = j - 1
-        assert np.array_equal(d, expected)
-
-    def test_zero(self):
-        f = CoeffSeq(np.zeros((1 << 5) + 1))
-        assert not paley_diagnostic(f, 4).any()
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            paley_diagnostic(CoeffSeq(np.ones(10)), 4)

@@ -76,7 +76,7 @@ class TestExact:
             assert x.entries.astype(float) @ A @ y.entries.astype(float) == value
 
     def test_prefix_blocked_path(self):
-        # J > 13 exercises the vectorized prefix block
+        # a tall matrix: the scan enumerates its 4 columns
         rng = make_rng(23)
         A = rng.integers(-2, 3, (15, 4)).astype(float)
         value, x, y = injective_norm_exact(DenseMatrix(A))
@@ -92,6 +92,27 @@ class TestExact:
         value, x, _ = injective_norm_exact(DenseMatrix(A))
         assert value == 2.0
         assert np.array_equal(x.entries, [1, 1, -1])
+
+    @pytest.mark.parametrize("shape", [(15, 16), (16, 64), (8, 4096)])
+    def test_lex_tie_break_across_blocks(self, shape):
+        # Ternary matrices with a zero row 2 and repeated rows: maximizers
+        # differ in x_1 or x_2, which the scan keeps in its high bits at these
+        # wide shapes (a scan buffer holds at most max(2^16, 32 K) entries),
+        # so tied maximizers sit in different blocks of the scan.
+        J, K = shape
+        rng = make_rng(25 + J)
+        xs = np.hstack([np.ones((2 ** (J - 1), 1)), np.array(brute_signs(J - 1))])
+        for _ in range(3):
+            A = rng.integers(-1, 2, (J, K)).astype(float)
+            A[2] = 0.0
+            A[1] = -A[J - 1]
+            A[3] = A[J - 2]
+            vals = np.abs(xs @ A).sum(axis=1)
+            best = np.flatnonzero(vals == vals.max())
+            assert len({tuple(xs[i, 1:3]) for i in best}) > 1
+            value, x, _ = injective_norm_exact(DenseMatrix(A))
+            assert value == vals.max()
+            assert np.array_equal(x.entries, xs[best[0]])
 
     def test_zero_matrix_canonical(self):
         value, x, y = injective_norm_exact(DenseMatrix(np.zeros((3, 2))))
