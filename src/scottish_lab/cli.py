@@ -24,6 +24,7 @@ import numpy as np
 from . import verify
 from .core import (
     CoeffSeq,
+    _row_chunks,
     format_float,
     read_coeff_csv,
     read_matrix_csv,
@@ -81,17 +82,6 @@ def _jsonable(obj):
     return obj
 
 
-def _sequence_entries(seq: CoeffSeq) -> list:
-    rows = []
-    for k in np.nonzero(seq.coeffs)[0].tolist():
-        v = seq.coeffs[k]
-        if seq.is_complex:
-            rows.append([int(k), float(v.real), float(v.imag)])
-        else:
-            rows.append([int(k), float(v)])
-    return rows
-
-
 def _options(args) -> dict:
     return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "command"}
 
@@ -108,6 +98,28 @@ def _write_csv_table(path, header: str, rows, comment: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_json(fh, doc: dict) -> None:
+    """Write json.dumps(doc, indent=2) and a newline.  A CoeffSeq under the
+    top-level key "sequence" is written as the list of its nonzero [k, value]
+    or [k, re, im] rows, chunk by chunk, never as one list or string."""
+    seq = doc.get("sequence")
+    if not isinstance(seq, CoeffSeq):
+        fh.write(json.dumps(_jsonable(doc), indent=2) + "\n")
+        return
+    text = json.dumps(_jsonable(dict(doc, sequence=[])), indent=2) + "\n"
+    key = '\n  "sequence":'
+    head, _, tail = text.partition(key + " []")
+    row = "\n    [\n      %d,\n      %r\n    ]"
+    if seq.is_complex:
+        row = "\n    [\n      %d,\n      %r,\n      %r\n    ]"
+    fh.write(head + key)
+    sep = " ["
+    for chunk in _row_chunks(seq, pin_last=False):
+        fh.write(sep + ",".join(row % r for r in chunk))
+        sep = ","
+    fh.write((" []" if sep == " [" else "\n  ]") + tail)
+
+
 def _emit(args, argv, payload: dict, csv_payload=None) -> int:
     """Write the report; csv_payload is a CoeffSeq or (header, rows) table."""
     cfg = _run_config(args, argv)
@@ -117,12 +129,9 @@ def _emit(args, argv, payload: dict, csv_payload=None) -> int:
     if fmt == "json":
         doc = {"run_config": cfg}
         doc.update(payload)
-        text = json.dumps(_jsonable(doc), indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+        with out as fh:
+            _write_json(fh, doc)
         return 0
     if csv_payload is None:
         raise InvalidParameter(f"{args.command} has no CSV form; use --format json")
@@ -149,7 +158,7 @@ def _maybe_export(args, seq: CoeffSeq, argv) -> None:
 
 def _cmd_wn(args, argv):
     seq = dyadic_kernel(args.n)
-    payload = {"n": args.n, "length": len(seq), "sequence": _sequence_entries(seq)}
+    payload = {"n": args.n, "length": len(seq), "sequence": seq}
     return _emit(args, argv, payload, csv_payload=seq)
 
 
@@ -233,7 +242,7 @@ def _cmd_v2(args, argv):
 def _cmd_mazur_a(args, argv):
     Q = read_matrix_csv(args.input)
     seq = antidiagonal_average(Q)
-    payload = {"length": len(seq), "sequence": _sequence_entries(seq)}
+    payload = {"length": len(seq), "sequence": seq}
     return _emit(args, argv, payload, csv_payload=seq)
 
 
@@ -241,7 +250,7 @@ def _cmd_mazur_b(args, argv):
     x = read_coeff_csv(args.input)
     y = read_coeff_csv(args.input2)
     seq = cesaro_product(x, y)
-    payload = {"length": len(seq), "sequence": _sequence_entries(seq)}
+    payload = {"length": len(seq), "sequence": seq}
     return _emit(args, argv, payload, csv_payload=seq)
 
 

@@ -7,6 +7,7 @@ function, so everything is safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -226,6 +227,11 @@ def least_squares_line(x, y) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
+# Rows are formatted and written this many at a time, so that a long
+# sequence never holds more than one chunk of Python objects or text.
+_CHUNK_ROWS = 1 << 14
+
+
 def _parse_float(text: str) -> float:
     try:
         v = float(text)
@@ -241,60 +247,68 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def write_coeff_csv(path, seq: CoeffSeq, comment: str | None = None) -> None:
-    lines = []
-    if comment is not None:
-        lines.append("# " + comment)
-    lines.append("k,re,im" if seq.is_complex else "k,re")
-    nz = set(np.nonzero(seq.coeffs)[0].tolist())
-    nz.add(seq.degree)  # pins the length on read-back
-    for k in sorted(nz):
-        v = seq.coeffs[k]
+def _row_chunks(seq: CoeffSeq, pin_last: bool):
+    """The stored rows of seq, _CHUNK_ROWS at a time: each chunk iterates
+    (k, value) or (k, re, im) tuples of Python numbers, whose repr is the
+    shortest round-trip decimal.  A row is stored when its entry is nonzero;
+    pin_last also stores the last index."""
+    c = seq.coeffs
+    ks = np.flatnonzero(c)
+    if pin_last and (ks.size == 0 or ks[-1] != seq.degree):
+        ks = np.append(ks, seq.degree)
+    for start in range(0, ks.size, _CHUNK_ROWS):
+        idx = ks[start : start + _CHUNK_ROWS]
+        vals = c[idx]
         if seq.is_complex:
-            lines.append(f"{k},{format_float(v.real)},{format_float(v.imag)}")
+            yield zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist())
         else:
-            lines.append(f"{k},{format_float(v)}")
+            yield zip(idx.tolist(), vals.tolist())
+
+
+def write_coeff_csv(path, seq: CoeffSeq, comment: str | None = None) -> None:
+    row = "%d,%r,%r\n" if seq.is_complex else "%d,%r\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if comment is not None:
+            fh.write("# " + comment + "\n")
+        fh.write("k,re,im\n" if seq.is_complex else "k,re\n")
+        for chunk in _row_chunks(seq, pin_last=True):  # the last index pins the length
+            fh.write("".join(row % r for r in chunk))
 
 
 def read_coeff_csv(path) -> CoeffSeq:
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows:
-        raise InvalidInput("empty coefficient file")
-    header = rows[0].replace(" ", "")
-    if header == "k,re":
-        is_complex = False
-    elif header == "k,re,im":
-        is_complex = True
-    else:
-        raise InvalidInput(f"unrecognized header {rows[0]!r}")
-    ks: list[int] = []
-    vals: list[complex] = []
-    for ln in rows[1:]:
-        parts = ln.split(",")
-        if len(parts) != (3 if is_complex else 2):
-            raise InvalidInput(f"malformed row {ln!r}")
+        lines = (ln for ln in map(str.strip, fh) if ln and not ln.startswith("#"))
+        header = next(lines, None)
+        if header is None:
+            raise InvalidInput("empty coefficient file")
+        fields = {"k,re": ("re",), "k,re,im": ("re", "im")}.get(header.replace(" ", ""))
+        if fields is None:
+            raise InvalidInput(f"unrecognized header {header!r}")
+        first = next(lines, None)
+        if first is None:
+            raise InvalidInput("coefficient file has no data rows")
+        dtype = [("k", np.int64)] + [(f, np.float64) for f in fields]
         try:
-            k = int(parts[0])
+            # Indices increase strictly from 0, so a file with more rows than
+            # the size cap admits fails the last-index check below.
+            rows = np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1, max_rows=(1 << SIZE_CAP_LOG2) + 1)
         except ValueError as exc:
-            raise InvalidInput(f"bad index {parts[0]!r}") from exc
-        if k < 0:
-            raise InvalidInput("indices must be nonnegative")
-        if ks and k <= ks[-1]:
-            raise InvalidInput("indices must be strictly increasing")
-        ks.append(k)
-        if is_complex:
-            vals.append(complex(_parse_float(parts[1]), _parse_float(parts[2])))
-        else:
-            vals.append(_parse_float(parts[1]))
-    if not ks:
-        raise InvalidInput("coefficient file has no data rows")
-    check_size(ks[-1].bit_length(), f"last index {ks[-1]}")
-    out = np.zeros(ks[-1] + 1, dtype=np.complex128 if is_complex else np.float64)
-    out[np.array(ks)] = np.array(vals)
+            raise InvalidInput(f"malformed coefficient row: {exc}") from exc
+    ks = rows["k"]
+    if ks[0] < 0:
+        raise InvalidInput("indices must be nonnegative")
+    if np.any(ks[1:] <= ks[:-1]):
+        raise InvalidInput("indices must be strictly increasing")
+    if not all(np.isfinite(rows[f]).all() for f in fields):
+        raise InvalidInput("NaN/Inf values are rejected")
+    last = int(ks[-1])
+    check_size(last.bit_length(), f"last index {last}")
+    out = np.zeros(last + 1, dtype=np.complex128 if "im" in fields else np.float64)
+    # Parts are set one at a time: re + 1j*im would turn a -0.0 real part into 0.0.
+    out.real[ks] = rows["re"]
+    if "im" in fields:
+        out.imag[ks] = rows["im"]
     return CoeffSeq(out)
 
 
@@ -309,12 +323,17 @@ def write_matrix_csv(path, mat: DenseMatrix, comment: str | None = None) -> None
 
 
 def read_matrix_csv(path) -> DenseMatrix:
+    data = []
+    entries = 0
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows:
+        for ln in map(str.strip, fh):
+            if not ln or ln.startswith("#"):
+                continue
+            entries += ln.count(",") + 1
+            check_size((entries - 1).bit_length(), "matrix entry count")
+            data.append([_parse_float(cell) for cell in ln.split(",")])
+    if not data:
         raise InvalidInput("empty matrix file")
-    data = [[_parse_float(cell) for cell in ln.split(",")] for ln in rows]
     width = len(data[0])
     if any(len(r) != width for r in data):
         raise InvalidInput("matrix rows must have equal length")

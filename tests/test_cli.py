@@ -1,12 +1,19 @@
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import scottish_lab
 from scottish_lab import CoeffSeq, read_coeff_csv, write_coeff_csv, write_matrix_csv, DenseMatrix
-from scottish_lab.cli import COMMANDS, _options, build_parser, rerun_config_argv, run
+from scottish_lab import core, dyadic_kernel
+from scottish_lab.cli import COMMANDS, _jsonable, _options, _write_json, build_parser, rerun_config_argv, run
+from scottish_lab.errors import InvalidInput
 
 
 def run_json(argv, path):
@@ -152,6 +159,48 @@ class TestCommands:
         assert doc["value"] == 2.0
 
 
+class TestStreamedSequence:
+    @staticmethod
+    def reference(doc):
+        # the one-shot emit that streaming replaced: every nonzero entry as a list, then one dumps
+        seq = doc["sequence"]
+        rows = []
+        for k in np.nonzero(seq.coeffs)[0].tolist():
+            v = seq.coeffs[k]
+            if seq.is_complex:
+                rows.append([int(k), float(v.real), float(v.imag)])
+            else:
+                rows.append([int(k), float(v)])
+        return json.dumps(_jsonable(dict(doc, sequence=rows)), indent=2) + "\n"
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.5, -0.0, 2.0, 0.0, 0.0, 3e-300, 1.0, -2.0, 1 / 3, 5e-324],
+        [1 + 2j, -0.0 + 1j, 0j, 3 - 0j, 0j, complex(-0.0, -2.0), -1e300 + 0j, 1 + 1j],
+        [0.0] * 5,
+        [-0.0, 0.0],
+        [0j, complex(-0.0, 0.0)],
+    ])
+    def test_bytes_match_one_shot_dump(self, values, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 3)  # chunk boundaries inside every case
+        for n in range(1, len(values) + 1):
+            seq = CoeffSeq(np.array(values[:n]))
+            doc = {"run_config": {"argv": ["wn", '"sequence": []'], "options": {"q": math.inf}},
+                   "length": n, "sequence": seq}
+            out = io.StringIO()
+            _write_json(out, doc)
+            assert out.getvalue() == self.reference(doc), n
+            if not np.any(seq.coeffs):
+                assert '"sequence": []' in out.getvalue()
+
+    def test_cli_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
+        out = tmp_path / "w.json"
+        assert run(["wn", "--n", "3", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        want = self.reference(dict(doc, sequence=dyadic_kernel(3)))
+        assert out.read_text() == want and len(doc["sequence"]) > 6
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run(["besov", "--nonsense"]) == 64
@@ -201,6 +250,36 @@ class TestExitCodes:
             assert run(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, argv
+
+    @pytest.mark.parametrize("text", [
+        "index,value\n0,1\n",  # bad header
+        "k,re\n0,1.0,2.0\n",  # wrong column count
+        "k,re,im\n0,1.0\n",
+        "k,re\n0\n",
+        "k,re\n1.5,1.0\n",  # index not an integer
+        "k,re\n-1,1.0\n",
+        "k,re\n3,1.0\n1,2.0\n",  # indices must increase
+        "k,re\n1,1.0\n1,2.0\n",
+        "k,re\n0,nan\n",
+        "k,re\n0,1.0\n1,inf\n",
+        "k,re,im\n0,1.0,-inf\n",
+        "",  # empty, header-only and comments-only files
+        "# config\nk,re\n\n",
+        "# a\n\n# b\n",
+        "k,re\n0,1.0 # note\n",  # a comment must start its line
+        "k,re\n1_0,1.0\n",  # no digit separators
+        f"k,re\n{1 << 63},1.0\n",  # past int64
+    ])
+    def test_malformed_coefficient_files(self, text, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" included
+            with pytest.raises(InvalidInput):
+                read_coeff_csv(p)
+            assert run(["moment", "--input", str(p), "--t", "1", "--beta", "0.5", "--kmax", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 class TestReproducibility:
@@ -266,6 +345,42 @@ class TestReproducibility:
             got = _options(parser.parse_args([name] + rest.split()))
             want = dict(options, format=None, out=None)
             assert got == want and list(got) == sorted(want), name
+
+
+# Runs a command and prints its exit code and peak RSS in KiB.  The wrapper
+# imports no numpy: a child's peak RSS starts at the RSS of the process that
+# spawned it, so spawning from the test process would measure the test.
+_PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "rc = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+class TestMemory:
+    def peak_kib(self, argv) -> int:
+        src = os.path.dirname(os.path.dirname(scottish_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "scottish_lab", *argv],
+                             capture_output=True, text=True, check=True, timeout=300, env=env)
+        rc, kib = map(int, out.stdout.split())
+        assert rc == 0, argv
+        return kib
+
+    def test_sequence_io_bytes_per_coefficient(self, tmp_path):
+        # README: sequence reports and CSV hand-offs stay within 128 bytes of
+        # peak RSS per coefficient above a bare CLI call (measured: 34-61)
+        coeffs = 1 << 18
+        base = self.peak_kib(["psi", "--t", "1", "--out", str(tmp_path / "psi.json")])
+        big = str(tmp_path / "big.csv")
+        for argv in (
+            ["witness88", "--t", "0.5", "--nmax", "17", "--out", big, "--format", "csv"],
+            ["moment", "--input", big, "--t", "0.5", "--beta", "-0.25", "--kmax", str(coeffs),
+             "--out", str(tmp_path / "m.json")],
+            ["wn", "--n", "17", "--out", str(tmp_path / "w.json")],
+        ):
+            per_coeff = (self.peak_kib(argv) - base) * 1024 / coeffs
+            assert per_coeff <= 128, (argv[0], per_coeff)
 
 
 class TestImports:

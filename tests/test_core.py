@@ -19,10 +19,12 @@ from scottish_lab import (
     write_coeff_csv,
     write_matrix_csv,
 )
+from scottish_lab import core
 from scottish_lab.errors import (
     ComplexNotSupported,
     EmptyDimension,
     InvalidInput,
+    InvalidParameter,
     TooShort,
 )
 
@@ -201,6 +203,83 @@ class TestCsv:
         p.write_text("k,re\n1,2.0\n4,-1.0\n")
         seq = read_coeff_csv(p)
         assert seq == CoeffSeq([0.0, 2.0, 0.0, 0.0, -1.0])
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.5, -0.0, 2.0, 0.0, 0.0, 3e-300, 1.0, -2.0, 1 / 3, 5e-324],
+        [1 + 2j, -0.0 + 1j, 0j, 3 - 0j, 0j, 0.5j, -1e300 + 0j, 1 + 1j],
+        [0.0] * 7,
+        [1.0, 0.0, -0.0],
+        [0j, 2 - 1j, complex(-0.0, -0.0)],
+        [-0.0],
+    ])
+    def test_writer_bytes_match_row_by_row_reference(self, values, tmp_path, monkeypatch):
+        # the reference is the row-by-row writer that the chunked one replaced;
+        # a chunk of 3 rows puts chunk boundaries inside every case
+        def reference(seq, comment):
+            lines = ["# " + comment, "k,re,im" if seq.is_complex else "k,re"]
+            ks = sorted(set(np.nonzero(seq.coeffs)[0].tolist()) | {seq.degree})
+            for k in ks:
+                v = seq.coeffs[k]
+                if seq.is_complex:
+                    lines.append(f"{k},{repr(float(v.real))},{repr(float(v.imag))}")
+                else:
+                    lines.append(f"{k},{repr(float(v))}")
+            return "\n".join(lines) + "\n"
+
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
+        for n in range(1, len(values) + 1):
+            seq = CoeffSeq(np.array(values[:n]))
+            path = tmp_path / "s.csv"
+            write_coeff_csv(path, seq, comment='{"argv": []}')
+            assert path.read_text(encoding="utf-8") == reference(seq, '{"argv": []}'), n
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+                        min_size=1, max_size=40),
+        is_complex=st.booleans(),
+        chunk=st.integers(1, 5),
+    )
+    def test_round_trip_is_bit_identical(self, values, is_complex, chunk, tmp_path_factory):
+        # every stored entry (nonzero, or the last) reads back with its bits,
+        # signed zeros included; entries not stored read back as +0.0
+        arr = np.array(values)
+        if is_complex:
+            arr = np.empty(len(values), dtype=np.complex128)
+            arr.real = values
+            arr.imag = values[::-1]
+        seq = CoeffSeq(arr)
+        path = tmp_path_factory.mktemp("rt") / "s.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CHUNK_ROWS", chunk)
+            write_coeff_csv(path, seq, comment="c")
+        got = read_coeff_csv(path).coeffs
+        want = seq.coeffs.copy()
+        stored = want != 0
+        stored[-1] = True
+        want[~stored] = 0
+        assert got.dtype == want.dtype
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_reader_accepts_loose_layout(self, tmp_path):
+        p = tmp_path / "loose.csv"
+        p.write_bytes(b"# run config\r\n\r\n k , re \r\n 0 , 1.5 \r\n\r\n"
+                      b"# between rows\r\n  # indented comment\r\n\t2,\t-0.25\r\n   \r\n4,1e-3")
+        assert read_coeff_csv(p) == CoeffSeq([1.5, 0.0, -0.25, 0.0, 1e-3])
+        p.write_text("k, re, im\n0, -0.0, 1.0\n\n# c\n2 ,1.0, -0.0\n")
+        got = read_coeff_csv(p).coeffs
+        assert got.tolist() == [1j, 0j, 1 + 0j]
+        assert np.signbit(got.real).tolist() == [True, False, False]
+        assert np.signbit(got.imag).tolist() == [False, False, True]
+
+    def test_matrix_reader_size_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "SIZE_CAP_LOG2", 3)
+        p = tmp_path / "m.csv"
+        p.write_text("1,2,3,4\n5,6,7,8\n")
+        assert read_matrix_csv(p).entries.shape == (2, 4)  # 8 entries: at the cap
+        p.write_text("# 3 by 3\n1,2,3\n4,5,6\n7,8,9\n")
+        with pytest.raises(InvalidParameter, match="size cap"):
+            read_matrix_csv(p)
 
     def test_matrix_round_trip(self, tmp_path):
         rng = make_rng(13)
