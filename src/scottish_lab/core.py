@@ -275,9 +275,20 @@ def write_coeff_csv(path, seq: CoeffSeq, comment: str | None = None) -> None:
             fh.write("".join(row % r for r in chunk))
 
 
+def _data_lines(fh, path):
+    """The stripped lines of fh that are neither blank nor `#` comments; a
+    byte that is not UTF-8 raises InvalidInput naming the file."""
+    try:
+        for ln in map(str.strip, fh):
+            if ln and not ln.startswith("#"):
+                yield ln
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path} is not UTF-8 text") from exc
+
+
 def read_coeff_csv(path) -> CoeffSeq:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = (ln for ln in map(str.strip, fh) if ln and not ln.startswith("#"))
+        lines = _data_lines(fh, path)
         header = next(lines, None)
         if header is None:
             raise InvalidInput("empty coefficient file")
@@ -326,9 +337,7 @@ def read_matrix_csv(path) -> DenseMatrix:
     data = []
     entries = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for ln in map(str.strip, fh):
-            if not ln or ln.startswith("#"):
-                continue
+        for ln in _data_lines(fh, path):
             entries += ln.count(",") + 1
             check_size((entries - 1).bit_length(), "matrix entry count")
             data.append([_parse_float(cell) for cell in ln.split(",")])

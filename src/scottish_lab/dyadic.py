@@ -83,17 +83,29 @@ def lp_norm_detail(
     `grid_values` stands for the whole: its end points j = 0 and G/2 count
     once and every interior point twice, for its mirror image.
 
-    The bound pi * D * peak / (G - pi * D), for degree D and grid peak
-    `peak`, covers the gap between the grid value and the true norm.  Every
-    point of the circle lies within pi / G of the grid and |f'| <= D * sup|f|
-    (Bernstein), so sup|f| <= peak + pi * D * sup|f| / G, hence
-    sup|f| <= peak * G / (G - pi * D), and both the grid p-mean and the grid
-    maximum lie within pi * D * sup|f| / G of the true norm.  When
+    p = 2 is exact and needs no grid: the value is sqrt(sum |c_k|^2) and the
+    bound is 0.  On any grid of G > D points the grid mean of |f|^2 is
+    sum_{j,k} c_j conj(c_k) * (mean of w^(j-k)), and the mean of w^m over the
+    G-th roots of unity vanishes for 0 < |m| <= D < G, so it equals
+    sum |c_k|^2 (discrete Parseval, no aliasing), as does the circle's
+    squared L^2 norm.  G is still reported, and still checked first.
+
+    For other p the bound pi * D * peak / (G - pi * D), for degree D and grid
+    peak `peak`, covers the gap between the grid value and the true norm.
+    Every point of the circle lies within pi / G of the grid and
+    |f'| <= D * sup|f| (Bernstein), so sup|f| <= peak + pi * D * sup|f| / G,
+    hence sup|f| <= peak * G / (G - pi * D), and both the grid p-mean and
+    the grid maximum lie within pi * D * sup|f| / G of the true norm.  When
     G <= pi * D the estimate gives nothing and the bound is inf.  Callers
     add it to their tolerance accounting, never silently absorb it.
     """
     p = _validate_exponent(p)
     G = grid_size(len(f), oversample)
+    if p == 2:
+        # numpy's own loop, not a BLAS dot: no thread hand-off per block when
+        # BLAS is multithreaded, and the same sum whatever its thread count
+        v = f.coeffs.view(np.float64)  # complex entries as (re, im) pairs
+        return math.sqrt(np.einsum("i,i->", v, v)), 0.0, G
     mags = np.abs(grid_values(f, oversample))
     peak = float(mags.max())
     if math.isinf(p):
@@ -138,7 +150,9 @@ def dyadic_profile(
     Block n is the coefficient-wise product of f with the n-th kernel,
     evaluated on a grid of at least oversample * 2^(n+1) points.  If
     2^(nmax+1) cannot cover f's nonzero degree the profile is marked
-    truncated and downstream norms are lower bounds.
+    truncated and downstream norms are lower bounds.  At p = 2 every block
+    value is exact (Parseval) and every error bound is 0; `grid` is still
+    the top block's grid.
     """
     if nmax < 0:
         raise InvalidParameter("nmax must be nonnegative")
@@ -188,7 +202,8 @@ def besov_detail(
     The norm is the l^q aggregation of the profile values (max for q = inf,
     which is a lower bound for the true sup under truncation).  The error
     bound aggregates the per-block bounds the same way, which dominates the
-    norm perturbation by the triangle inequality.
+    norm perturbation by the triangle inequality.  At p = 2 the profile is
+    exact and the bound is 0.
     """
     q = _validate_exponent(q)
     prof = dyadic_profile(f, s, p, nmax, oversample)

@@ -22,7 +22,7 @@ from .dyadic import DEFAULT_OVERSAMPLE, dyadic_profile, grid_size, lp_norm_circl
 from .errors import InvalidParameter
 from .extremal import rudin_shapiro
 
-_DIRECT_CONV_LIMIT = 1 << 24  # below this many products, convolve exactly
+_DIRECT_CONV_LIMIT = 1 << 18  # products up to which direct beats FFT convolution
 
 WITNESS_NMAX_CAP = 20
 _SLOPE_THRESHOLD = 0.15  # range_diagnostic: |trailing slope| for a trend
@@ -47,10 +47,10 @@ def antidiagonal_average(Q: DenseMatrix) -> CoeffSeq:
 def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
     """Cesaro-normalized Cauchy product: z_n = (1/(n+1)) sum x_k y_{n-k}.
 
-    Entrywise equal to antidiagonal_average of the outer product.  Small
-    inputs convolve directly (exact for dyadic-rational data); large inputs
-    switch to FFT convolution on a power-of-two grid, through the real
-    transform when both inputs are real so the result stays real.
+    Entrywise equal to antidiagonal_average of the outer product.  Inputs of
+    up to 2^18 products convolve directly, exactly for dyadic-rational data;
+    larger ones switch to FFT convolution on a power-of-two grid, through the
+    real transform when both inputs are real so the result stays real.
     """
     a, b = x.coeffs, y.coeffs
     if a.size * b.size <= _DIRECT_CONV_LIMIT:

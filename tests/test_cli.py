@@ -244,6 +244,9 @@ class TestExitCodes:
             ["witness88", "--t", "0.5", "--nmax", "40"],
             ["profile", "--input", str(small), "--s", "0", "--p", "1", "--nmax", "2",
              "--oversample", str(1 << 40)],
+            # p = 2 takes no grid, but the grid it reports is still checked
+            ["profile", "--input", str(small), "--s", "0", "--p", "2", "--nmax", "2",
+             "--oversample", str(1 << 40)],
             # its 2^26-point profile grid is refused before any block is built
             ["witness8", "--nmax", "20", "--sign-mode", "rudin_shapiro", "--oversample", "32"],
         ):
@@ -280,6 +283,17 @@ class TestExitCodes:
             assert run(["moment", "--input", str(p), "--t", "1", "--beta", "0.5", "--kmax", "8"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv,text", [
+        (["moment", "--t", "1", "--beta", "0.5", "--kmax", "8"], b"k,re\n0,1.0\n1,\xff\n"),
+        (["inj-norm"], b"1,2\n1,\xff\n"),
+    ])
+    def test_non_utf8_input(self, argv, text, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text)
+        assert run(argv + ["--input", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "UTF-8" in err, err
 
 
 class TestReproducibility:
@@ -380,6 +394,21 @@ class TestMemory:
             ["wn", "--n", "17", "--out", str(tmp_path / "w.json")],
         ):
             per_coeff = (self.peak_kib(argv) - base) * 1024 / coeffs
+            assert per_coeff <= 128, (argv[0], per_coeff)
+
+    def test_p2_profiles_bytes_per_coefficient(self, tmp_path):
+        # README: p = 2 profiles need no grid, so they stay within the same
+        # 128 bytes per coefficient (measured: 44 real, 72 complex)
+        base = self.peak_kib(["psi", "--t", "1", "--out", str(tmp_path / "psi.json")])
+        rng = np.random.default_rng(29)
+        real, cplx = tmp_path / "real.csv", tmp_path / "complex.csv"
+        write_coeff_csv(real, CoeffSeq(rng.standard_normal(1 << 18)))
+        write_coeff_csv(cplx, CoeffSeq(rng.standard_normal(1 << 17) + 1j * rng.standard_normal(1 << 17)))
+        for argv, coeffs in (
+            (["besov", "--input", str(real), "--s", "0.5", "--p", "2", "--q", "2", "--nmax", "17"], 1 << 18),
+            (["profile", "--input", str(cplx), "--s", "0", "--p", "2", "--nmax", "16"], 1 << 17),
+        ):
+            per_coeff = (self.peak_kib(argv + ["--out", str(tmp_path / "r.json")]) - base) * 1024 / coeffs
             assert per_coeff <= 128, (argv[0], per_coeff)
 
 

@@ -15,7 +15,8 @@ from scottish_lab import (
     lp_norm_detail,
     problem88_witness,
 )
-from scottish_lab.dyadic import grid_values
+from scottish_lab import dyadic
+from scottish_lab.dyadic import grid_size, grid_values
 from scottish_lab.errors import InvalidExponent, InvalidParameter
 
 # Independent quadrature oracle for ||W_2||_1 at G = 2^16: Horner evaluation
@@ -138,6 +139,49 @@ class TestHalfGrid:
         half, grid = grid_values(real, oversample), grid_values(full, oversample)
         assert half.size == G // 2 + 1 and grid.size == G
         assert np.abs(half - grid[: G // 2 + 1]).max() <= 1e-12 * np.abs(real.coeffs).sum()
+
+
+class TestParseval:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1, max_size=400),
+        st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1, max_size=400),
+        st.integers(2, 16),
+    )
+    @example([0.0], [0.0], 2)
+    @example([1.0, -0.5], [0.25], 3)
+    def test_matches_full_grid_mean(self, re, im, oversample):
+        # oracle: the mean of |f|^2 over all G points of one full-grid FFT
+        n = min(len(re), len(im))
+        for c in (np.asarray(re), np.asarray(re[:n]) + 1j * np.asarray(im[:n])):
+            f = CoeffSeq(c)
+            v, bound, G = lp_norm_detail(f, 2, oversample)
+            assert G == grid_size(len(f), oversample)
+            assert bound == 0.0
+            want = math.sqrt(np.mean(np.abs(np.fft.fft(c, G)) ** 2))
+            assert abs(v - want) <= 1e-12 * want
+
+    def test_profiles_take_no_grid(self, monkeypatch):
+        calls = []
+        real = dyadic.grid_values
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dyadic, "grid_values", counting)
+        rng = np.random.default_rng(17)
+        f = CoeffSeq(rng.standard_normal(300))
+        fc = CoeffSeq(rng.standard_normal(300) + 1j * rng.standard_normal(300))
+        for g in (f, fc):
+            prof = dyadic_profile(g, 0.5, 2.0, 9)
+            assert not prof.error_bounds.any()
+            assert prof.grid == grid_size(1 << 10, dyadic.DEFAULT_OVERSAMPLE)
+        norm, bound, _ = besov_detail(f, 0.5, 2.0, 2.0, 9)
+        assert bound == 0.0 and norm > 0
+        assert calls == []
+        dyadic_profile(f, 0.5, 1.0, 9)  # other exponents still go through the grid
+        assert len(calls) == 10
 
 
 class TestProfile:

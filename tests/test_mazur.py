@@ -74,11 +74,13 @@ class TestProduct:
         assert np.abs(z.coeffs - conv / np.array([1, 2, 3])).max() < 1e-15
 
     def test_constant_inputs_exact(self):
-        # dyadic-rational constants average back exactly
-        x = CoeffSeq(np.full(100, 0.5))
-        y = CoeffSeq(np.full(100, -0.25))
-        z = cesaro_product(x, y)
-        assert np.array_equal(z.coeffs[:100], np.full(100, -0.125))
+        # dyadic-rational constants average back exactly; 512 * 512 = 2^18
+        # products is the largest direct convolution
+        for n in (100, 512):
+            x = CoeffSeq(np.full(n, 0.5))
+            y = CoeffSeq(np.full(n, -0.25))
+            z = cesaro_product(x, y)
+            assert np.array_equal(z.coeffs[:n], np.full(n, -0.125))
 
     def test_limits_multiply(self):
         n = np.arange(4096, dtype=float)
@@ -101,6 +103,25 @@ class TestProduct:
             z = cesaro_product(CoeffSeq(x), CoeffSeq(y)).coeffs
             assert z.dtype == (np.complex128 if np.iscomplexobj(conv) else np.float64)
             assert np.abs(z - conv / n).max() <= 1e-12 * np.abs(conv).max()
+
+    def test_square_4096_takes_fft_branch(self, monkeypatch):
+        # 4096 * 4096 = 2^24 products: past the 2^18 crossover, so no direct convolution
+        assert 4096 * 4096 > mazur._DIRECT_CONV_LIMIT
+        rng = make_rng(55)
+        a = rng.standard_normal(4096)
+        b = rng.uniform(-1.0, 1.0, 4096)
+        ac = a + 1j * rng.standard_normal(4096)
+        cases = [(x, y, np.convolve(x, y)) for x, y in ((a, b), (ac, b))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("direct convolution above the limit")
+
+        monkeypatch.setattr(np, "convolve", refuse)
+        n = np.arange(2 * 4096 - 1) + 1.0
+        for x, y, conv in cases:
+            z = cesaro_product(CoeffSeq(x), CoeffSeq(y)).coeffs
+            assert z.dtype == conv.dtype
+            assert np.abs(z * n - conv).max() <= 1e-12 * np.abs(conv).max()
 
 
 class TestWitness:
