@@ -109,13 +109,13 @@ def _write_json(fh, doc: dict) -> None:
     text = json.dumps(_jsonable(dict(doc, sequence=[])), indent=2) + "\n"
     key = '\n  "sequence":'
     head, _, tail = text.partition(key + " []")
-    row = "\n    [\n      %d,\n      %r\n    ]"
+    row = "\n    [\n      %d,\n      %s\n    ]"
     if seq.is_complex:
-        row = "\n    [\n      %d,\n      %r,\n      %r\n    ]"
+        row = "\n    [\n      %d,\n      %s,\n      %s\n    ]"
     fh.write(head + key)
     sep = " ["
-    for chunk in _row_chunks(seq, pin_last=False):
-        fh.write(sep + ",".join(row % r for r in chunk))
+    for rows, fields in _row_chunks(seq, pin_last=False):
+        fh.write((sep + row + ("," + row) * (rows - 1)) % fields)
         sep = ","
     fh.write((" []" if sep == " [" else "\n  ]") + tail)
 

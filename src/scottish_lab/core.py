@@ -248,31 +248,37 @@ def format_float(v: float) -> str:
 
 
 def _row_chunks(seq: CoeffSeq, pin_last: bool):
-    """The stored rows of seq, _CHUNK_ROWS at a time: each chunk iterates
-    (k, value) or (k, re, im) tuples of Python numbers, whose repr is the
-    shortest round-trip decimal.  A row is stored when its entry is nonzero;
-    pin_last also stores the last index."""
+    """The stored rows of seq, _CHUNK_ROWS at a time, as (rows, fields):
+    fields holds each row's index (an int) and then the format_float texts
+    of its value or of its re and im, row after row, so that
+    (template * rows) % fields formats the chunk in one call.  repr runs
+    once per distinct value in the chunk, so the cost grows with the number
+    of distinct values, not of rows.  A row is stored when its entry is
+    nonzero; pin_last also stores the last index."""
     c = seq.coeffs
     ks = np.flatnonzero(c)
     if pin_last and (ks.size == 0 or ks[-1] != seq.degree):
         ks = np.append(ks, seq.degree)
     for start in range(0, ks.size, _CHUNK_ROWS):
         idx = ks[start : start + _CHUNK_ROWS]
-        vals = c[idx]
-        if seq.is_complex:
-            yield zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist())
-        else:
-            yield zip(idx.tolist(), vals.tolist())
+        vals = c[idx].view(np.float64)  # complex entries as (re, im) pairs
+        # distinct bit patterns, so that -0.0 and 0.0 keep their own texts
+        bits, inv = np.unique(vals.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        fields = np.empty((idx.size, 2 + seq.is_complex), dtype=object)
+        fields[:, 0] = idx
+        fields[:, 1:] = texts[inv].reshape(idx.size, -1)
+        yield idx.size, tuple(fields.ravel().tolist())
 
 
 def write_coeff_csv(path, seq: CoeffSeq, comment: str | None = None) -> None:
-    row = "%d,%r,%r\n" if seq.is_complex else "%d,%r\n"
+    row = "%d,%s,%s\n" if seq.is_complex else "%d,%s\n"
     with open(path, "w", encoding="utf-8") as fh:
         if comment is not None:
             fh.write("# " + comment + "\n")
         fh.write("k,re,im\n" if seq.is_complex else "k,re\n")
-        for chunk in _row_chunks(seq, pin_last=True):  # the last index pins the length
-            fh.write("".join(row % r for r in chunk))
+        for rows, fields in _row_chunks(seq, pin_last=True):  # the last index pins the length
+            fh.write((row * rows) % fields)
 
 
 def _data_lines(fh, path):

@@ -111,7 +111,7 @@ def lp_norm_detail(
     if math.isinf(p):
         value = peak
     else:
-        powers = mags**p
+        powers = mags if p == 1 else np.power(mags, p, out=mags)  # in place: one grid array
         total = powers.sum() if f.is_complex else 2 * powers.sum() - powers[0] - powers[-1]
         value = float((total / G) ** (1.0 / p))
     slack = G - math.pi * f.degree

@@ -14,6 +14,8 @@ from scottish_lab import CoeffSeq, read_coeff_csv, write_coeff_csv, write_matrix
 from scottish_lab import core, dyadic_kernel
 from scottish_lab.cli import COMMANDS, _jsonable, _options, _write_json, build_parser, rerun_config_argv, run
 from scottish_lab.errors import InvalidInput
+from scottish_lab.extremal import problem88_witness
+from scottish_lab.mazur import cesaro_product
 
 
 def run_json(argv, path):
@@ -200,6 +202,30 @@ class TestStreamedSequence:
         want = self.reference(dict(doc, sequence=dyadic_kernel(3)))
         assert out.read_text() == want and len(doc["sequence"]) > 6
 
+    @pytest.mark.parametrize("x, y", [
+        (np.ones(40), np.ones(30)),  # every entry of the product is 1.0
+        (np.arange(1, 41) * (0.5 - 1j), np.array([1j, -0.0, 2.0 + 0j] * 10)),
+    ])
+    def test_mazur_b_report(self, x, y, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 7)
+        xp, yp, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "b.json"
+        write_coeff_csv(xp, CoeffSeq(x))
+        write_coeff_csv(yp, CoeffSeq(y))
+        assert run(["mazur-b", "--input", str(xp), "--input2", str(yp), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        want = self.reference(dict(doc, sequence=cesaro_product(read_coeff_csv(xp), read_coeff_csv(yp))))
+        assert out.read_text() == want and len(doc["sequence"]) > 2 * 7
+
+    def test_witness88_csv_rows(self, tmp_path, monkeypatch):
+        # 2^13 - 1 rows holding 13 distinct values, spread over several chunks
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 1000)
+        out = tmp_path / "a.csv"
+        assert run(["witness88", "--t", "0.5", "--nmax", "12", "--out", str(out), "--format", "csv"]) == 0
+        comment, body = out.read_text().split("\n", 1)
+        alpha = problem88_witness(0.5, 12)[0].coeffs.tolist()
+        assert comment.startswith('# {"subcommand": "witness88"')
+        assert body == "k,re\n" + "".join("%d,%r\n" % (k, v) for k, v in enumerate(alpha) if k)
+
 
 class TestExitCodes:
     def test_usage_error(self):
@@ -383,7 +409,7 @@ class TestMemory:
 
     def test_sequence_io_bytes_per_coefficient(self, tmp_path):
         # README: sequence reports and CSV hand-offs stay within 128 bytes of
-        # peak RSS per coefficient above a bare CLI call (measured: 34-61)
+        # peak RSS per coefficient above a bare CLI call (measured: 35-63)
         coeffs = 1 << 18
         base = self.peak_kib(["psi", "--t", "1", "--out", str(tmp_path / "psi.json")])
         big = str(tmp_path / "big.csv")

@@ -29,6 +29,25 @@ from scottish_lab.errors import (
 )
 
 
+# A small pool of floats for the writer tests: signed zeros, and neighbours
+# one ulp apart whose shortest texts differ only in their last digits.
+_POOL = [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0,
+         0.1, np.nextafter(0.1, 1.0), 5e-324, -5e-324, 1e300, 2.0 / 3.0]
+
+
+def _reference_csv(seq, comment):
+    """The row-by-row writer that the chunked one replaced."""
+    lines = ["# " + comment, "k,re,im" if seq.is_complex else "k,re"]
+    ks = sorted(set(np.nonzero(seq.coeffs)[0].tolist()) | {seq.degree})
+    for k in ks:
+        v = seq.coeffs[k]
+        if seq.is_complex:
+            lines.append(f"{k},{repr(float(v.real))},{repr(float(v.imag))}")
+        else:
+            lines.append(f"{k},{repr(float(v))}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCoeffSeq:
     def test_access_past_degree_is_zero(self):
         s = CoeffSeq([1.0, 2.0])
@@ -213,25 +232,35 @@ class TestCsv:
         [-0.0],
     ])
     def test_writer_bytes_match_row_by_row_reference(self, values, tmp_path, monkeypatch):
-        # the reference is the row-by-row writer that the chunked one replaced;
         # a chunk of 3 rows puts chunk boundaries inside every case
-        def reference(seq, comment):
-            lines = ["# " + comment, "k,re,im" if seq.is_complex else "k,re"]
-            ks = sorted(set(np.nonzero(seq.coeffs)[0].tolist()) | {seq.degree})
-            for k in ks:
-                v = seq.coeffs[k]
-                if seq.is_complex:
-                    lines.append(f"{k},{repr(float(v.real))},{repr(float(v.imag))}")
-                else:
-                    lines.append(f"{k},{repr(float(v))}")
-            return "\n".join(lines) + "\n"
-
         monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
         for n in range(1, len(values) + 1):
             seq = CoeffSeq(np.array(values[:n]))
             path = tmp_path / "s.csv"
             write_coeff_csv(path, seq, comment='{"argv": []}')
-            assert path.read_text(encoding="utf-8") == reference(seq, '{"argv": []}'), n
+            assert path.read_text(encoding="utf-8") == _reference_csv(seq, '{"argv": []}'), n
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        re_parts=st.lists(st.sampled_from(_POOL), min_size=1, max_size=30),
+        im_parts=st.none() | st.lists(st.sampled_from(_POOL[:4]), min_size=30, max_size=30),
+        chunk=st.integers(1, 5),
+    )
+    def test_writer_bytes_with_repeated_values(self, re_parts, im_parts, chunk, tmp_path_factory):
+        # values drawn from a small pool repeat within and across chunks; the
+        # pool holds both zeros and neighbours one ulp apart, which must keep
+        # their own texts
+        arr = np.array(re_parts)
+        if im_parts is not None:
+            arr = np.empty(len(re_parts), dtype=np.complex128)
+            arr.real = re_parts
+            arr.imag = im_parts[: len(re_parts)]
+        seq = CoeffSeq(arr)
+        path = tmp_path_factory.mktemp("rep") / "s.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CHUNK_ROWS", chunk)
+            write_coeff_csv(path, seq, comment="c")
+        assert path.read_text(encoding="utf-8") == _reference_csv(seq, "c")
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
