@@ -120,21 +120,23 @@ def _write_json(fh, doc: dict) -> None:
     fh.write((" []" if sep == " [" else "\n  ]") + tail)
 
 
+def _csv_output(args, has_csv: bool = False) -> bool:
+    fmt = args.format or ("csv" if (args.out or "").endswith(".csv") else "json")
+    if fmt == "csv" and not has_csv:
+        raise InvalidParameter(f"{args.command} has no CSV form; use --format json")
+    return fmt == "csv"
+
+
 def _emit(args, argv, payload: dict, csv_payload=None) -> int:
     """Write the report; csv_payload is a CoeffSeq or (header, rows) table."""
     cfg = _run_config(args, argv)
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if (args.out or "").endswith(".csv") else "json"
-    if fmt == "json":
+    if not _csv_output(args, csv_payload is not None):
         doc = {"run_config": cfg}
         doc.update(payload)
         out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
         with out as fh:
             _write_json(fh, doc)
         return 0
-    if csv_payload is None:
-        raise InvalidParameter(f"{args.command} has no CSV form; use --format json")
     if not args.out:
         raise InvalidParameter("CSV output needs --out")
     comment = json.dumps(_jsonable(cfg))
@@ -164,34 +166,21 @@ def _cmd_wn(args, argv):
 
 def _cmd_besov(args, argv):
     f = read_coeff_csv(args.input)
-    norm, bound, prof = besov_detail(f, args.s, args.p, args.q, args.nmax, args.oversample)
+    q = getattr(args, "q", None)  # profile has no --q: no norm, the largest block bound
+    if q is None:
+        prof = dyadic_profile(f, args.s, args.p, args.nmax, args.oversample)
+        norm, bound = None, float(prof.error_bounds.max())
+    else:
+        norm, bound, prof = besov_detail(f, args.s, args.p, q, args.nmax, args.oversample)
     payload = {
         "s": prof.s,
         "p": prof.p,
-        "q": args.q,
+        "q": q,
         "nmax": prof.nmax,
         "grid": prof.grid,
         "values": prof.values,
         "norm": norm,
         "error_bound": bound,
-        "truncated": prof.truncated,
-    }
-    rows = list(zip(range(prof.nmax + 1), prof.values.tolist()))
-    return _emit(args, argv, payload, csv_payload=("n,value", rows))
-
-
-def _cmd_profile(args, argv):
-    f = read_coeff_csv(args.input)
-    prof = dyadic_profile(f, args.s, args.p, args.nmax, args.oversample)
-    payload = {
-        "s": prof.s,
-        "p": prof.p,
-        "q": None,
-        "nmax": prof.nmax,
-        "grid": prof.grid,
-        "values": prof.values,
-        "norm": None,
-        "error_bound": float(prof.error_bounds.max()),
         "truncated": prof.truncated,
     }
     rows = list(zip(range(prof.nmax + 1), prof.values.tolist()))
@@ -323,10 +312,9 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _cmd_verify(args, argv):
-    overrides = _parse_overrides(args.override)
-    thresholds = verify.merged_thresholds(overrides) if overrides else None
+    _csv_output(args)  # refuse a CSV report before any suite runs
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    reports = verify.run_suites(names, seed=args.seed, thresholds=thresholds)
+    reports = verify.run_suites(names, seed=args.seed, thresholds=_parse_overrides(args.override))
     for rep in reports:
         for case in rep.cases:
             tag = "PASS" if case.passed else "FAIL"
@@ -397,7 +385,7 @@ COMMANDS = {
                      "--input --s --p --q --nmax --oversample",
                      "s p q nmax grid values norm error_bound truncated",
                      "--input {f} --s 1 --p inf --q 1 --nmax 4"),
-    "profile": Command(_cmd_profile, "dyadic block profile of a polynomial",
+    "profile": Command(_cmd_besov, "dyadic block profile of a polynomial",
                        "--input --s --p --nmax --oversample",
                        "s p q nmax grid values norm error_bound truncated",
                        "--input {f} --s 0 --p 1 --nmax 4"),
@@ -489,13 +477,11 @@ def _run_quiet(argv) -> int:
         return run(argv)
 
 
-def self_check(seed: int = 0):
-    from .verify import CaseResult, SuiteReport
-
+def self_check(seed: int = 0) -> list:
     cases = []
 
     def check(name, ok, detail):
-        cases.append(CaseResult(name, bool(ok), detail))
+        cases.append(verify.CaseResult(name, bool(ok), detail))
 
     with tempfile.TemporaryDirectory(prefix="scottish-lab-") as tmp:
         fcsv = os.path.join(tmp, "f.csv")
@@ -556,4 +542,4 @@ def self_check(seed: int = 0):
         rc_bad = _run_quiet(["verify", "--suite", "besov", "--override", "besov.rel_tol=0"])
         check("exit-verify-fail", rc_bad == 2, f"violated threshold exits {rc_bad}")
 
-    return SuiteReport("cli-roundtrip", cases)
+    return cases

@@ -232,16 +232,6 @@ def least_squares_line(x, y) -> tuple[float, float, float]:
 _CHUNK_ROWS = 1 << 14
 
 
-def _parse_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError as exc:
-        raise InvalidInput(f"not a number: {text!r}") from exc
-    if not math.isfinite(v):
-        raise InvalidInput("NaN/Inf values are rejected")
-    return v
-
-
 def format_float(v: float) -> str:
     """Shortest decimal that round-trips the float exactly."""
     return repr(float(v))
@@ -340,16 +330,19 @@ def write_matrix_csv(path, mat: DenseMatrix, comment: str | None = None) -> None
 
 
 def read_matrix_csv(path) -> DenseMatrix:
-    data = []
-    entries = 0
+    """Numbers parse as read_coeff_csv's values do; DenseMatrix rejects NaN/Inf."""
     with open(path, "r", encoding="utf-8") as fh:
-        for ln in _data_lines(fh, path):
-            entries += ln.count(",") + 1
-            check_size((entries - 1).bit_length(), "matrix entry count")
-            data.append([_parse_float(cell) for cell in ln.split(",")])
-    if not data:
-        raise InvalidInput("empty matrix file")
-    width = len(data[0])
-    if any(len(r) != width for r in data):
-        raise InvalidInput("matrix rows must have equal length")
-    return DenseMatrix(np.array(data))
+        lines = _data_lines(fh, path)
+        first = next(lines, None)
+        if first is None:
+            raise InvalidInput("empty matrix file")
+        width = first.count(",") + 1
+        check_size((width - 1).bit_length(), "matrix entry count")
+        try:
+            # One row past the cap is enough to fail the entry count below.
+            data = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                              ndmin=2, max_rows=(1 << SIZE_CAP_LOG2) // width + 1)
+        except ValueError as exc:
+            raise InvalidInput(f"malformed matrix row: {exc}") from exc
+    check_size((data.size - 1).bit_length(), "matrix entry count")
+    return DenseMatrix(data)

@@ -183,18 +183,8 @@ def assemble_majorant(
     blocks = []
     ratios = []
 
-    base = np.zeros(2)
-    base[: min(2, a.size)] = a[:2]
-    if np.any(base):
-        piece, rep = flat_polynomial(
-            CoeffSeq(base), derive_seed(seed, 0), descent_budget, oversample
-        )
-        phi[:2] = piece.coeffs
-        blocks.append({"n": 0, "ratio": rep.ratio, "method": rep.method})
-        ratios.append(rep.ratio)
-
-    for n in range(1, top_block + 1):
-        lo, hi = 1 << n, 1 << (n + 1)
+    for n in range(top_block + 1):
+        lo, hi = (1 << n) if n else 0, 1 << (n + 1)  # piece 0 is the base {0, 1}
         seg = np.zeros(hi)
         avail = a[lo : min(hi, a.size)]
         seg[lo : lo + avail.size] = avail

@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     CoeffSeq,
     DenseMatrix,
+    check_size,
     derive_seed,
     least_squares_line,
     limit_estimate,
@@ -53,10 +54,11 @@ def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
     real transform when both inputs are real so the result stays real.
     """
     a, b = x.coeffs, y.coeffs
+    size = a.size + b.size - 1
+    check_size((size - 1).bit_length(), f"Cesaro product of length {size}")
     if a.size * b.size <= _DIRECT_CONV_LIMIT:
         conv = np.convolve(a, b)
     else:
-        size = a.size + b.size - 1
         n = 1 << (size - 1).bit_length()
         if x.is_complex or y.is_complex:
             conv = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]

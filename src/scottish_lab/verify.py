@@ -1,20 +1,21 @@
 """Verification suites.
 
 Each suite implements one acceptance criterion at its stated size and
-tolerance and returns a report with one case per checked assertion, which
-depends only on (seed, thresholds).
+tolerance: suite(seed, th) returns one case per checked assertion, which
+depends only on the seed and the merged thresholds th.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     CoeffSeq,
     DenseMatrix,
+    check_size,
     derive_seed,
     hankel_matrix,
     make_rng,
@@ -80,7 +81,7 @@ class CaseResult:
 @dataclass(frozen=True)
 class SuiteReport:
     suite: str
-    cases: list = field(default_factory=list)
+    cases: list
 
     @property
     def passed(self) -> bool:
@@ -108,8 +109,7 @@ def merged_thresholds(overrides: dict | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_kernel(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_kernel(seed: int, th: dict) -> list:
     cases = []
     nmax = int(th["kernel.nmax"])
     worst = 0.0
@@ -134,15 +134,12 @@ def suite_kernel(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
     )
 
     kmax = int(th["kernel.partition_kmax"])
+    check_size(kmax.bit_length(), "kernel.partition_kmax")
     acc = np.zeros(kmax + 1)
-    n = 0
-    while True:
-        w = dyadic_kernel(n).coeffs
-        if n >= 1 and (1 << (n - 1)) + 1 > kmax:
-            break
-        take = min(w.size, kmax + 1)
-        acc[:take] += w[:take]
-        n += 1
+    # W_n (n >= 1) is zero below 2^(n-1) + 1: stop at the last that reaches kmax.
+    for n in range((kmax - 1).bit_length() + 1):
+        w = dyadic_kernel(n).coeffs[: kmax + 1]
+        acc[: w.size] += w
     dev = float(np.abs(acc - 1.0).max())
     cases.append(
         CaseResult(
@@ -151,7 +148,7 @@ def suite_kernel(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
             f"max |sum_n W_n_hat(k) - 1| over k<=2^17 is {dev:.3e}",
         )
     )
-    return SuiteReport("kernel", cases)
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +156,7 @@ def suite_kernel(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def suite_besov(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_besov(seed: int, th: dict) -> list:
     cases = []
     rel = th["besov.rel_tol"]
     worst = 0.0
@@ -188,7 +184,7 @@ def suite_besov(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
             f"besov(z^2 + z^8) = {v:.9f} (target 10)",
         )
     )
-    return SuiteReport("besov", cases)
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +204,7 @@ def brute_force_norm(A: np.ndarray) -> float:
     return float(np.abs(X @ A @ Y.T).max())
 
 
-def suite_inj_oracle(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_inj_oracle(seed: int, th: dict) -> list:
     cases = int(th["inj.cases"])
     rng = make_rng(derive_seed(seed, 3001))
     exact_bad = 0
@@ -232,21 +227,18 @@ def suite_inj_oracle(seed: int = 0, thresholds: dict | None = None) -> SuiteRepo
         if out.value == value:
             search_hits += 1
     frac = search_hits / cases
-    return SuiteReport(
-        "inj-oracle",
-        [
-            CaseResult(
-                "exact-vs-brute",
-                exact_bad == 0,
-                f"{cases - exact_bad}/{cases} exact values match the (x, y) scan",
-            ),
-            CaseResult(
-                "search-hit-rate",
-                frac >= th["inj.match_min"],
-                f"search matched exact on {search_hits}/{cases} = {frac:.3f}",
-            ),
-        ],
-    )
+    return [
+        CaseResult(
+            "exact-vs-brute",
+            exact_bad == 0,
+            f"{cases - exact_bad}/{cases} exact values match the (x, y) scan",
+        ),
+        CaseResult(
+            "search-hit-rate",
+            frac >= th["inj.match_min"],
+            f"search matched exact on {search_hits}/{cases} = {frac:.3f}",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +246,7 @@ def suite_inj_oracle(seed: int = 0, thresholds: dict | None = None) -> SuiteRepo
 # ---------------------------------------------------------------------------
 
 
-def suite_hankel_shadow(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_hankel_shadow(seed: int, th: dict) -> list:
     cases = []
     ok_norm = True
     ok_ratio = True
@@ -284,7 +275,7 @@ def suite_hankel_shadow(seed: int = 0, thresholds: dict | None = None) -> SuiteR
             f"besov(z^m)/(m+1) within [1/2, 2]; extreme {worst_ratio[0]:.4f} at m={worst_ratio[1]}",
         )
     )
-    return SuiteReport("hankel-shadow", cases)
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +301,7 @@ def _random_nonneg_sequence(rng: np.random.Generator) -> np.ndarray:
     return seq
 
 
-def suite_theorem_re(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_theorem_re(seed: int, th: dict) -> list:
     total = int(th["re.cases"])
     const = th["re.constant"]
     ts = (1.0, 1.1, 1.25, 1.33)
@@ -330,16 +320,13 @@ def suite_theorem_re(seed: int = 0, thresholds: dict | None = None) -> SuiteRepo
             violations += 1
         if rhs > 0:
             worst = max(worst, lhs / rhs)
-    return SuiteReport(
-        "theorem-re",
-        [
-            CaseResult(
-                "chain-inequality",
-                violations == 0,
-                f"{total - violations}/{total} cases satisfy moment <= {const} * M^t; worst ratio {worst:.4f}",
-            )
-        ],
-    )
+    return [
+        CaseResult(
+            "chain-inequality",
+            violations == 0,
+            f"{total - violations}/{total} cases satisfy moment <= {const} * M^t; worst ratio {worst:.4f}",
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +334,7 @@ def suite_theorem_re(seed: int = 0, thresholds: dict | None = None) -> SuiteRepo
 # ---------------------------------------------------------------------------
 
 
-def suite_witness88(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_witness88(seed: int, th: dict) -> list:
     cases = []
     t = 0.5
     m_hi = int(th["w88.m_hi"])
@@ -403,7 +389,7 @@ def suite_witness88(seed: int = 0, thresholds: dict | None = None) -> SuiteRepor
             f"besov {mrep.besov_value:.6f} <= 4.5 * K * M = {mrep.chain_bound:.6f}",
         )
     )
-    return SuiteReport("witness88", cases)
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +397,7 @@ def suite_witness88(seed: int = 0, thresholds: dict | None = None) -> SuiteRepor
 # ---------------------------------------------------------------------------
 
 
-def suite_witness8(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_witness8(seed: int, th: dict) -> list:
     cases = []
     nmax = int(th["w8.nmax"])
     lo = int(th["w8.block_lo"])
@@ -476,7 +461,7 @@ def suite_witness8(seed: int = 0, thresholds: dict | None = None) -> SuiteReport
             f"{not_growing}/{pairs} product images classified not-growing",
         )
     )
-    return SuiteReport("witness8", cases)
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +469,7 @@ def suite_witness8(seed: int = 0, thresholds: dict | None = None) -> SuiteReport
 # ---------------------------------------------------------------------------
 
 
-def suite_duality(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_duality(seed: int, th: dict) -> list:
     tol = th["dual.tol"]
     rng = make_rng(derive_seed(seed, 8001))
     bad_pairing = 0
@@ -513,21 +497,18 @@ def suite_duality(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
         v = float(np.abs(a).max() * np.abs(b).max())
         if abs(br.upper - br.lower) > tol or abs(br.lower - v) > tol:
             bad_rank1 += 1
-    return SuiteReport(
-        "duality",
-        [
-            CaseResult(
-                "pairing-bound",
-                bad_pairing == 0,
-                f"{int(th['dual.pairs']) - bad_pairing}/{int(th['dual.pairs'])} pairings within upper * norm",
-            ),
-            CaseResult(
-                "rank-one-tight",
-                bad_rank1 == 0,
-                f"{int(th['dual.rank1']) - bad_rank1}/{int(th['dual.rank1'])} rank-one brackets tight",
-            ),
-        ],
-    )
+    return [
+        CaseResult(
+            "pairing-bound",
+            bad_pairing == 0,
+            f"{int(th['dual.pairs']) - bad_pairing}/{int(th['dual.pairs'])} pairings within upper * norm",
+        ),
+        CaseResult(
+            "rank-one-tight",
+            bad_rank1 == 0,
+            f"{int(th['dual.rank1']) - bad_rank1}/{int(th['dual.rank1'])} rank-one brackets tight",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +516,7 @@ def suite_duality(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def suite_mazur(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    th = merged_thresholds(thresholds)
+def suite_mazur(seed: int, th: dict) -> list:
     cases = []
     rng = make_rng(derive_seed(seed, 9001))
 
@@ -590,7 +570,7 @@ def suite_mazur(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
             f"max relative deviation of |P|^2 + |Q|^2 from 2^(k+1) is {worst_rel:.2e}",
         )
     )
-    return SuiteReport("mazur-id", cases)
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +578,10 @@ def suite_mazur(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def suite_cli_roundtrip(seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
+def suite_cli_roundtrip(seed: int, th: dict) -> list:
     from . import cli  # local import; cli itself imports this module
 
-    return cli.self_check(seed=seed)
+    return cli.self_check(seed)
 
 
 SUITES = {
@@ -618,11 +598,15 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
-    if name not in SUITES:
-        raise InvalidParameter(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed, thresholds=thresholds)
-
-
 def run_suites(names, seed: int = 0, thresholds: dict | None = None) -> list[SuiteReport]:
-    return [run_suite(n, seed, thresholds) for n in names]
+    """Merge the overrides once and check every name before any suite runs."""
+    th = merged_thresholds(thresholds)
+    names = list(names)
+    for name in names:
+        if name not in SUITES:
+            raise InvalidParameter(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    return [SuiteReport(name, SUITES[name](seed, th)) for name in names]
+
+
+def run_suite(name: str, seed: int = 0, thresholds: dict | None = None) -> SuiteReport:
+    return run_suites([name], seed, thresholds)[0]

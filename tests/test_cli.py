@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import scottish_lab
-from scottish_lab import CoeffSeq, read_coeff_csv, write_coeff_csv, write_matrix_csv, DenseMatrix
+from scottish_lab import CoeffSeq, read_coeff_csv, read_matrix_csv, write_coeff_csv, write_matrix_csv, DenseMatrix
 from scottish_lab import core, dyadic_kernel
 from scottish_lab.cli import COMMANDS, _jsonable, _options, _write_json, build_parser, rerun_config_argv, run
+from scottish_lab.dyadic import dyadic_profile
 from scottish_lab.errors import InvalidInput
 from scottish_lab.extremal import problem88_witness
 from scottish_lab.mazur import cesaro_product
@@ -58,6 +59,18 @@ class TestCommands:
         assert abs(doc["norm"] - 10.0) < 1e-6
         assert doc["truncated"] is False
         assert set(doc) == set(COMMANDS["besov"].schema.split()) | {"run_config"}
+
+    def test_profile_shares_the_besov_report(self, two_block, tmp_path):
+        # one handler: profile reports no q and no norm, and its error bound
+        # is the largest block bound
+        argv = ["--input", str(two_block), "--s", "1", "--p", "inf", "--nmax", "4"]
+        prof = run_json(["profile"] + argv, tmp_path / "p.json")
+        bes = run_json(["besov"] + argv + ["--q", "1"], tmp_path / "b.json")
+        assert prof["q"] is None and prof["norm"] is None
+        bounds = dyadic_profile(read_coeff_csv(two_block), 1.0, math.inf, 4).error_bounds
+        assert prof["error_bound"] == float(bounds.max())
+        for key in ("s", "p", "nmax", "grid", "values", "truncated"):
+            assert prof[key] == bes[key], key
 
     def test_besov_csv_table(self, two_block, tmp_path):
         out = tmp_path / "b.csv"
@@ -310,6 +323,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("text", [
+        "1_0,2\n",  # no digit separators, as in coefficient files
+        "nan,1\n",
+        "1,inf\n",
+        "1,-Infinity\n",
+        "1,2\n3,4,5\n",  # ragged rows
+        "1,,2\n",
+        "1,2,\n",
+        "0x10,1\n",
+        "1,2 # note\n",  # a comment must start its line
+        "# only a comment\n\n",
+    ])
+    def test_malformed_matrix_files(self, text, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(InvalidInput):
+            read_matrix_csv(p)
+        assert run(["inj-norm", "--input", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "v.csv"],
+        ["--format", "csv"],
+        ["--format", "csv", "--out", "v.json"],
+    ])
+    def test_verify_refuses_csv_before_any_suite(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "all"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("argv,text", [
         (["moment", "--t", "1", "--beta", "0.5", "--kmax", "8"], b"k,re\n0,1.0\n1,\xff\n"),
         (["inj-norm"], b"1,2\n1,\xff\n"),
@@ -397,15 +443,36 @@ _PEAK_RSS = (
 )
 
 
+def _child_env() -> dict:
+    src = os.path.dirname(os.path.dirname(scottish_lab.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# Runs the CLI with its address space limited to 1 GiB.
+_LIMITED = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from scottish_lab.cli import run\n"
+    "sys.exit(run(sys.argv[1:]))\n"
+)
+
+
 class TestMemory:
     def peak_kib(self, argv) -> int:
-        src = os.path.dirname(os.path.dirname(scottish_lab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "scottish_lab", *argv],
-                             capture_output=True, text=True, check=True, timeout=300, env=env)
+                             capture_output=True, text=True, check=True, timeout=300, env=_child_env())
         rc, kib = map(int, out.stdout.split())
         assert rc == 0, argv
         return kib
+
+    def test_threshold_override_is_size_checked(self):
+        # 3e8 partition entries would take 2.4 GB; the size cap refuses them
+        # before anything is allocated
+        argv = ["verify", "--suite", "kernel", "--override", "kernel.partition_kmax=300000000"]
+        out = subprocess.run([sys.executable, "-c", _LIMITED, *argv],
+                             capture_output=True, text=True, timeout=300, env=_child_env())
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
 
     def test_sequence_io_bytes_per_coefficient(self, tmp_path):
         # README: sequence reports and CSV hand-offs stay within 128 bytes of

@@ -317,6 +317,14 @@ class TestCsv:
         write_matrix_csv(path, mat)
         assert read_matrix_csv(path) == mat
 
+    def test_matrix_reader_accepts_loose_layout(self, tmp_path):
+        p = tmp_path / "loose.csv"
+        p.write_bytes(b"# run config\r\n\r\n 1 , 2.5 \r\n   \r\n# between rows\r\n"
+                      b"  # indented comment\r\n\t-0.0,\t1e-3\r\n\n")
+        got = read_matrix_csv(p).entries
+        assert got.tolist() == [[1.0, 2.5], [0.0, 1e-3]]
+        assert np.signbit(got).tolist() == [[False, False], [True, False]]
+
     def test_matrix_rejects_ragged(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("1.0,2.0\n3.0\n")

@@ -258,6 +258,14 @@ class TestWeightedMoment:
         rep = weighted_moment(CoeffSeq(1.0 / (1.0 + k)), 1.0, 0.0, kmax=(1 << 14) - 1)
         assert rep.diagnosis.label == "divergent"
 
+    def test_zero_terms_add_zero_when_the_weight_overflows(self):
+        # (1 + k)^400 is inf from k = 5 on, and 0 * inf would be nan
+        g = np.zeros(64)
+        g[0] = 1.0
+        rep = weighted_moment(CoeffSeq(g), 1.0, 400.0, kmax=64)
+        assert [S for _, S in rep.checkpoints] == [1.0] * 7
+        assert rep.diagnosis.label == "convergent"
+
     def test_invalid_t(self):
         with pytest.raises(InvalidRegime):
             weighted_moment(CoeffSeq([1.0]), 0.0, 0.0, 4)

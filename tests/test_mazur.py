@@ -15,7 +15,7 @@ from scottish_lab import (
     problem8_witness,
     range_diagnostic,
 )
-from scottish_lab import mazur
+from scottish_lab import core, mazur
 from scottish_lab.errors import InvalidParameter, TooShort
 
 
@@ -103,6 +103,14 @@ class TestProduct:
             z = cesaro_product(CoeffSeq(x), CoeffSeq(y)).coeffs
             assert z.dtype == (np.complex128 if np.iscomplexobj(conv) else np.float64)
             assert np.abs(z - conv / n).max() <= 1e-12 * np.abs(conv).max()
+
+    def test_size_cap(self, monkeypatch):
+        # the product of two lengths n has 2n - 1 entries and an FFT grid of 2n
+        monkeypatch.setattr(core, "SIZE_CAP_LOG2", 10)
+        x = CoeffSeq(np.ones(1 << 10))
+        with pytest.raises(InvalidParameter, match="size cap"):
+            cesaro_product(x, x)
+        assert len(cesaro_product(CoeffSeq(np.ones(512)), CoeffSeq(np.ones(513)))) == 1 << 10
 
     def test_square_4096_takes_fft_branch(self, monkeypatch):
         # 4096 * 4096 = 2^24 products: past the 2^18 crossover, so no direct convolution
