@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import CoeffSeq, block_of, check_size, derive_seed, least_squares_line, make_rng
 from .dyadic import (
     DEFAULT_OVERSAMPLE,
@@ -287,6 +288,13 @@ def weighted_moment(
 ) -> MomentReport:
     """Partial sums of |gamma_k|^t (1+k)^beta at dyadic checkpoints.
 
+    The sums run in one pass over k = 0..min(kmax, degree), core._CHUNK_ROWS
+    indices at a time, so memory does not grow with kmax.  Each chunk adds
+    the running total into its first term before its cumulative sum, so
+    every partial sum takes the same additions in the same order as one
+    cumulative sum over all the terms, and the checkpoints are bit for bit
+    those of the full-length pass.
+
     Divergence is diagnosed from the fitted growth exponent over the last
     third of the checkpoints, never from the size of the sum: finite
     truncations cannot witness divergence, fitted growth laws can.  A window
@@ -297,15 +305,24 @@ def weighted_moment(
         raise InvalidRegime("moment exponent t must be positive")
     if kmax < 1:
         raise InvalidParameter("kmax must be at least 1")
-    c = np.abs(gamma.coeffs)
+    c = gamma.coeffs
     top = min(kmax, c.size - 1)
-    k = np.arange(top + 1)
-    terms = np.zeros(top + 1)
-    pos = c[: top + 1] > 0
-    terms[pos] = c[: top + 1][pos] ** t * (1.0 + k[pos]) ** beta
-    cum = np.cumsum(terms)
     m_hi = int(math.floor(math.log2(kmax)))
-    checkpoints = [(1 << m, float(cum[min(1 << m, top)])) for m in range(m_hi + 1)]
+    marks = [min(1 << m, top) for m in range(m_hi + 1)]
+    sums = []
+    run = 0.0
+    for lo in range(0, top + 1, core._CHUNK_ROWS):
+        hi = min(lo + core._CHUNK_ROWS, top + 1)
+        a = np.abs(c[lo:hi])
+        k = np.arange(lo, hi)
+        terms = np.zeros(hi - lo)
+        pos = a > 0
+        terms[pos] = a[pos] ** t * (1.0 + k[pos]) ** beta
+        terms[0] += run
+        cum = np.cumsum(terms)
+        sums += [float(cum[j - lo]) for j in marks[len(sums) :] if j < hi]
+        run = cum[-1]
+    checkpoints = [(1 << m, S) for m, S in enumerate(sums)]
 
     window = max(3, (m_hi + 1) // 3)
     m_lo = max(1, m_hi - window + 1)

@@ -71,6 +71,26 @@ DEFAULT_THRESHOLDS = {
 }
 
 
+# The domain of every threshold, checked before any suite runs:
+# (what the value must be, its test, the keys it covers).
+_DOMAINS = (
+    # counts, and the witness's top block: its fit needs blocks 0 and 1
+    ("at least 1", lambda v: v >= 1,
+     "inj.cases re.cases w8.seeds w8.pairs dual.pairs dual.rank1 mazur.seeds w8.nmax"),
+    ("at least 2", lambda v: v >= 2, "kernel.w0_oversample"),
+    # sizes, then tolerances and bounds
+    ("at least 0", lambda v: v >= 0,
+     "kernel.nmax kernel.partition_kmax besov.jmax hankel.mmax w88.tail_nmax w88.m_lo "
+     "w88.m_hi w88.lkk_nmax w8.block_lo w8.notgrow_min mazur.flat_kmax "
+     "kernel.l1_bound kernel.w0_tol kernel.partition_tol besov.rel_tol w88.chain_slack "
+     "dual.tol mazur.b_tol mazur.flat_tol"),
+    ("above 0", lambda v: v > 0, "re.constant w88.tail_factor"),  # factors
+    ("within [0, 1]", lambda v: 0 <= v <= 1, "inj.match_min"),  # a fraction
+    ("finite", math.isfinite, "w88.exp_lo w88.exp_hi w8.exp_lo w8.exp_hi"),  # exponent windows
+)
+THRESHOLD_DOMAINS = {key: (text, test) for text, test, keys in _DOMAINS for key in keys.split()}
+
+
 @dataclass(frozen=True)
 class CaseResult:
     name: str
@@ -97,10 +117,13 @@ def merged_thresholds(overrides: dict | None) -> dict:
             kind = type(th[key])
             try:
                 th[key] = kind(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidParameter(
                     f"threshold {key!r} expects {kind.__name__}, got {value!r}"
                 ) from exc
+            text, test = THRESHOLD_DOMAINS[key]
+            if not test(th[key]):
+                raise InvalidParameter(f"threshold {key!r} must be {text}, got {value!r}")
     return th
 
 

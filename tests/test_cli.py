@@ -270,6 +270,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and override.split("=")[0] in err
 
+    @pytest.mark.parametrize("suite, override", [
+        ("kernel", "kernel.partition_kmax=-1"), ("kernel", "kernel.partition_kmax=-5"),
+        ("inj-oracle", "inj.cases=0"), ("witness88", "w88.tail_factor=0"),
+        ("witness8", "w8.nmax=0"), ("witness8", "w8.block_lo=-1"),
+    ])
+    def test_out_of_range_override_value(self, suite, override, capsys):
+        assert run(["verify", "--suite", suite, "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and override.split("=")[0] in err
+
     def test_oversized_inputs(self, tmp_path, capsys):
         # each would allocate terabytes; the size cap refuses them up front
         huge = tmp_path / "huge.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scottish_lab import (
     rudin_shapiro,
     weighted_moment,
 )
-from scottish_lab import extremal
+from scottish_lab import core, extremal
 from scottish_lab.dyadic import grid_values
 from scottish_lab.extremal import fit_growth_exponent
 from scottish_lab.errors import InvalidParameter, InvalidRegime, InvalidTarget
@@ -207,7 +208,64 @@ class TestDecayWitness:
                 problem88_witness(bad, 4)
 
 
+def _full_array_checkpoints(gamma, t, beta, kmax):
+    """Oracle: the checkpoints of one cumulative sum over all the terms."""
+    c = np.abs(gamma.coeffs)
+    top = min(kmax, c.size - 1)
+    k = np.arange(top + 1)
+    terms = np.zeros(top + 1)
+    pos = c[: top + 1] > 0
+    terms[pos] = c[: top + 1][pos] ** t * (1.0 + k[pos]) ** beta
+    cum = np.cumsum(terms)
+    m_hi = int(math.floor(math.log2(kmax)))
+    return [(1 << m, float(cum[min(1 << m, top)])) for m in range(m_hi + 1)]
+
+
 class TestWeightedMoment:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.floats(-4, 4) | st.just(0.0), min_size=1, max_size=40),
+        zero_run=st.tuples(st.integers(0, 40), st.integers(0, 12)),
+        is_complex=st.booleans(),
+        past_end=st.integers(-40, 8),
+        t=st.floats(0.25, 3.0),
+        beta=st.floats(-2.0, 2.0),
+        chunk=st.sampled_from([1, 3, 7]),
+    )
+    def test_chunked_pass_is_bit_identical(self, values, zero_run, is_complex, past_end, t, beta, chunk):
+        # kmax falls below, at and past the last index; chunk edges fall on
+        # checkpoints (chunk 1) and between them (3 and 7)
+        arr = np.array(values)
+        start, length = zero_run
+        arr[start : start + length] = 0.0
+        if is_complex:
+            arr = arr + 1j * arr[::-1]
+        gamma = CoeffSeq(arr)
+        kmax = max(1, arr.size - 1 + past_end)
+        one_chunk = weighted_moment(gamma, t, beta, kmax)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CHUNK_ROWS", chunk)
+            rep = weighted_moment(gamma, t, beta, kmax)
+        assert rep.checkpoints == _full_array_checkpoints(gamma, t, beta, kmax)
+        assert rep == one_chunk
+
+    def test_witness_checkpoints_match_the_full_array_pass(self):
+        alpha, _ = problem88_witness(0.5, 18)  # 17 chunks of the default size
+        rep = weighted_moment(alpha, 0.5, -0.25, kmax=1 << 18)
+        assert rep.checkpoints == _full_array_checkpoints(alpha, 0.5, -0.25, 1 << 18)
+
+    @pytest.mark.parametrize("log2n", [20, 21])
+    def test_peak_memory_does_not_grow_with_kmax(self, log2n):
+        # the full-length pass peaked at 49 MiB on 2^20 coefficients
+        gamma = CoeffSeq(make_rng(log2n).random(1 << log2n))
+        tracemalloc.start()
+        try:
+            weighted_moment(gamma, 0.5, -0.25, kmax=1 << log2n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_single_term(self):
         g = np.zeros(10)
         g[7] = 2.0

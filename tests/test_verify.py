@@ -1,5 +1,8 @@
-"""run_suites: the thresholds are merged once, every suite name is checked
-before any suite runs, and every threshold is read by some suite."""
+"""run_suites: the thresholds are merged once, every suite name and every
+override's domain is checked before any suite runs, and every threshold is
+read by some suite."""
+
+import re
 
 import pytest
 
@@ -46,3 +49,35 @@ def test_names_checked_before_any_suite_runs(monkeypatch):
     with pytest.raises(InvalidParameter, match="unknown threshold"):
         verify.run_suites(["besov"], thresholds={"nope.key": 1})
     assert ran == []
+
+
+def test_every_threshold_has_a_domain_holding_its_default():
+    assert set(verify.THRESHOLD_DOMAINS) == set(verify.DEFAULT_THRESHOLDS)
+    for key, (_, test) in verify.THRESHOLD_DOMAINS.items():
+        assert test(verify.DEFAULT_THRESHOLDS[key]), key
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("kernel.partition_kmax", "-1"), ("kernel.partition_kmax", "-5"), ("inj.cases", "0"),
+     ("w88.tail_factor", "0"), ("w8.nmax", "0"), ("w8.block_lo", "-1"),
+     ("inj.match_min", "1.5"), ("besov.rel_tol", "nan"), ("w8.exp_lo", "inf")],
+)
+def test_out_of_range_overrides_refused_before_any_suite_runs(key, value, monkeypatch):
+    ran = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda seed, th: ran.append(seed) or [])
+    with pytest.raises(InvalidParameter, match=re.escape(repr(key))):
+        verify.run_suites(list(verify.SUITES), thresholds={key: value})
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "suite, overrides",
+    [("kernel", {"kernel.partition_kmax": 0}),
+     ("inj-oracle", {"inj.cases": 1}),
+     ("witness88", {"w88.tail_factor": 5e-324, "w88.m_hi": 4, "w88.lkk_nmax": 2}),
+     ("witness8", {"w8.nmax": 1, "w8.block_lo": 0, "w8.pairs": 1})],
+)
+def test_domain_edges_run_to_a_report(suite, overrides):
+    assert verify.run_suite(suite, thresholds=overrides).cases
