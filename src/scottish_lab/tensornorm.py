@@ -9,6 +9,13 @@ buffer.  Only the shorter side of the matrix is enumerated.  Ties are broken
 toward the lexicographically smallest canonical sign vector on that side
 (+1 sorts before -1, entry 0 pinned to +1) -- the first maximum the scan
 meets -- which makes every run reproducible.
+
+A matrix of integers whose entrywise absolute sum S is at most 32767 is
+scanned in an int16 table stored by column.  S bounds every partial column
+sum and every candidate value, so the int16 arithmetic is exact, as the
+float64 sums of those integers are: the candidate values, the first
+maximizer and the returned triple are the same bit for bit.  Any other
+matrix is scanned in float64.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from .core import DenseMatrix, derive_seed, make_rng
 from .errors import InvalidParameter, TooLargeForExact
 
 EXACT_ENUM_CAP = 26
-_SCAN_ENTRIES = 1 << 16  # float64 entries per scan buffer, unless K is wider
+_SCAN_BYTES = 1 << 19  # per scan buffer, unless K is wider
+_INT_TYPE = np.int16
 _MIN_LOW_BITS = 5  # so each block's high row costs little next to its 2^lo x K scan
 _RANK_ONE_TOL = 1e-10
 
@@ -73,6 +81,39 @@ def _lex_signs(q, n: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.asarray(q)[..., None] >> np.arange(n - 1, -1, -1)) & 1)
 
 
+def _int_table_type(A: np.ndarray):
+    """int16 when A holds integers whose absolute sum fits it, else None."""
+    exact = (A == np.rint(A)).all() and np.abs(A).sum() <= np.iinfo(_INT_TYPE).max
+    return _INT_TYPE if exact else None
+
+
+def _float_values(low: np.ndarray):
+    """Candidate values of a high row added to the low table, in float64."""
+    buf = np.empty_like(low)
+    ones = np.ones(low.shape[1])
+
+    def values(row):
+        np.add(low, row, out=buf)
+        return np.abs(buf, out=buf) @ ones
+
+    return values
+
+
+def _int_values(low: np.ndarray, dt):
+    """Candidate values of a high row added to the low table, in exact dt
+    arithmetic on the table stored by column."""
+    table = np.ascontiguousarray(low.T, dtype=dt)
+    buf = np.empty_like(table)
+    vals = np.empty(table.shape[1], dtype=dt)
+
+    def values(row):
+        np.add(table, row.astype(dt)[:, None], out=buf)
+        np.abs(buf, out=buf)
+        return np.sum(buf, axis=0, dtype=dt, out=vals)  # dtype: no int64 widening
+
+    return values
+
+
 def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]:
     """Exact maximum of |sum q_jk x_j y_k| over sign vectors x, y.
 
@@ -95,17 +136,17 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
 
     # x = (+1, high bits, low bits).  One table holds the column sums of all
     # low patterns; each high pattern, in ascending order, adds its row to it.
-    lo = min(J - 1, max(_MIN_LOW_BITS, (_SCAN_ENTRIES // K).bit_length() - 1))
+    dt = _int_table_type(A)
+    entries = _SCAN_BYTES // np.dtype(dt or np.float64).itemsize
+    lo = min(J - 1, max(_MIN_LOW_BITS, (entries // K).bit_length() - 1))
     hi = J - 1 - lo
     x_lo = _lex_signs(np.arange(1 << lo), lo)
     low = x_lo @ A[1 + hi :]
-    buf = np.empty_like(low)
-    ones = np.ones(K)
+    values = _float_values(low) if dt is None else _int_values(low, dt)
     best_val = -1.0
     for q in range(1 << hi):
         x_hi = _lex_signs(q, hi)
-        np.add(low, A[0] + x_hi @ A[1 : 1 + hi], out=buf)
-        vals = np.abs(buf, out=buf) @ ones
+        vals = values(A[0] + x_hi @ A[1 : 1 + hi])
         i = int(np.argmax(vals))
         if vals[i] > best_val:  # ties keep the first, lexicographically smallest x
             best_val = vals[i]

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SIZE_CAP_LOG2,
     CoeffSeq,
     DenseMatrix,
-    check_size,
     derive_seed,
     hankel_matrix,
     make_rng,
@@ -23,13 +23,20 @@ from .core import (
 from .dyadic import besov_norm, dyadic_kernel, grid_values, hard_block_bound, lp_norm_circle
 from .errors import InvalidParameter
 from .extremal import (
+    RUDIN_SHAPIRO_CAP,
     assemble_majorant,
     fit_growth_exponent,
     problem88_witness,
     rudin_shapiro,
     weighted_moment,
 )
-from .mazur import antidiagonal_average, cesaro_product, problem8_witness, range_diagnostic
+from .mazur import (
+    WITNESS_NMAX_CAP,
+    antidiagonal_average,
+    cesaro_product,
+    problem8_witness,
+    range_diagnostic,
+)
 from .tensornorm import injective_norm_exact, injective_norm_search, projective_bracket
 
 DEFAULT_THRESHOLDS = {
@@ -74,16 +81,21 @@ DEFAULT_THRESHOLDS = {
 # The domain of every threshold, checked before any suite runs:
 # (what the value must be, its test, the keys it covers).
 _DOMAINS = (
-    # counts, and the witness's top block: its fit needs blocks 0 and 1
     ("at least 1", lambda v: v >= 1,
-     "inj.cases re.cases w8.seeds w8.pairs dual.pairs dual.rank1 mazur.seeds w8.nmax"),
+     "inj.cases re.cases w8.seeds w8.pairs dual.pairs dual.rank1 mazur.seeds"),  # counts
     ("at least 2", lambda v: v >= 2, "kernel.w0_oversample"),
-    # sizes, then tolerances and bounds
+    # sizes the library caps: the Problem-8 witness's top block (its fit
+    # needs blocks 0 and 1), the Rudin-Shapiro depth, the partition's
+    # entries and the 2^(nmax + 1) entries of the two Problem-88 witnesses
+    (f"within [1, {WITNESS_NMAX_CAP}]", lambda v: 1 <= v <= WITNESS_NMAX_CAP, "w8.nmax"),
+    (f"within [0, {RUDIN_SHAPIRO_CAP}]", lambda v: 0 <= v <= RUDIN_SHAPIRO_CAP, "mazur.flat_kmax"),
+    (f"within [0, 2^{SIZE_CAP_LOG2})", lambda v: 0 <= v < 1 << SIZE_CAP_LOG2, "kernel.partition_kmax"),
+    (f"within [0, {SIZE_CAP_LOG2 - 1}]", lambda v: 0 <= v < SIZE_CAP_LOG2, "w88.m_hi w88.lkk_nmax"),
+    # other sizes, then tolerances and bounds
     ("at least 0", lambda v: v >= 0,
-     "kernel.nmax kernel.partition_kmax besov.jmax hankel.mmax w88.tail_nmax w88.m_lo "
-     "w88.m_hi w88.lkk_nmax w8.block_lo w8.notgrow_min mazur.flat_kmax "
-     "kernel.l1_bound kernel.w0_tol kernel.partition_tol besov.rel_tol w88.chain_slack "
-     "dual.tol mazur.b_tol mazur.flat_tol"),
+     "kernel.nmax besov.jmax hankel.mmax w88.tail_nmax w88.m_lo w8.block_lo "
+     "w8.notgrow_min kernel.l1_bound kernel.w0_tol kernel.partition_tol besov.rel_tol "
+     "w88.chain_slack dual.tol mazur.b_tol mazur.flat_tol"),
     ("above 0", lambda v: v > 0, "re.constant w88.tail_factor"),  # factors
     ("within [0, 1]", lambda v: 0 <= v <= 1, "inj.match_min"),  # a fraction
     ("finite", math.isfinite, "w88.exp_lo w88.exp_hi w8.exp_lo w8.exp_hi"),  # exponent windows
@@ -117,6 +129,11 @@ def merged_thresholds(overrides: dict | None) -> dict:
             kind = type(th[key])
             try:
                 th[key] = kind(value)
+                # no threshold is a bool, and an int one takes no fraction
+                if isinstance(value, (bool, np.bool_)) or (
+                    kind is int and not isinstance(value, str) and th[key] != value
+                ):
+                    raise ValueError
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidParameter(
                     f"threshold {key!r} expects {kind.__name__}, got {value!r}"
@@ -157,7 +174,6 @@ def suite_kernel(seed: int, th: dict) -> list:
     )
 
     kmax = int(th["kernel.partition_kmax"])
-    check_size(kmax.bit_length(), "kernel.partition_kmax")
     acc = np.zeros(kmax + 1)
     # W_n (n >= 1) is zero below 2^(n-1) + 1: stop at the last that reaches kmax.
     for n in range((kmax - 1).bit_length() + 1):

@@ -11,7 +11,7 @@ import pytest
 
 import scottish_lab
 from scottish_lab import CoeffSeq, read_coeff_csv, read_matrix_csv, write_coeff_csv, write_matrix_csv, DenseMatrix
-from scottish_lab import core, dyadic_kernel
+from scottish_lab import core, dyadic_kernel, verify
 from scottish_lab.cli import COMMANDS, _jsonable, _options, _write_json, build_parser, rerun_config_argv, run
 from scottish_lab.dyadic import dyadic_profile
 from scottish_lab.errors import InvalidInput
@@ -279,6 +279,15 @@ class TestExitCodes:
         assert run(["verify", "--suite", suite, "--override", override]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and override.split("=")[0] in err
+
+    def test_override_past_a_library_cap_refused_before_any_suite(self, monkeypatch, capsys):
+        ran = []
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, lambda seed, th: ran.append(seed) or [])
+        assert run(["verify", "--suite", "all", "--override", "mazur.flat_kmax=21"]) == 1
+        out, err = capsys.readouterr()
+        assert ran == [] and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "mazur.flat_kmax" in err
 
     def test_oversized_inputs(self, tmp_path, capsys):
         # each would allocate terabytes; the size cap refuses them up front

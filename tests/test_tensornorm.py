@@ -15,6 +15,7 @@ from scottish_lab import (
     projective_bracket,
     v2_profile,
 )
+from scottish_lab import tensornorm
 from scottish_lab.errors import InvalidParameter, TooLargeForExact
 from scottish_lab.verify import brute_force_norm
 
@@ -159,6 +160,85 @@ class TestExact:
             n = int(rng.integers(1, min(A.shape) + 1))
             v_corner, _, _ = injective_norm_exact(DenseMatrix(A[:n, :n]))
             assert v_corner <= v_full
+
+
+def signs(v):
+    return "".join("+" if e > 0 else "-" for e in v.entries)
+
+
+def rank_one_pattern(rng, J, K, total):
+    """Entries s_j t_k |b_jk| with absolute sum `total`: the optimum is
+    `total`, attained by x = s, y = t, so every partial sum reaches it."""
+    B = rng.integers(1, 10, (J, K)).astype(float)
+    B[0, 0] += total - B.sum()
+    s = rng.choice([-1.0, 1.0], J)
+    s[0] = 1.0
+    return np.outer(s, rng.choice([-1.0, 1.0], K)) * B
+
+
+class TestIntegerScan:
+    """Integer matrices whose absolute sum fits int16 are scanned in int16;
+    the results are the float64 scan's, bit for bit."""
+
+    @pytest.mark.parametrize("name, A, pinned", [
+        ("22x22 +-3", make_rng(51).integers(-3, 4, (22, 22)).astype(float),
+         (290.0, "++-+++-+--+----++++++-", "+--+-++--+-+--++---+++")),
+        ("hankel 20 +-5", hankel_matrix(CoeffSeq(make_rng(52).integers(-5, 6, 39).astype(float)), 20).entries,
+         (361.0, "+-+--+--+-++-+--+-++", "-++-+--+-++-+--+----")),
+        ("24x3", make_rng(53).integers(-3, 4, (24, 3)).astype(float),
+         (82.0, "-+-+--+-++------+++--+++", "+++")),
+    ])
+    def test_pinned_outputs(self, name, A, pinned):
+        # (value, x, y) as the float64 scan gave them
+        assert tensornorm._int_table_type(A) is np.int16
+        value, x, y = injective_norm_exact(DenseMatrix(A))
+        assert (value, signs(x), signs(y)) == pinned
+
+    @pytest.mark.parametrize("total, dt", [
+        (32767, np.int16), (32768, None), (2**31 - 1, None), (2**31, None),
+    ])
+    def test_absolute_sum_at_the_type_limits(self, total, dt):
+        rng = make_rng(total)
+        for J, K in ((5, 7), (7, 4), (1, 6), (6, 1)):
+            A = rank_one_pattern(rng, J, K, total)
+            assert tensornorm._int_table_type(A) is dt
+            value, x, y = injective_norm_exact(DenseMatrix(A))
+            assert value == brute_force_norm(A) == total
+            assert x.entries.astype(float) @ A @ y.entries.astype(float) == value
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 10**5), st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, J, K, amp, seed):
+        A = make_rng(seed).integers(-amp, amp + 1, (J, K)).astype(float)
+        value, x, y = injective_norm_exact(DenseMatrix(A))
+        assert value == brute_force_norm(A)
+        assert x.entries.astype(float) @ A @ y.entries.astype(float) == value
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(7, 10), st.integers(10, 64), st.integers(0, 2**32 - 1))
+    def test_high_rows_match_the_float_scan(self, J, K, seed):
+        # a 64-byte budget leaves 2^5 low patterns, so J - 6 high bits add
+        # their rows to the int16 table; amplitudes reach the int16 limit
+        rng = make_rng(seed)
+        amp = int(rng.integers(0, 32767 // (J * K) + 1))
+        A = rng.integers(-amp, amp + 1, (J, K)).astype(float)
+        assert tensornorm._int_table_type(A) is np.int16
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensornorm, "_int_table_type", lambda A: None)
+            value, x, y = injective_norm_exact(DenseMatrix(A))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensornorm, "_SCAN_BYTES", 64)
+            assert injective_norm_exact(DenseMatrix(A)) == (value, x, y)
+
+    @pytest.mark.parametrize("A", [
+        np.array([[0.5, 1.0, -2.0], [3.0, -1.0, 4.0], [2.0, 2.0, -6.0]]),
+        np.array([[1e17, -3e17, 2.0], [5e16, 1e17, -1e17]]),
+    ])
+    def test_other_matrices_take_the_float_scan(self, A):
+        assert tensornorm._int_table_type(A) is None
+        value, x, y = injective_norm_exact(DenseMatrix(A))
+        assert value == brute_force_norm(A)
+        assert abs(x.entries.astype(float) @ A @ y.entries.astype(float) - value) <= 1e-15 * value
 
 
 class TestSearch:

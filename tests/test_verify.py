@@ -61,7 +61,10 @@ def test_every_threshold_has_a_domain_holding_its_default():
     "key, value",
     [("kernel.partition_kmax", "-1"), ("kernel.partition_kmax", "-5"), ("inj.cases", "0"),
      ("w88.tail_factor", "0"), ("w8.nmax", "0"), ("w8.block_lo", "-1"),
-     ("inj.match_min", "1.5"), ("besov.rel_tol", "nan"), ("w8.exp_lo", "inf")],
+     ("inj.match_min", "1.5"), ("besov.rel_tol", "nan"), ("w8.exp_lo", "inf"),
+     # past the library's own caps
+     ("mazur.flat_kmax", "21"), ("w8.nmax", "21"), ("w88.m_hi", "25"), ("w88.lkk_nmax", "25"),
+     ("kernel.partition_kmax", str(1 << 25))],
 )
 def test_out_of_range_overrides_refused_before_any_suite_runs(key, value, monkeypatch):
     ran = []
@@ -70,6 +73,12 @@ def test_out_of_range_overrides_refused_before_any_suite_runs(key, value, monkey
     with pytest.raises(InvalidParameter, match=re.escape(repr(key))):
         verify.run_suites(list(verify.SUITES), thresholds={key: value})
     assert ran == []
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_int_threshold_refuses_fractions_and_bools(value):
+    with pytest.raises(InvalidParameter, match=re.escape("'besov.jmax'")):
+        verify.merged_thresholds({"besov.jmax": value})
 
 
 @pytest.mark.parametrize(
