@@ -8,99 +8,76 @@ depends only on the seed and the merged thresholds th.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SIZE_CAP_LOG2,
-    CoeffSeq,
-    DenseMatrix,
-    derive_seed,
-    hankel_matrix,
-    make_rng,
-)
+from . import core, dyadic, extremal, mazur, tensornorm
+from .core import CoeffSeq, DenseMatrix, derive_seed, hankel_matrix, make_rng
 from .dyadic import besov_norm, dyadic_kernel, grid_values, hard_block_bound, lp_norm_circle
 from .errors import InvalidParameter
 from .extremal import (
-    RUDIN_SHAPIRO_CAP,
     assemble_majorant,
     fit_growth_exponent,
     problem88_witness,
     rudin_shapiro,
     weighted_moment,
 )
-from .mazur import (
-    WITNESS_NMAX_CAP,
-    antidiagonal_average,
-    cesaro_product,
-    problem8_witness,
-    range_diagnostic,
-)
+from .mazur import antidiagonal_average, cesaro_product, problem8_witness, range_diagnostic
 from .tensornorm import injective_norm_exact, injective_norm_search, projective_bracket
 
-DEFAULT_THRESHOLDS = {
-    "kernel.nmax": 16,
-    "kernel.l1_bound": 1.5 + 1e-3,
-    "kernel.w0_tol": 1e-4,
-    "kernel.w0_oversample": 2048,
-    "kernel.partition_kmax": 1 << 17,
-    "kernel.partition_tol": 1e-12,
-    "besov.jmax": 14,
-    "besov.rel_tol": 1e-6,
-    "inj.cases": 200,
-    "inj.match_min": 0.95,
-    "hankel.mmax": 16,
-    "re.cases": 1000,
-    "re.constant": 5.0,
-    "w88.tail_nmax": 30,
-    "w88.tail_factor": 2.0,
-    "w88.exp_lo": 0.15,
-    "w88.exp_hi": 0.35,
-    "w88.m_lo": 12,
-    "w88.m_hi": 22,
-    "w88.lkk_nmax": 14,
-    "w88.chain_slack": 1e-6,
-    "w8.nmax": 16,
-    "w8.block_lo": 8,
-    "w8.exp_lo": 0.35,
-    "w8.exp_hi": 0.65,
-    "w8.seeds": 5,
-    "w8.pairs": 100,
-    "w8.notgrow_min": 95,
-    "dual.pairs": 100,
-    "dual.tol": 1e-9,
-    "dual.rank1": 50,
-    "mazur.seeds": 100,
-    "mazur.b_tol": 1e-12,
-    "mazur.flat_kmax": 12,
-    "mazur.flat_tol": 1e-9,
+# log2 of the most coefficients whose grid at the default oversample fits
+# the size cap (dyadic.grid_size)
+_GRID_LOG2 = core.SIZE_CAP_LOG2 - (dyadic.DEFAULT_OVERSAMPLE - 1).bit_length()
+_TINY = math.ulp(0.0)  # the least float above 0
+_BIG = sys.float_info.max  # the largest finite float
+
+# Every threshold once: its default and the closed range an override must lie
+# in, checked before any suite runs.  The upper end of a size is the largest
+# value the library's caps admit for the calls its suite makes.
+THRESHOLDS = {
+    "kernel.nmax": (16, 0, _GRID_LOG2 - 1),  # W_n has 2^(n+1) coefficients
+    "kernel.l1_bound": (1.5 + 1e-3, 0.0, math.inf),
+    "kernel.w0_tol": (1e-4, 0.0, math.inf),
+    "kernel.w0_oversample": (2048, 2, 1 << (core.SIZE_CAP_LOG2 - 1)),  # W_0 has 2 coefficients
+    "kernel.partition_kmax": (1 << 17, 0, 1 << (core.SIZE_CAP_LOG2 - 1)),  # W_n to n = bitlen(kmax - 1)
+    "kernel.partition_tol": (1e-12, 0.0, math.inf),
+    "besov.jmax": (14, 0, _GRID_LOG2 - 2),  # the profile of z^(2^j) to block j + 1
+    "besov.rel_tol": (1e-6, 0.0, math.inf),
+    "inj.cases": (200, 1, math.inf),
+    "inj.match_min": (0.95, 0.0, 1.0),
+    "hankel.mmax": (16, 0, tensornorm.EXACT_ENUM_CAP - 1),  # scans of (m+1) x (m+1)
+    "re.cases": (1000, 1, math.inf),
+    "re.constant": (5.0, _TINY, math.inf),
+    "w88.tail_nmax": (30, 0, math.inf),
+    "w88.tail_factor": (2.0, _TINY, math.inf),
+    "w88.exp_lo": (0.15, -_BIG, _BIG),
+    "w88.exp_hi": (0.35, -_BIG, _BIG),
+    "w88.m_lo": (12, 0, math.inf),
+    "w88.m_hi": (22, 0, core.SIZE_CAP_LOG2 - 1),  # a witness of 2^(m_hi+1) entries
+    "w88.lkk_nmax": (14, 0, _GRID_LOG2 - 2),  # its majorant's profile to block lkk_nmax + 1
+    "w88.chain_slack": (1e-6, 0.0, math.inf),
+    "w8.nmax": (16, 1, mazur.WITNESS_NMAX_CAP),  # the fit needs blocks 0 and 1
+    "w8.block_lo": (8, 0, math.inf),
+    "w8.exp_lo": (0.35, -_BIG, _BIG),
+    "w8.exp_hi": (0.65, -_BIG, _BIG),
+    "w8.seeds": (5, 1, math.inf),
+    "w8.pairs": (100, 1, math.inf),
+    "w8.notgrow_min": (95, 0, math.inf),
+    "dual.pairs": (100, 1, math.inf),
+    "dual.tol": (1e-9, 0.0, math.inf),
+    "dual.rank1": (50, 1, math.inf),
+    "mazur.seeds": (100, 1, math.inf),
+    "mazur.b_tol": (1e-12, 0.0, math.inf),
+    "mazur.flat_kmax": (12, 0, extremal.RUDIN_SHAPIRO_CAP),
+    "mazur.flat_tol": (1e-9, 0.0, math.inf),
 }
+DEFAULT_THRESHOLDS = {key: default for key, (default, _, _) in THRESHOLDS.items()}
 
-
-# The domain of every threshold, checked before any suite runs:
-# (what the value must be, its test, the keys it covers).
-_DOMAINS = (
-    ("at least 1", lambda v: v >= 1,
-     "inj.cases re.cases w8.seeds w8.pairs dual.pairs dual.rank1 mazur.seeds"),  # counts
-    ("at least 2", lambda v: v >= 2, "kernel.w0_oversample"),
-    # sizes the library caps: the Problem-8 witness's top block (its fit
-    # needs blocks 0 and 1), the Rudin-Shapiro depth, the partition's
-    # entries and the 2^(nmax + 1) entries of the two Problem-88 witnesses
-    (f"within [1, {WITNESS_NMAX_CAP}]", lambda v: 1 <= v <= WITNESS_NMAX_CAP, "w8.nmax"),
-    (f"within [0, {RUDIN_SHAPIRO_CAP}]", lambda v: 0 <= v <= RUDIN_SHAPIRO_CAP, "mazur.flat_kmax"),
-    (f"within [0, 2^{SIZE_CAP_LOG2})", lambda v: 0 <= v < 1 << SIZE_CAP_LOG2, "kernel.partition_kmax"),
-    (f"within [0, {SIZE_CAP_LOG2 - 1}]", lambda v: 0 <= v < SIZE_CAP_LOG2, "w88.m_hi w88.lkk_nmax"),
-    # other sizes, then tolerances and bounds
-    ("at least 0", lambda v: v >= 0,
-     "kernel.nmax besov.jmax hankel.mmax w88.tail_nmax w88.m_lo w8.block_lo "
-     "w8.notgrow_min kernel.l1_bound kernel.w0_tol kernel.partition_tol besov.rel_tol "
-     "w88.chain_slack dual.tol mazur.b_tol mazur.flat_tol"),
-    ("above 0", lambda v: v > 0, "re.constant w88.tail_factor"),  # factors
-    ("within [0, 1]", lambda v: 0 <= v <= 1, "inj.match_min"),  # a fraction
-    ("finite", math.isfinite, "w88.exp_lo w88.exp_hi w8.exp_lo w8.exp_hi"),  # exponent windows
-)
-THRESHOLD_DOMAINS = {key: (text, test) for text, test, keys in _DOMAINS for key in keys.split()}
+# (low key, high key, least gap): the witness8 bound checks blocks
+# w8.block_lo..w8.nmax, and the growth fit needs two increments past w88.m_lo.
+_WINDOWS = (("w8.block_lo", "w8.nmax", 0), ("w88.m_lo", "w88.m_hi", 2))
 
 
 @dataclass(frozen=True)
@@ -121,26 +98,33 @@ class SuiteReport:
 
 
 def merged_thresholds(overrides: dict | None) -> dict:
+    """The defaults with each override applied and checked against its range,
+    then every window checked."""
     th = dict(DEFAULT_THRESHOLDS)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in th:
-                raise InvalidParameter(f"unknown threshold {key!r}")
-            kind = type(th[key])
-            try:
-                th[key] = kind(value)
-                # no threshold is a bool, and an int one takes no fraction
-                if isinstance(value, (bool, np.bool_)) or (
-                    kind is int and not isinstance(value, str) and th[key] != value
-                ):
-                    raise ValueError
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidParameter(
-                    f"threshold {key!r} expects {kind.__name__}, got {value!r}"
-                ) from exc
-            text, test = THRESHOLD_DOMAINS[key]
-            if not test(th[key]):
-                raise InvalidParameter(f"threshold {key!r} must be {text}, got {value!r}")
+    for key, value in (overrides or {}).items():
+        if key not in th:
+            raise InvalidParameter(f"unknown threshold {key!r}")
+        default, lo, hi = THRESHOLDS[key]
+        kind = type(default)
+        try:
+            th[key] = kind(value)
+            # no threshold is a bool, and an int one takes no fraction
+            if isinstance(value, (bool, np.bool_)) or (
+                kind is int and not isinstance(value, str) and th[key] != value
+            ):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameter(
+                f"threshold {key!r} expects {kind.__name__}, got {value!r}"
+            ) from exc
+        if not lo <= th[key] <= hi:  # nan fails too
+            raise InvalidParameter(f"threshold {key!r} must lie in [{lo}, {hi}], got {value!r}")
+    for lo_key, hi_key, gap in _WINDOWS:
+        if th[hi_key] - th[lo_key] < gap:
+            raise InvalidParameter(
+                f"thresholds {lo_key!r} and {hi_key!r} need {hi_key} - {lo_key} >= {gap}, "
+                f"got {th[hi_key]} - {th[lo_key]}"
+            )
     return th
 
 
@@ -184,7 +168,7 @@ def suite_kernel(seed: int, th: dict) -> list:
         CaseResult(
             "kernel-partition",
             dev <= th["kernel.partition_tol"],
-            f"max |sum_n W_n_hat(k) - 1| over k<=2^17 is {dev:.3e}",
+            f"max |sum_n W_n_hat(k) - 1| over k<={kmax} is {dev:.3e}",
         )
     )
     return cases
@@ -286,11 +270,11 @@ def suite_inj_oracle(seed: int, th: dict) -> list:
 
 
 def suite_hankel_shadow(seed: int, th: dict) -> list:
-    cases = []
+    mmax = int(th["hankel.mmax"])
     ok_norm = True
     ok_ratio = True
     worst_ratio = (1.0, 0)
-    for m in range(int(th["hankel.mmax"]) + 1):
+    for m in range(mmax + 1):
         e = np.zeros(m + 1)
         e[m] = 1.0
         Q = hankel_matrix(CoeffSeq(e), m + 1)
@@ -304,17 +288,14 @@ def suite_hankel_shadow(seed: int, th: dict) -> list:
             ok_ratio = False
         if abs(math.log(ratio)) > abs(math.log(worst_ratio[0])):
             worst_ratio = (ratio, m)
-    cases.append(
-        CaseResult("hankel-antidiagonal-norm", ok_norm, "norm of the unit antidiagonal equals m+1 for m<=16")
-    )
-    cases.append(
+    return [
+        CaseResult("hankel-antidiagonal-norm", ok_norm, f"norm of the unit antidiagonal equals m+1 for m<={mmax}"),
         CaseResult(
             "monomial-comparability",
             ok_ratio,
             f"besov(z^m)/(m+1) within [1/2, 2]; extreme {worst_ratio[0]:.4f} at m={worst_ratio[1]}",
-        )
-    )
-    return cases
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +357,7 @@ def suite_theorem_re(seed: int, th: dict) -> list:
 def suite_witness88(seed: int, th: dict) -> list:
     cases = []
     t = 0.5
+    m_lo = int(th["w88.m_lo"])
     m_hi = int(th["w88.m_hi"])
 
     alpha, params = problem88_witness(t, nmax=m_hi)
@@ -383,13 +365,15 @@ def suite_witness88(seed: int, th: dict) -> list:
 
     from scipy.special import zeta  # the independent tail oracle; kept off the import path
 
+    tail_nmax = int(th["w88.tail_nmax"])
+    factor = th["w88.tail_factor"]
     tail_ok = True
     worst = (1.0, 0)
-    for n in range(int(th["w88.tail_nmax"]) + 1):
+    for n in range(tail_nmax + 1):
         tail = float(zeta(g, n + 2))  # exact tail of sum (m+1)^(-g) beyond n
         estimate = (n + 1.0) ** (1.0 - g) / (g - 1.0)
         r = tail / estimate
-        if not (1.0 / th["w88.tail_factor"] <= r <= th["w88.tail_factor"]):
+        if not (1.0 / factor <= r <= factor):
             tail_ok = False
         if abs(math.log(r)) > abs(math.log(worst[0])):
             worst = (r, n)
@@ -397,17 +381,17 @@ def suite_witness88(seed: int, th: dict) -> list:
         CaseResult(
             "block-bound-tails",
             tail_ok,
-            f"tail/integral-estimate ratios in [1/2, 2] for n<=30; extreme {worst[0]:.4f} at n={worst[1]}",
+            f"tail/integral-estimate ratios in [1/{factor}, {factor}] for n<={tail_nmax}; extreme {worst[0]:.4f} at n={worst[1]}",
         )
     )
 
     rep = weighted_moment(alpha, t, 1.5 * t - 1.0, kmax=1 << m_hi)
-    p = fit_growth_exponent(rep.checkpoints, int(th["w88.m_lo"]) + 1, m_hi)
+    p = fit_growth_exponent(rep.checkpoints, m_lo + 1, m_hi)
     cases.append(
         CaseResult(
             "moment-growth-exponent",
             th["w88.exp_lo"] <= p <= th["w88.exp_hi"] and rep.diagnosis.label == "divergent",
-            f"fitted growth exponent {p:.4f} over K=2^12..2^22 (law 1/4); diagnosis {rep.diagnosis.label}",
+            f"fitted growth exponent {p:.4f} over K=2^{m_lo}..2^{m_hi} (law 1/4); diagnosis {rep.diagnosis.label}",
         )
     )
 

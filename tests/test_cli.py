@@ -289,6 +289,19 @@ class TestExitCodes:
         assert ran == [] and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "mazur.flat_kmax" in err
 
+    @pytest.mark.parametrize("override, keys", [
+        ("w8.block_lo=17", ("w8.block_lo", "w8.nmax")), ("w88.m_lo=21", ("w88.m_lo", "w88.m_hi")),
+        ("besov.jmax=21", ("besov.jmax",)), ("kernel.w0_oversample=16777217", ("kernel.w0_oversample",)),
+    ])
+    def test_unrunnable_override_refused_before_any_suite(self, override, keys, monkeypatch, capsys):
+        ran = []
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, lambda seed, th: ran.append(seed) or [])
+        assert run(["verify", "--suite", "all", "--override", override]) == 1
+        out, err = capsys.readouterr()
+        assert ran == [] and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and all(k in err for k in keys)
+
     def test_oversized_inputs(self, tmp_path, capsys):
         # each would allocate terabytes; the size cap refuses them up front
         huge = tmp_path / "huge.csv"
