@@ -25,10 +25,10 @@ from . import verify
 from .core import (
     CoeffSeq,
     _row_chunks,
-    format_float,
     read_coeff_csv,
     read_matrix_csv,
     write_coeff_csv,
+    write_matrix_csv,
 )
 from .dyadic import (
     DEFAULT_OVERSAMPLE,
@@ -54,12 +54,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
-
-
-def _parse_exponent(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _jsonable(obj):
@@ -88,14 +82,6 @@ def _options(args) -> dict:
 
 def _run_config(args, argv) -> dict:
     return {"subcommand": args.command, "argv": list(argv), "options": _options(args)}
-
-
-def _write_csv_table(path, header: str, rows, comment: str) -> None:
-    lines = ["# " + comment, header]
-    for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(fh, doc: dict) -> None:
@@ -144,7 +130,7 @@ def _emit(args, argv, payload: dict, csv_payload=None) -> int:
         write_coeff_csv(args.out, csv_payload, comment=comment)
     else:
         header, rows = csv_payload
-        _write_csv_table(args.out, header, rows, comment)
+        write_matrix_csv(args.out, rows, comment=comment, header=header)
     return 0
 
 
@@ -347,8 +333,8 @@ FLAGS = {
     "--input": dict(required=True),
     "--input2": dict(required=True),
     "--s": dict(type=float, required=True),
-    "--p": dict(type=_parse_exponent, required=True),
-    "--q": dict(type=_parse_exponent, required=True),
+    "--p": dict(type=float, required=True),
+    "--q": dict(type=float, required=True),
     "--nmax": dict(type=int, required=True),
     "--t": dict(type=float, required=True),
     "--beta": dict(type=float, required=True),

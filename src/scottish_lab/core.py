@@ -182,6 +182,7 @@ def hankel_matrix(symbol: CoeffSeq, size: int) -> DenseMatrix:
         raise EmptyDimension("matrix size must be at least 1")
     if symbol.is_complex:
         raise ComplexNotSupported("Hankel symbols must be real")
+    check_size((size * size - 1).bit_length(), "Hankel matrix entry count")
     g = symbol.padded(2 * size - 1)
     idx = np.add.outer(np.arange(size), np.arange(size))
     return DenseMatrix(g[idx])
@@ -319,12 +320,15 @@ def read_coeff_csv(path) -> CoeffSeq:
     return CoeffSeq(out)
 
 
-def write_matrix_csv(path, mat: DenseMatrix, comment: str | None = None) -> None:
-    lines = []
-    if comment is not None:
-        lines.append("# " + comment)
-    for row in mat.entries:
-        lines.append(",".join(format_float(v) for v in row))
+def write_matrix_csv(path, mat, comment: str | None = None, header: str | None = None) -> None:
+    """Write a DenseMatrix, or any rows of values, as comma-separated lines
+    after an optional '# ' comment and an optional header; floats are
+    written by format_float, other values by str."""
+    lines = [] if comment is None else ["# " + comment]
+    if header is not None:
+        lines.append(header)
+    for row in mat.entries if isinstance(mat, DenseMatrix) else mat:
+        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -20,6 +20,7 @@ matrix is scanned in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ _SCAN_BYTES = 1 << 19  # per scan buffer, unless K is wider
 _INT_TYPE = np.int16
 _MIN_LOW_BITS = 5  # so each block's high row costs little next to its 2^lo x K scan
 _RANK_ONE_TOL = 1e-10
+MAX_PEELS = 8  # deepest singular-pair peel of the bracket's upper side
 
 
 @dataclass(frozen=True)
@@ -237,48 +239,56 @@ class NormBracket:
             raise InvalidParameter("bracket endpoints out of order")
 
 
-def _row_decomposition(A: np.ndarray) -> tuple[float, list]:
-    J = A.shape[0]
-    pairs = []
-    for j in range(J):
-        if np.any(A[j]):
-            e = np.zeros(J)
-            e[j] = 1.0
-            pairs.append((e, A[j].copy()))
-    cost = float(sum(np.abs(b).max() for _, b in pairs))
-    return cost, pairs
+def _split_pairs(R: np.ndarray, split: str) -> list:
+    """Pairs of the "rows" or "cols" split of R, zero lines skipped."""
+    M = R if split == "rows" else R.T
+    eye = np.eye(M.shape[0])
+    pairs = [(eye[i], M[i].copy()) for i in range(M.shape[0]) if M[i].any()]
+    return pairs if split == "rows" else [(b, a) for a, b in pairs]
 
 
-def _col_decomposition(A: np.ndarray) -> tuple[float, list]:
-    cost, pairs = _row_decomposition(A.T)
-    return cost, [(b, a) for a, b in pairs]
+def _upper_decomposition(A: np.ndarray) -> tuple[str, float, list]:
+    """Cheapest (k, split) over peel depth k = 0..MAX_PEELS, as (tag, cost, pairs).
 
-
-def _peel_decomposition(A: np.ndarray, max_peels: int = 8) -> tuple[float, list]:
-    """Strip leading singular pairs, then finish with the row split."""
-    R = A.copy()
-    pairs = []
-    cost = 0.0
+    Depth k strips the leading singular pair of the remainder k times, then
+    splits what is left into its rows or its columns, each costing its
+    largest entry; a remainder within 1e-14 of zero, relative to A, costs
+    nothing and ends the search.  Ties keep the first of k = 0 rows, k = 0
+    cols, k = 1 rows, ...; the tag is the split at k = 0 and peel after.
+    """
     scale = float(np.abs(A).max())
-    for _ in range(min(max_peels, min(A.shape))):
-        if float(np.abs(R).max()) <= 1e-14 * max(scale, 1.0):
-            R[:] = 0.0
+    depth = min(MAX_PEELS, *A.shape)
+    R, peeled, peel_cost = A, [], 0.0
+    best = None  # (cost, k, split or None for a zero remainder, remainder)
+    for k in range(depth + 1):
+        absR = np.abs(R)
+        if float(absR.max()) <= 1e-14 * scale:  # never at k = 0, where R is A
+            if peel_cost < best[0]:
+                best = (peel_cost, k, None, R)
+            break
+        for split, axis in (("rows", 1), ("cols", 0)):
+            cost = peel_cost + sum(absR.max(axis=axis).tolist())
+            if best is None or cost < best[0]:
+                best = (cost, k, split, R)
+        if k == depth:
             break
         u, sv, vt = np.linalg.svd(R, full_matrices=False)
         a = sv[0] * u[:, 0]
-        b = vt[0]
-        pairs.append((a, b.copy()))
-        cost += float(np.abs(a).max() * np.abs(b).max())
+        b = vt[0].copy()
+        peeled.append((a, b))
+        peel_cost += float(np.abs(a).max() * np.abs(b).max())
         R = R - np.outer(a, b)
-    tail_cost, tail_pairs = _row_decomposition(R)
-    return cost + tail_cost, pairs + tail_pairs
+    cost, k, split, R = best
+    pairs = peeled[:k] + (_split_pairs(R, split) if split else [])
+    return ("peel" if k else split), cost, pairs
 
 
 def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> NormBracket:
     """Two-sided bracket for the rank-one decomposition norm of Q.
 
-    Upper bound: best of row split, column split, singular-pair peeling, and
-    exact detection of (numerically) rank-one matrices.  Lower bound: best
+    Upper bound: exact detection of (numerically) rank-one matrices, else
+    the cheapest decomposition over peel depth (see _upper_decomposition),
+    never above the row or column split of Q.  Lower bound: best
     duality quotient |<Q, T>| / norm(T) over a pool of test matrices whose
     bilinear-form norm is certified (single entries, the identity, and Q
     itself via exact enumeration when min(J, K) is within the cap, otherwise
@@ -292,8 +302,6 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
 
     if scale == 0.0:
         return NormBracket(0.0, 0.0, {"kind": "zero"}, (), ("zero",))
-
-    strategies = []
 
     # Rank-one detection: factor through the globally largest entry.
     j_star, k_star = np.unravel_index(int(np.argmax(np.abs(A))), A.shape)
@@ -309,40 +317,33 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
     if float(np.abs(A - np.outer(a1, b1)).max()) <= _RANK_ONE_TOL * scale:
         return NormBracket(scale, scale, entry, ((a1, b1),), ("rank-one", "entry"))
 
-    upper_candidates = [
-        ("rows",) + _row_decomposition(A),
-        ("cols",) + _col_decomposition(A),
-        ("peel",) + _peel_decomposition(A),
-    ]
-    tag, upper, upper_pairs = min(upper_candidates, key=lambda t: t[1])
-    strategies.append(tag)
+    tag, upper, upper_pairs = _upper_decomposition(A)
 
-    # Lower bound via duality against test matrices of certified norm.
-    lower_candidates = [(scale, entry)]
+    # Lower bound via duality against test matrices of certified norm.  A
+    # pairing that overflows certifies nothing, so it does not count.
     m = min(J, K)
-    trace = float(np.trace(A))
-    lower_candidates.append(
-        (
-            abs(trace) / m,
-            {"kind": "identity", "size": m, "pairing": trace, "denominator": float(m)},
-        )
-    )
-    frob2 = float(np.sum(A * A))
-    if m <= EXACT_ENUM_CAP:
-        denom, _, _ = injective_norm_exact(Q)
-        kind = "self-exact"
-    else:
-        denom = float(np.abs(A).sum())
-        kind = "self-abs-sum"
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(A))
+        frob2 = float(np.sum(A * A))
+        if m <= EXACT_ENUM_CAP:
+            denom, _, _ = injective_norm_exact(Q)
+            kind = "self-exact"
+        else:
+            denom = float(np.abs(A).sum())
+            kind = "self-abs-sum"
+    lower_candidates = [
+        (scale, entry),
+        (abs(trace) / m, {"kind": "identity", "size": m, "pairing": trace, "denominator": float(m)}),
+    ]
     if denom > 0:
         lower_candidates.append(
             (frob2 / denom, {"kind": kind, "pairing": frob2, "denominator": denom})
         )
-    lower, lower_cert = max(lower_candidates, key=lambda t: t[0])
-    strategies.append(lower_cert["kind"])
-
+    lower, lower_cert = max(
+        (c for c in lower_candidates if math.isfinite(c[1]["pairing"])), key=lambda t: t[0]
+    )
     lower = min(lower, upper)  # guards the last-ulp float race only
-    return NormBracket(lower, upper, lower_cert, tuple(upper_pairs), tuple(strategies))
+    return NormBracket(lower, upper, lower_cert, tuple(upper_pairs), (tag, lower_cert["kind"]))
 
 
 def v2_profile(Q: DenseMatrix, nmax: int) -> list[NormBracket]:

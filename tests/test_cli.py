@@ -169,6 +169,35 @@ class TestCommands:
         )
         assert abs(doc["norm"] - 8.0) < 1e-9  # sup over blocks, not the sum
 
+    @pytest.mark.parametrize("text,value", [
+        (" inf ", math.inf), ("INFINITY", math.inf), ("+Inf", math.inf), ("-inf", -math.inf), ("0.5", 0.5),
+    ])
+    def test_exponent_spellings(self, text, value):
+        args = build_parser().parse_args(["profile", "--input", "f", "--s", "1", "--p=" + text, "--nmax", "1"])
+        assert args.p == value
+
+    def test_malformed_exponent_is_a_usage_error(self, capsys):
+        assert run(["profile", "--input", "f", "--s", "1", "--p", "infinite", "--nmax", "1"]) == 64
+        assert "invalid float value: 'infinite'" in capsys.readouterr().err
+
+    def test_csv_writer_bytes(self, two_block, tmp_path, monkeypatch):
+        # report tables and matrix files share one writer; these bytes are pinned
+        monkeypatch.chdir(tmp_path)
+        argv = ["besov", "--input", "f.csv", "--s", "0.5", "--p", "inf", "--q", "1", "--nmax", "4",
+                "--out", "b.csv", "--format", "csv"]
+        assert run(argv) == 0
+        assert (tmp_path / "b.csv").read_bytes() == (
+            b'# {"subcommand": "besov", "argv": ["besov", "--input", "f.csv", "--s", "0.5", "--p", "inf", '
+            b'"--q", "1", "--nmax", "4", "--out", "b.csv", "--format", "csv"], "options": {"format": "csv", '
+            b'"input": "f.csv", "nmax": 4, "out": "b.csv", "oversample": 8, "p": "inf", "q": 1.0, "s": 0.5}}\n'
+            b"n,value\n0,0.0\n1,1.4142135623730954\n2,0.0\n3,2.8284271247461907\n4,0.0\n"
+        )
+        mat = DenseMatrix([[1.0, -0.0, 1 / 3], [2.5e300, -1e-3, 7.0]])
+        write_matrix_csv("m.csv", mat, comment="a 2 by 3 matrix")
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"# a 2 by 3 matrix\n1.0,-0.0,0.3333333333333333\n2.5e+300,-0.001,7.0\n"
+        )
+
     def test_psi_json(self, tmp_path):
         doc = run_json(["psi", "--t", "2.0"], tmp_path / "psi.json")
         assert doc["value"] == 2.0
@@ -490,12 +519,18 @@ _LIMITED = (
 
 
 class TestMemory:
-    def peak_kib(self, argv) -> int:
+    @staticmethod
+    def peak_kib(argv) -> int:
         out = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "scottish_lab", *argv],
                              capture_output=True, text=True, check=True, timeout=300, env=_child_env())
         rc, kib = map(int, out.stdout.split())
         assert rc == 0, argv
         return kib
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        # peak RSS of a bare CLI call, measured once for the cases below
+        return self.peak_kib(["psi", "--t", "1", "--out", str(tmp_path_factory.mktemp("psi") / "psi.json")])
 
     def test_threshold_override_is_size_checked(self):
         # 3e8 partition entries would take 2.4 GB; the size cap refuses them
@@ -506,11 +541,10 @@ class TestMemory:
         assert out.returncode == 1, out.stderr
         assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
 
-    def test_sequence_io_bytes_per_coefficient(self, tmp_path):
+    def test_sequence_io_bytes_per_coefficient(self, base, tmp_path):
         # README: sequence reports and CSV hand-offs stay within 128 bytes of
         # peak RSS per coefficient above a bare CLI call (measured: 35-63)
         coeffs = 1 << 18
-        base = self.peak_kib(["psi", "--t", "1", "--out", str(tmp_path / "psi.json")])
         big = str(tmp_path / "big.csv")
         for argv in (
             ["witness88", "--t", "0.5", "--nmax", "17", "--out", big, "--format", "csv"],
@@ -521,10 +555,9 @@ class TestMemory:
             per_coeff = (self.peak_kib(argv) - base) * 1024 / coeffs
             assert per_coeff <= 128, (argv[0], per_coeff)
 
-    def test_p2_profiles_bytes_per_coefficient(self, tmp_path):
+    def test_p2_profiles_bytes_per_coefficient(self, base, tmp_path):
         # README: p = 2 profiles need no grid, so they stay within the same
         # 128 bytes per coefficient (measured: 44 real, 72 complex)
-        base = self.peak_kib(["psi", "--t", "1", "--out", str(tmp_path / "psi.json")])
         rng = np.random.default_rng(29)
         real, cplx = tmp_path / "real.csv", tmp_path / "complex.csv"
         write_coeff_csv(real, CoeffSeq(rng.standard_normal(1 << 18)))

@@ -101,6 +101,15 @@ class TestHankel:
         with pytest.raises(ComplexNotSupported):
             hankel_matrix(CoeffSeq([1.0 + 1j]), 2)
 
+    def test_size_cap(self, monkeypatch):
+        # 2^26 entries, past the 2^25-point cap: refused before anything is allocated
+        with pytest.raises(InvalidParameter, match="size cap"):
+            hankel_matrix(CoeffSeq([1.0]), 1 << 13)
+        monkeypatch.setattr(core, "SIZE_CAP_LOG2", 3)
+        assert hankel_matrix(CoeffSeq([1.0]), 2).entries.shape == (2, 2)
+        with pytest.raises(InvalidParameter, match="size cap"):
+            hankel_matrix(CoeffSeq([1.0]), 3)  # 9 entries
+
     def test_matrix_rejects_complex(self):
         with pytest.raises(ComplexNotSupported):
             DenseMatrix(np.array([[1.0 + 1j]]))

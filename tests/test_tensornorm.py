@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scottish_lab import (
 )
 from scottish_lab import tensornorm
 from scottish_lab.errors import InvalidParameter, TooLargeForExact
+from scottish_lab.extremal import problem88_witness
 from scottish_lab.verify import brute_force_norm
 
 
@@ -273,6 +275,56 @@ class TestSearch:
             assert out.x.entries[0] == 1
 
 
+def gauss_matrix(rng, jmax=10, kmax=10):
+    return rng.standard_normal((int(rng.integers(1, jmax + 1)), int(rng.integers(1, kmax + 1))))
+
+
+def low_rank_matrix(rng, jmax=10, kmax=10):
+    J, K, r = int(rng.integers(1, jmax + 1)), int(rng.integers(1, kmax + 1)), int(rng.integers(1, 4))
+    return rng.standard_normal((J, r)) @ rng.standard_normal((r, K))
+
+
+def assert_upper_certificate(A, br):
+    """The upper pairs sum to A and their costs add up to upper."""
+    total = sum((np.outer(a, b) for a, b in br.upper_certificate), np.zeros(A.shape))
+    assert np.abs(total - A).max() <= 1e-9 * np.abs(A).max()
+    up = sum(np.abs(a).max() * np.abs(b).max() for a, b in br.upper_certificate)
+    assert abs(up - br.upper) < 1e-9
+
+
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+# upper, lower and lower certificate of each matrix from the best of the row
+# split, the column split and the 8-peel decomposition alone; the search over
+# peel depth contains all three, so upper may only fall and lower stays
+PINNED_BRACKETS = {
+    "hilbert12": (
+        lambda: 1.0 / (np.add.outer(np.arange(12), np.arange(12)) + 1.0),
+        1.0107414972340056, 1.0, {"kind": "entry", "j": 0, "k": 0, "pairing": 1.0, "denominator": 1.0},
+    ),
+    "hankel-witness88": (
+        lambda: hankel_matrix(problem88_witness(0.5, 4)[0], 16).entries,
+        1.1189312900361212, 1.0, {"kind": "entry", "j": 0, "k": 1, "pairing": 1.0, "denominator": 1.0},
+    ),
+    "repeated-singular-values-7x8": (
+        lambda: np.array([[0, 0, 0, 0, 0, 2, 0, 0], [0, 0, 0, -1, 2, -2, 0, 0], [0] * 8,
+                          [0, 0, 0, 0, 0, 2, 0, 0], [0, 0, 0, 0, 0, 0, 0, -2],
+                          [0, 0, -2, 0, 0, 0, 0, 0], [0] * 8], dtype=float),
+        5.408721450120998, 2.0, {"kind": "entry", "j": 0, "k": 5, "pairing": 2.0, "denominator": 1.0},
+    ),
+    "hadamard8": (
+        lambda: np.kron(np.kron(_H2, _H2), _H2),
+        8.0, 3.2, {"kind": "self-exact", "pairing": 64.0, "denominator": 20.0},
+    ),
+    "integer-5x4": (
+        lambda: np.array([[-2, -1, -1, -2], [-2, -2, -2, 2], [2, -2, -2, 1], [1, -2, -1, 0],
+                          [-1, 2, 1, 2]], dtype=float),
+        7.760224047545511, 2.8947368421052633,
+        {"kind": "self-exact", "pairing": 55.0, "denominator": 19.0},
+    ),
+}
+
+
 class TestSignVector:
     def test_validation(self):
         with pytest.raises(InvalidParameter):
@@ -317,14 +369,53 @@ class TestBracket:
 
     def test_certificates_reproduce_endpoints(self):
         rng = make_rng(42)
-        for _ in range(20):
-            A = int_matrix(rng)
+        for make in (int_matrix,) * 20 + (gauss_matrix, low_rank_matrix) * 10:
+            A = make(rng)
             br = projective_bracket(DenseMatrix(A))
-            up = sum(np.abs(a).max() * np.abs(b).max() for a, b in br.upper_certificate)
-            assert abs(up - br.upper) < 1e-9
+            assert_upper_certificate(A, br)
             cert = br.lower_certificate
             if cert["kind"] != "zero":
                 assert abs(abs(cert["pairing"]) / cert["denominator"] - br.lower) < 1e-9
+
+    @pytest.mark.parametrize("name", PINNED_BRACKETS)
+    def test_never_looser_than_the_pinned_brackets(self, name):
+        make, upper, lower, lower_cert = PINNED_BRACKETS[name]
+        A = make()
+        br = projective_bracket(DenseMatrix(A))
+        assert br.upper <= upper * (1 + 1e-12)
+        assert br.lower == lower and br.lower_certificate == lower_cert
+        assert_upper_certificate(A, br)
+        if name == "integer-5x4":
+            assert br.upper < upper  # an intermediate peel depth is cheaper
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([int_matrix, gauss_matrix, low_rank_matrix]))
+    def test_upper_within_the_row_and_column_splits(self, seed, make):
+        A = make(make_rng(seed), 10, 10)
+        br = projective_bracket(DenseMatrix(A))
+        assert br.upper <= sum(np.abs(A).max(axis=1).tolist())
+        assert br.upper <= sum(np.abs(A).max(axis=0).tolist())
+
+    def test_overflowing_pairing_does_not_count(self):
+        # the self pairing sum(A * A) overflows: the bracket falls back to the
+        # entry pairing instead of clamping inf to the upper endpoint
+        A = np.array([[1.0, 2.0], [3.0, -1.0]]) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            br = projective_bracket(DenseMatrix(A))
+        cert = br.lower_certificate
+        assert cert["kind"] == "entry" and br.lower == 3e200
+        assert abs(cert["pairing"]) / cert["denominator"] == br.lower < br.upper
+        assert br.upper == pytest.approx(5e200, rel=1e-12)
+        assert_upper_certificate(A, br)
+
+    def test_tiny_matrix_keeps_its_remainder(self):
+        # the zero-remainder test is relative to the matrix: at scale 1e-20
+        # the remainder after one peel is not zero, so no pair may be dropped
+        A = np.array([[1.0, 2.0], [3.0, -1.0]]) * 1e-20
+        br = projective_bracket(DenseMatrix(A))
+        assert 0.0 < br.lower < br.upper
+        assert_upper_certificate(A, br)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
