@@ -37,9 +37,29 @@ def check_size(log2_points: int, what: str) -> None:
         raise InvalidParameter(f"{what} exceeds the size cap of 2^{SIZE_CAP_LOG2} points")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _all_finite(arr: np.ndarray) -> bool:
+    """True when every entry of arr is finite, with no full-length mask: min
+    and max propagate NaN and are infinite only when some entry is.  Complex
+    entries are read as their (re, im) pairs."""
+    v = arr.view(np.float64) if arr.dtype == np.complex128 else arr
+    return math.isfinite(v.min()) and math.isfinite(v.max())
+
+
+def _freeze(obj, name: str, arr: np.ndarray, what: str) -> None:
+    """Check arr's entries, make it read-only in place and set it as obj.name."""
+    if not _all_finite(arr):
+        raise InvalidInput(f"{what} must be finite")
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+
+
+def _adoptable(arr: np.ndarray, dtypes: tuple) -> np.ndarray:
+    """arr, if the value types may take it without a copy: C-contiguous, of
+    one of dtypes, and writable, so that no other value has frozen it.  The
+    caller must hold the only reference and never write to it again."""
+    if arr.dtype not in dtypes or not (arr.flags.c_contiguous and arr.flags.writeable):
+        raise TypeError(f"only a fresh C-contiguous {' or '.join(map(str, dtypes))} array is adopted")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,21 +68,33 @@ class CoeffSeq:
 
     Entries are float64 or complex128.  Indexing past the degree yields 0,
     so a CoeffSeq doubles as a finitely supported sequence in c0/c/l-inf.
+    The constructor copies its input; the library's own fresh arrays are
+    taken without a copy by _adopt.
     """
 
     coeffs: np.ndarray
 
     def __init__(self, coeffs):
         arr = np.asarray(coeffs)
+        self._check_shape(arr)
+        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        _freeze(self, "coeffs", np.array(arr, dtype=dtype), "coefficients")
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> CoeffSeq:
+        """The CoeffSeq of an array the library has just built: arr itself,
+        frozen in place, with the constructor's checks and errors."""
+        cls._check_shape(_adoptable(arr, (np.float64, np.complex128)))
+        seq = object.__new__(cls)
+        _freeze(seq, "coeffs", arr, "coefficients")
+        return seq
+
+    @staticmethod
+    def _check_shape(arr: np.ndarray) -> None:
         if arr.ndim != 1:
             raise InvalidInput("coefficient data must be one-dimensional")
         if arr.size < 1:
             raise EmptyDimension("a CoeffSeq needs at least one entry")
-        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-        arr = np.array(arr, dtype=dtype)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("coefficients must be finite")
-        object.__setattr__(self, "coeffs", _frozen(arr))
 
     @property
     def degree(self) -> int:
@@ -104,7 +136,8 @@ class CoeffSeq:
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
-    """Real J-by-K matrix with finite entries."""
+    """Real J-by-K matrix with finite entries.  The constructor copies its
+    input; the library's own fresh arrays are taken without a copy by _adopt."""
 
     entries: np.ndarray
 
@@ -112,14 +145,24 @@ class DenseMatrix:
         arr = np.asarray(entries)
         if np.iscomplexobj(arr):
             raise ComplexNotSupported("matrices are real-only")
+        self._check_shape(arr)
+        _freeze(self, "entries", np.array(arr, dtype=np.float64), "matrix entries")
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> DenseMatrix:
+        """The DenseMatrix of a float64 array the library has just built:
+        arr itself, frozen in place, with the constructor's checks and errors."""
+        cls._check_shape(_adoptable(arr, (np.float64,)))
+        mat = object.__new__(cls)
+        _freeze(mat, "entries", arr, "matrix entries")
+        return mat
+
+    @staticmethod
+    def _check_shape(arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise InvalidInput("matrix data must be two-dimensional")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise EmptyDimension("matrix dimensions must be at least 1x1")
-        arr = np.array(arr, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("matrix entries must be finite")
-        object.__setattr__(self, "entries", _frozen(arr))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
@@ -185,7 +228,7 @@ def hankel_matrix(symbol: CoeffSeq, size: int) -> DenseMatrix:
     check_size((size * size - 1).bit_length(), "Hankel matrix entry count")
     g = symbol.padded(2 * size - 1)
     idx = np.add.outer(np.arange(size), np.arange(size))
-    return DenseMatrix(g[idx])
+    return DenseMatrix._adopt(g[idx])
 
 
 def limit_estimate(z: CoeffSeq):
@@ -308,7 +351,7 @@ def read_coeff_csv(path) -> CoeffSeq:
         raise InvalidInput("indices must be nonnegative")
     if np.any(ks[1:] <= ks[:-1]):
         raise InvalidInput("indices must be strictly increasing")
-    if not all(np.isfinite(rows[f]).all() for f in fields):
+    if not all(_all_finite(rows[f]) for f in fields):
         raise InvalidInput("NaN/Inf values are rejected")
     last = int(ks[-1])
     check_size(last.bit_length(), f"last index {last}")
@@ -317,7 +360,7 @@ def read_coeff_csv(path) -> CoeffSeq:
     out.real[ks] = rows["re"]
     if "im" in fields:
         out.imag[ks] = rows["im"]
-    return CoeffSeq(out)
+    return CoeffSeq._adopt(out)
 
 
 def write_matrix_csv(path, mat, comment: str | None = None, header: str | None = None) -> None:
@@ -349,4 +392,4 @@ def read_matrix_csv(path) -> DenseMatrix:
         except ValueError as exc:
             raise InvalidInput(f"malformed matrix row: {exc}") from exc
     check_size((data.size - 1).bit_length(), "matrix entry count")
-    return DenseMatrix(data)
+    return DenseMatrix._adopt(data)

@@ -33,12 +33,12 @@ def dyadic_kernel(n: int) -> CoeffSeq:
         raise InvalidParameter("kernel index must be nonnegative")
     check_size(n + 1, f"kernel {n}")
     if n == 0:
-        return CoeffSeq(np.array([1.0, 1.0]))
+        return CoeffSeq._adopt(np.array([1.0, 1.0]))
     lo, mid, hi = 1 << (n - 1), 1 << n, 1 << (n + 1)
     c = np.zeros(hi)
     c[lo + 1 : mid + 1] = (np.arange(lo + 1, mid + 1) - lo) / (mid - lo)
     c[mid:hi] = (hi - np.arange(mid, hi)) / (hi - mid)
-    return CoeffSeq(c)
+    return CoeffSeq._adopt(c)
 
 
 def _validate_exponent(p: float) -> float:
@@ -165,7 +165,7 @@ def dyadic_profile(
     for n in range(nmax + 1):
         w = dyadic_kernel(n).coeffs
         block = f.padded(w.size) * w
-        v, e, g = lp_norm_detail(CoeffSeq(block), p, oversample)
+        v, e, g = lp_norm_detail(CoeffSeq._adopt(block), p, oversample)
         weight = 2.0 ** (n * s)
         values[n] = weight * v
         bounds[n] = weight * e

@@ -38,7 +38,7 @@ def rudin_shapiro(k: int) -> tuple[CoeffSeq, CoeffSeq]:
     q = np.ones(1)
     for _ in range(k):
         p, q = np.concatenate([p, q]), np.concatenate([p, -q])
-    return CoeffSeq(p), CoeffSeq(q)
+    return CoeffSeq._adopt(p), CoeffSeq._adopt(q)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def flat_polynomial(
 
     targets_l2 = float(np.sqrt(np.sum(b**2)))
     if targets_l2 == 0.0:
-        f = CoeffSeq(np.zeros(len(beta)))
+        f = CoeffSeq._adopt(np.zeros(len(beta)))
         return f, FlatPolyReport(0.0, 0.0, 0.0, "rudin_shapiro", seed, 0)
 
     run = _aligned_constant_support(b)
@@ -132,7 +132,7 @@ def flat_polynomial(
                 improved = True
         method = "random_plus_descent" if descent_budget > 0 else "random_signs"
 
-    f = CoeffSeq(coeffs)
+    f = CoeffSeq._adopt(coeffs)
     report = FlatPolyReport(
         targets_l2=targets_l2,
         sup_norm=sup,
@@ -192,13 +192,13 @@ def assemble_majorant(
         if not np.any(seg):
             continue
         piece, rep = flat_polynomial(
-            CoeffSeq(seg), derive_seed(seed, n), descent_budget, oversample
+            CoeffSeq._adopt(seg), derive_seed(seed, n), descent_budget, oversample
         )
         phi[lo:hi] = piece.coeffs[lo:hi]
         blocks.append({"n": n, "ratio": rep.ratio, "method": rep.method})
         ratios.append(rep.ratio)
 
-    phi_seq = CoeffSeq(phi)
+    phi_seq = CoeffSeq._adopt(phi)
     k_achieved = max(ratios) if ratios else 0.0
     besov_value, _, _ = besov_detail(
         phi_seq, 1.0, math.inf, 1.0, top_block + 1, oversample
@@ -246,7 +246,7 @@ def problem88_witness(t: float, nmax: int) -> tuple[CoeffSeq, DecayWitnessParams
     a = np.zeros(1 << (nmax + 1))
     for n in range(nmax + 1):
         a[1 << n : 1 << (n + 1)] = params.delta(n)
-    return CoeffSeq(a), params
+    return CoeffSeq._adopt(a), params
 
 
 @dataclass(frozen=True)

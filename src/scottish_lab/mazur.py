@@ -42,7 +42,7 @@ def antidiagonal_average(Q: DenseMatrix) -> CoeffSeq:
     J, K = A.shape
     n_index = np.add.outer(np.arange(J), np.arange(K)).ravel()
     sums = np.bincount(n_index, weights=A.ravel(), minlength=J + K - 1)
-    return CoeffSeq(sums / (np.arange(J + K - 1) + 1.0))
+    return CoeffSeq._adopt(sums / (np.arange(J + K - 1) + 1.0))
 
 
 def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
@@ -64,7 +64,7 @@ def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
             conv = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
         else:
             conv = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
-    return CoeffSeq(conv / (np.arange(conv.size) + 1.0))
+    return CoeffSeq._adopt(conv / (np.arange(conv.size) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class WitnessReport:
 
 def _block_signs(mode: str, n: int, seed: int) -> np.ndarray:
     if mode == "rudin_shapiro":
-        return rudin_shapiro(n)[0].coeffs.copy()
+        return rudin_shapiro(n)[0].coeffs
     if mode == "random":
         rng = make_rng(derive_seed(seed, n))
         return rng.integers(0, 2, 1 << n) * 2.0 - 1.0
@@ -119,11 +119,12 @@ def problem8_witness(
         blocks.append(
             {
                 "n": n,
-                "l1": lp_norm_circle(CoeffSeq(blk), 1, oversample),
+                "l1": lp_norm_circle(CoeffSeq._adopt(blk), 1, oversample),
                 "linf": float(np.abs(blk).max()),
                 "l2": float(np.sqrt(np.sum(blk**2))),
             }
         )
+    seq = CoeffSeq._adopt(z)
 
     fit_start = 8 if nmax >= 12 else max(1, nmax // 2)
     fit_start = min(fit_start, max(0, nmax - 1))  # keep two or more fit points
@@ -142,7 +143,7 @@ def problem8_witness(
         ),
     }
     if profiled:
-        prof = dyadic_profile(CoeffSeq(z), 0.0, 1.0, nmax, oversample).values
+        prof = dyadic_profile(seq, 0.0, 1.0, nmax, oversample).values
         flags["profile_growth"] = bool(
             prof[-1] >= prof[0] * 2.0 ** ((nmax - 8) / 2 - 1)
         )
@@ -159,7 +160,7 @@ def problem8_witness(
         fit={"slope": slope, "intercept": intercept, "residual": resid},
         flags=flags,
     )
-    return CoeffSeq(z), report
+    return seq, report
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def range_diagnostic(
     resid = z.coeffs - d
     if not np.any(resid):
         return RangeDiagnostic(d, np.zeros(nmax + 1), 0.0, None, None, "bounded-decaying")
-    prof = dyadic_profile(CoeffSeq(resid), 0.0, 1.0, nmax, oversample)
+    prof = dyadic_profile(CoeffSeq._adopt(resid), 0.0, 1.0, nmax, oversample)
     v = prof.values
     sup = float(v.max())
     tail = v[-min(5, v.size):]

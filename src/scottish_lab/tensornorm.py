@@ -16,17 +16,21 @@ sum and every candidate value, so the int16 arithmetic is exact, as the
 float64 sums of those integers are: the candidate values, the first
 maximizer and the returned triple are the same bit for bit.  Any other
 matrix is scanned in float64.
+
+Every norm here refuses, with InvalidInput, a matrix whose entrywise absolute
+sum exceeds float max / 4: below that bound none of their sums overflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DenseMatrix, derive_seed, make_rng
-from .errors import InvalidParameter, TooLargeForExact
+from .errors import InvalidInput, InvalidParameter, TooLargeForExact
 
 EXACT_ENUM_CAP = 26
 _SCAN_BYTES = 1 << 19  # per scan buffer, unless K is wider
@@ -34,6 +38,14 @@ _INT_TYPE = np.int16
 _MIN_LOW_BITS = 5  # so each block's high row costs little next to its 2^lo x K scan
 _RANK_ONE_TOL = 1e-10
 MAX_PEELS = 8  # deepest singular-pair peel of the bracket's upper side
+# Largest entrywise absolute sum S = sum |a_jk| that the sign-form norms
+# accept.  S bounds every partial sum of the scans, which add terms
+# +-a_jk; the search's step col - 2 x_j A_j stays within S + 2S.  A peel
+# remainder R and its leading rank-one part have entries at most
+# ||R||_F <= ||A||_F <= S, so their difference stays within 2S, as does the
+# rank-one test's A - a1 b1^T (|a1| <= 1, |b1| <= S).  Below float max / 4
+# none of these overflows.
+_ABS_SUM_CAP = sys.float_info.max / 4
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,17 @@ def _lex_signs(q, n: int) -> np.ndarray:
     """Sign patterns of length n for the integers q, ascending with q in
     lexicographic order: bit n-1-i of q set gives entry i = -1."""
     return 1.0 - 2.0 * ((np.asarray(q)[..., None] >> np.arange(n - 1, -1, -1)) & 1)
+
+
+def _abs_sum(A: np.ndarray) -> float:
+    """The entrywise absolute sum S of A; InvalidInput past _ABS_SUM_CAP,
+    where the sums of the norms could overflow."""
+    with np.errstate(over="ignore"):
+        S = float(np.abs(A).sum())
+    if not S <= _ABS_SUM_CAP:  # inf too
+        raise InvalidInput(f"entrywise absolute sum {S!r} of the matrix exceeds {_ABS_SUM_CAP!r}, "
+                           "past which the sign-form sums could overflow")
+    return S
 
 
 def _int_table_type(A: np.ndarray):
@@ -136,6 +159,8 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
     if J > EXACT_ENUM_CAP:
         raise TooLargeForExact(f"shorter side {J} exceeds the cap {EXACT_ENUM_CAP}")
 
+    _abs_sum(A)
+
     # x = (+1, high bits, low bits).  One table holds the column sums of all
     # low patterns; each high pattern, in ascending order, adds its row to it.
     dt = _int_table_type(A)
@@ -175,6 +200,7 @@ def injective_norm_search(Q: DenseMatrix, budget: int, seed: int) -> SearchOutco
     """
     A = Q.entries
     J = A.shape[0]
+    _abs_sum(A)
 
     # Deterministic baseline so even a zero budget returns a certificate.
     x = np.ones(J)
@@ -298,6 +324,7 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
     """
     A = Q.entries
     J, K = A.shape
+    abs_sum = _abs_sum(A)
     scale = float(np.abs(A).max())
 
     if scale == 0.0:
@@ -329,7 +356,7 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
             denom, _, _ = injective_norm_exact(Q)
             kind = "self-exact"
         else:
-            denom = float(np.abs(A).sum())
+            denom = abs_sum
             kind = "self-abs-sum"
     lower_candidates = [
         (scale, entry),

@@ -386,6 +386,7 @@ def suite_witness88(seed: int, th: dict) -> list:
     )
 
     rep = weighted_moment(alpha, t, 1.5 * t - 1.0, kmax=1 << m_hi)
+    del alpha  # 2^(m_hi+1) entries, so the majorant's grids do not stack on them
     p = fit_growth_exponent(rep.checkpoints, m_lo + 1, m_hi)
     cases.append(
         CaseResult(

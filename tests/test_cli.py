@@ -405,6 +405,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("text", ["1e308,1e308\n1e308,-1e308\n", "1e308\n"])
+    @pytest.mark.parametrize("argv", [
+        ["inj-norm"], ["inj-norm", "--method", "search"], ["proj-norm"], ["v2", "--nmax", "0"],
+    ])
+    def test_matrix_whose_sums_could_overflow(self, text, argv, tmp_path, capsys):
+        # these once wrote "inf" values with exit 0
+        p = tmp_path / "huge.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--input", str(p), "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "absolute sum" in err, err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["--out", "v.csv"],
         ["--format", "csv"],
@@ -543,7 +558,7 @@ class TestMemory:
 
     def test_sequence_io_bytes_per_coefficient(self, base, tmp_path):
         # README: sequence reports and CSV hand-offs stay within 128 bytes of
-        # peak RSS per coefficient above a bare CLI call (measured: 35-63)
+        # peak RSS per coefficient above a bare CLI call (measured: 25-47)
         coeffs = 1 << 18
         big = str(tmp_path / "big.csv")
         for argv in (
@@ -557,7 +572,7 @@ class TestMemory:
 
     def test_p2_profiles_bytes_per_coefficient(self, base, tmp_path):
         # README: p = 2 profiles need no grid, so they stay within the same
-        # 128 bytes per coefficient (measured: 44 real, 72 complex)
+        # 128 bytes per coefficient (measured: 39 real, 61 complex)
         rng = np.random.default_rng(29)
         real, cplx = tmp_path / "real.csv", tmp_path / "complex.csv"
         write_coeff_csv(real, CoeffSeq(rng.standard_normal(1 << 18)))

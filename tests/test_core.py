@@ -20,6 +20,8 @@ from scottish_lab import (
     write_matrix_csv,
 )
 from scottish_lab import core
+from scottish_lab.extremal import problem88_witness
+from scottish_lab.mazur import cesaro_product
 from scottish_lab.errors import (
     ComplexNotSupported,
     EmptyDimension,
@@ -80,6 +82,120 @@ class TestCoeffSeq:
         s = CoeffSeq([1 + 2j, 0])
         assert s.is_complex
         assert s[0] == 1 + 2j
+
+
+def _bits(a):
+    return a.view(np.int64).tolist()
+
+
+_SPOIL = st.tuples(
+    st.one_of(st.just(0), st.just(-1), st.integers(0, 39)),  # position; first and last drawn often
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]),
+    st.sampled_from(["whole", "re", "im"]),
+)
+
+
+class TestFiniteness:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0),
+                        min_size=1, max_size=40),
+        is_complex=st.booleans(),
+        spoils=st.lists(_SPOIL, max_size=3),
+    )
+    def test_helper_matches_isfinite(self, values, is_complex, spoils):
+        re = np.array(values)
+        if is_complex:
+            arr = np.empty(re.size, dtype=np.complex128)
+            arr.real, arr.imag = re, re[::-1]  # part by part, so -0.0 stays
+        else:
+            arr = re
+        for pos, bad, part in spoils:
+            i = pos % arr.size
+            if part == "whole" or not is_complex:
+                arr[i] = bad
+            else:
+                getattr(arr, "real" if part == "re" else "imag")[i] = bad  # the imaginary part alone
+        finite = bool(np.isfinite(arr).all())
+        assert core._all_finite(arr) is finite
+        if finite:
+            # accepted, with every bit kept (-0.0 included), by copy and by adoption
+            assert _bits(CoeffSeq(arr).coeffs) == _bits(arr)
+            assert _bits(CoeffSeq._adopt(arr.copy()).coeffs) == _bits(arr)
+        else:
+            with pytest.raises(InvalidInput):
+                CoeffSeq(arr)
+            with pytest.raises(InvalidInput):
+                CoeffSeq._adopt(arr.copy())
+        if not is_complex:
+            for shape in ((1, arr.size), (arr.size, 1)):
+                m = arr.reshape(shape)
+                if finite:
+                    assert _bits(DenseMatrix(m).entries) == _bits(m)
+                    assert _bits(DenseMatrix._adopt(m.copy()).entries) == _bits(m)
+                else:
+                    with pytest.raises(InvalidInput):
+                        DenseMatrix(m)
+                    with pytest.raises(InvalidInput):
+                        DenseMatrix._adopt(m.copy())
+
+    def test_signed_zeros_survive(self):
+        z = np.array([-0.0, 0.0, -0.0])
+        assert _bits(CoeffSeq(z).coeffs) == _bits(z)
+        c = np.empty(2, dtype=np.complex128)
+        c.real, c.imag = [-0.0, 0.0], [0.0, -0.0]
+        assert _bits(CoeffSeq(c).coeffs) == _bits(c)
+
+
+class TestOwnership:
+    def test_constructors_copy_what_callers_pass(self):
+        arr = np.array([1.0, -0.0, 3.0])
+        seq = CoeffSeq(arr)
+        assert arr.flags.writeable and not np.shares_memory(arr, seq.coeffs)
+        arr[0] = 7.0
+        assert seq.coeffs[0] == 1.0
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        mat = DenseMatrix(m)
+        assert m.flags.writeable and not np.shares_memory(m, mat.entries)
+        m[1, 1] = 9.0
+        assert mat.entries[1, 1] == 4.0
+
+    def test_library_built_values_are_read_only(self, tmp_path):
+        cpath, mpath = tmp_path / "c.csv", tmp_path / "m.csv"
+        write_coeff_csv(cpath, CoeffSeq([0.0, 1.5, 0.0, -2.0]))
+        write_matrix_csv(mpath, DenseMatrix([[1.0, 2.0], [3.0, 4.0]]))
+        seqs = [dyadic_kernel(0), dyadic_kernel(5), problem88_witness(0.5, 6)[0],
+                cesaro_product(CoeffSeq([1.0, 2.0]), CoeffSeq([3.0, -1.0, 0.5])), read_coeff_csv(cpath)]
+        mats = [hankel_matrix(CoeffSeq([1.0, 2.0, 3.0]), 2), read_matrix_csv(mpath)]
+        for arr in [s.coeffs for s in seqs] + [m.entries for m in mats]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 5.0
+
+    def test_adopt_takes_the_array_itself(self):
+        arr = np.array([1.0, 2.0])
+        assert CoeffSeq._adopt(arr).coeffs is arr and not arr.flags.writeable
+        m = np.eye(2)
+        assert DenseMatrix._adopt(m).entries is m and not m.flags.writeable
+
+    def test_adopt_raises_what_the_constructor_raises(self):
+        with pytest.raises(InvalidInput):
+            CoeffSeq._adopt(np.zeros((2, 2)))
+        with pytest.raises(EmptyDimension):
+            CoeffSeq._adopt(np.zeros(0))
+        with pytest.raises(InvalidInput):
+            DenseMatrix._adopt(np.zeros(3))
+        with pytest.raises(EmptyDimension):
+            DenseMatrix._adopt(np.zeros((0, 2)))
+
+    def test_adopt_refuses_arrays_it_may_not_take(self):
+        frozen = CoeffSeq([1.0, 2.0]).coeffs  # another value's array
+        for arr in (np.arange(3), np.zeros(4)[::2], frozen, np.zeros(2, dtype=np.complex64)):
+            with pytest.raises(TypeError):
+                CoeffSeq._adopt(arr)
+        for arr in (np.zeros((2, 2), dtype=np.complex128), np.zeros((3, 3))[:, :2], np.zeros((2, 2), order="F")):
+            with pytest.raises(TypeError):
+                DenseMatrix._adopt(arr)
 
 
 class TestHankel:

@@ -207,6 +207,17 @@ class TestDecayWitness:
             with pytest.raises(InvalidRegime):
                 problem88_witness(bad, 4)
 
+    def test_built_without_a_copy(self):
+        # the fill array is the witness's own: no copy and no finiteness mask
+        # beside it (measured: 1.0004 of the array; 2.1 with both)
+        tracemalloc.start()
+        try:
+            problem88_witness(0.5, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (1 << 19) * 8
+
 
 def _full_array_checkpoints(gamma, t, beta, kmax):
     """Oracle: the checkpoints of one cumulative sum over all the terms."""

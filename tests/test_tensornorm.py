@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from scottish_lab import (
     v2_profile,
 )
 from scottish_lab import tensornorm
-from scottish_lab.errors import InvalidParameter, TooLargeForExact
+from scottish_lab.errors import InvalidInput, InvalidParameter, TooLargeForExact
 from scottish_lab.extremal import problem88_witness
 from scottish_lab.verify import brute_force_norm
 
@@ -433,6 +434,49 @@ class TestBracket:
             pairing = abs(float(np.sum(A * B)))
             vb, _, _ = injective_norm_exact(DenseMatrix(B))
             assert pairing <= projective_bracket(DenseMatrix(A)).upper * vb + 1e-9
+
+
+_FMAX = np.finfo(np.float64).max
+_NORMS = {
+    "exact": injective_norm_exact,
+    "search": lambda Q: injective_norm_search(Q, 50, 0),
+    "bracket": projective_bracket,
+    "v2": lambda Q: v2_profile(Q, 0),
+}
+
+
+class TestOverflow:
+    # an entrywise absolute sum S past float max / 4 is refused: past it
+    # the sums of the scans, the search and the bracket could overflow
+
+    @pytest.mark.parametrize("A", [
+        [[1e308, 1e308], [1e308, -1e308]],
+        [[1e308]],  # S = 1e308 > max / 4
+        [[_FMAX, _FMAX]],  # S itself overflows
+    ])
+    @pytest.mark.parametrize("norm", list(_NORMS))
+    def test_refused_without_a_warning(self, A, norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="absolute sum"):
+                _NORMS[norm](DenseMatrix(A))
+
+    @pytest.mark.parametrize("A", [
+        np.array([[1.0, 1.0], [1.0, -1.0]]) * 2.0**1019,  # S = 2^1021, an ulp under max / 4
+        make_rng(61).standard_normal((6, 7)) * 1e306,
+    ])
+    def test_just_under_the_bound_runs_without_a_warning(self, A):
+        assert _FMAX / 8 < np.abs(A).sum() <= _FMAX / 4
+        Q = DenseMatrix(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact, _, _ = injective_norm_exact(Q)
+            search = injective_norm_search(Q, 200, 3).value
+            br = projective_bracket(Q)
+            profile = v2_profile(Q, 1)
+        assert 0.0 < search <= exact < math.inf
+        assert 0.0 < br.lower <= br.upper < math.inf
+        assert all(0.0 < b.lower <= b.upper < math.inf for b in profile)
 
 
 class TestV2:
