@@ -107,6 +107,10 @@ class CoeffSeq:
     def __len__(self) -> int:
         return self.coeffs.size
 
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """Stored entries lo..hi-1, as a read-only view."""
+        return self.coeffs[lo:hi]
+
     def __getitem__(self, k: int):
         if k < 0:
             raise IndexError("coefficient indices start at 0")
@@ -315,51 +319,72 @@ def write_coeff_csv(path, seq: CoeffSeq, comment: str | None = None) -> None:
             fh.write((row * rows) % fields)
 
 
-def _data_lines(fh, path):
-    """The stripped lines of fh that are neither blank nor `#` comments; a
-    byte that is not UTF-8 raises InvalidInput naming the file."""
+def _data_blocks(fh, path):
+    """The lines of fh that are neither blank nor `#` comments, stripped, in
+    one nonempty list for each _CHUNK_ROWS lines of the file that hold any;
+    a byte that is not UTF-8 raises InvalidInput naming the file."""
     try:
-        for ln in map(str.strip, fh):
-            if ln and not ln.startswith("#"):
-                yield ln
+        while raw := list(itertools.islice(fh, _CHUNK_ROWS)):
+            if block := [ln for ln in map(str.strip, raw) if ln and not ln.startswith("#")]:
+                yield block
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path} is not UTF-8 text") from exc
 
 
+def _row_blocks(blocks, what: str, max_rows: int, **loadtxt_args):
+    """np.loadtxt's array of each nonempty block of comma-separated lines,
+    max_rows rows in all, so that memory follows the rows read and the caller
+    can refuse a file before reading all of it.  A parse error raises
+    InvalidInput; numpy counts its rows from the block's first."""
+    done = 0
+    for block in blocks:
+        if done == max_rows:
+            return
+        block = block[: max_rows - done]
+        if block:
+            try:
+                rows = np.loadtxt(block, delimiter=",", comments=None, **loadtxt_args)
+            except ValueError as exc:
+                after = f" after the first {done} data rows" if done else ""
+                raise InvalidInput(f"malformed {what} row{after}: {exc}") from exc
+            done += len(block)
+            yield rows
+
+
 def read_coeff_csv(path) -> CoeffSeq:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh, path)
-        header = next(lines, None)
-        if header is None:
+        blocks = _data_blocks(fh, path)
+        first = next(blocks, None)
+        if first is None:
             raise InvalidInput("empty coefficient file")
+        header = first[0]
         fields = {"k,re": ("re",), "k,re,im": ("re", "im")}.get(header.replace(" ", ""))
         if fields is None:
             raise InvalidInput(f"unrecognized header {header!r}")
-        first = next(lines, None)
-        if first is None:
-            raise InvalidInput("coefficient file has no data rows")
         dtype = [("k", np.int64)] + [(f, np.float64) for f in fields]
-        try:
-            # Indices increase strictly from 0, so a file with more rows than
-            # the size cap admits fails the last-index check below.
-            rows = np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
-                              comments=None, ndmin=1, max_rows=(1 << SIZE_CAP_LOG2) + 1)
-        except ValueError as exc:
-            raise InvalidInput(f"malformed coefficient row: {exc}") from exc
-    ks = rows["k"]
-    if ks[0] < 0:
-        raise InvalidInput("indices must be nonnegative")
-    if np.any(ks[1:] <= ks[:-1]):
-        raise InvalidInput("indices must be strictly increasing")
-    if not all(_all_finite(rows[f]) for f in fields):
-        raise InvalidInput("NaN/Inf values are rejected")
-    last = int(ks[-1])
-    check_size(last.bit_length(), f"last index {last}")
+        parsed, last = [], -1
+        # Indices increase strictly from 0, so a file with more rows than the
+        # size cap admits fails the last-index check of some block.
+        for rows in _row_blocks(itertools.chain([first[1:]], blocks), "coefficient",
+                                (1 << SIZE_CAP_LOG2) + 1, dtype=dtype, ndmin=1):
+            ks = rows["k"]
+            if ks[0] < 0:
+                raise InvalidInput("indices must be nonnegative")
+            if ks[0] <= last or np.any(ks[1:] <= ks[:-1]):
+                raise InvalidInput("indices must be strictly increasing")
+            if not all(_all_finite(rows[f]) for f in fields):
+                raise InvalidInput("NaN/Inf values are rejected")
+            last = int(ks[-1])
+            check_size(last.bit_length(), f"last index {last}")
+            parsed.append(rows)
+    if not parsed:
+        raise InvalidInput("coefficient file has no data rows")
     out = np.zeros(last + 1, dtype=np.complex128 if "im" in fields else np.float64)
-    # Parts are set one at a time: re + 1j*im would turn a -0.0 real part into 0.0.
-    out.real[ks] = rows["re"]
-    if "im" in fields:
-        out.imag[ks] = rows["im"]
+    for rows in parsed:
+        # Parts are set one at a time: re + 1j*im would turn a -0.0 real part into 0.0.
+        out.real[rows["k"]] = rows["re"]
+        if "im" in fields:
+            out.imag[rows["k"]] = rows["im"]
     return CoeffSeq._adopt(out)
 
 
@@ -379,17 +404,17 @@ def write_matrix_csv(path, mat, comment: str | None = None, header: str | None =
 def read_matrix_csv(path) -> DenseMatrix:
     """Numbers parse as read_coeff_csv's values do; DenseMatrix rejects NaN/Inf."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh, path)
-        first = next(lines, None)
+        blocks = _data_blocks(fh, path)
+        first = next(blocks, None)
         if first is None:
             raise InvalidInput("empty matrix file")
-        width = first.count(",") + 1
+        width = first[0].count(",") + 1
         check_size((width - 1).bit_length(), "matrix entry count")
-        try:
-            # One row past the cap is enough to fail the entry count below.
-            data = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
-                              ndmin=2, max_rows=(1 << SIZE_CAP_LOG2) // width + 1)
-        except ValueError as exc:
-            raise InvalidInput(f"malformed matrix row: {exc}") from exc
-    check_size((data.size - 1).bit_length(), "matrix entry count")
-    return DenseMatrix._adopt(data)
+        # One row past the cap is enough to fail the entry count below.
+        parsed = list(_row_blocks(itertools.chain([first], blocks), "matrix",
+                                  (1 << SIZE_CAP_LOG2) // width + 1, ndmin=2))
+    for rows in parsed:
+        if rows.shape[1] != width:
+            raise InvalidInput(f"malformed matrix row: rows of {width} and of {rows.shape[1]} columns")
+    check_size((sum(len(rows) for rows in parsed) * width - 1).bit_length(), "matrix entry count")
+    return DenseMatrix._adopt(parsed[0] if len(parsed) == 1 else np.concatenate(parsed))

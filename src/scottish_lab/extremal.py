@@ -130,7 +130,7 @@ def flat_polynomial(
                 sup = best_sup
                 iterations += 1
                 improved = True
-        method = "random_plus_descent" if descent_budget > 0 else "random_signs"
+        method = "random_plus_descent" if evals > 1 else "random_signs"  # a flip was evaluated
 
     f = CoeffSeq._adopt(coeffs)
     report = FlatPolyReport(
@@ -228,6 +228,27 @@ class DecayWitnessParams:
         """Block modulus: 2^(-3n/2) * (n+1)^(-g)."""
         return 2.0 ** (-1.5 * n) * (n + 1.0) ** (-self.g)
 
+    def __len__(self) -> int:
+        return 1 << (self.nmax + 1)
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """Witness entries lo..hi-1: 0 at index 0, delta(n) on hard block n."""
+        out = np.zeros(hi - lo)
+        for n in range(max(lo, 1).bit_length() - 1, (hi - 1).bit_length()):
+            out[max(lo, 1 << n) - lo : min(hi, 2 << n) - lo] = self.delta(n)
+        return out
+
+
+def problem88_params(t: float, nmax: int) -> DecayWitnessParams:
+    """The parameters of problem88_witness(t, nmax), checked the same way,
+    without building its 2^(nmax+1) entries."""
+    if not 0.0 < t < 1.0:
+        raise InvalidRegime("the witness regime needs 0 < t < 1")
+    if nmax < 0:
+        raise InvalidParameter("nmax must be nonnegative")
+    check_size(nmax + 1, f"witness of nmax {nmax}")
+    return DecayWitnessParams(t=t, g=(1.0 + 1.0 / t) / 2.0, nmax=nmax)
+
 
 def problem88_witness(t: float, nmax: int) -> tuple[CoeffSeq, DecayWitnessParams]:
     """Constant-on-blocks targets that split the weighted-moment dichotomy.
@@ -235,18 +256,11 @@ def problem88_witness(t: float, nmax: int) -> tuple[CoeffSeq, DecayWitnessParams
     The decay exponent g = (1 + 1/t) / 2 sits strictly between 1 and 1/t, so
     the weighted block sums 2^(3n/2) * delta_n = (n+1)^(-g) are summable
     while their t-th powers are not.  Index 0 is zero; block n carries the
-    constant delta(n) up to nmax.
+    constant delta(n) up to nmax.  weighted_moment takes the parameters in
+    place of the sequence and reads the same entries chunk by chunk.
     """
-    if not 0.0 < t < 1.0:
-        raise InvalidRegime("the witness regime needs 0 < t < 1")
-    if nmax < 0:
-        raise InvalidParameter("nmax must be nonnegative")
-    check_size(nmax + 1, f"witness of nmax {nmax}")
-    params = DecayWitnessParams(t=t, g=(1.0 + 1.0 / t) / 2.0, nmax=nmax)
-    a = np.zeros(1 << (nmax + 1))
-    for n in range(nmax + 1):
-        a[1 << n : 1 << (n + 1)] = params.delta(n)
-    return CoeffSeq._adopt(a), params
+    params = problem88_params(t, nmax)
+    return CoeffSeq._adopt(params.values(0, len(params))), params
 
 
 @dataclass(frozen=True)
@@ -284,16 +298,18 @@ def fit_growth_exponent(checkpoints: list, m_lo: int, m_hi: int) -> float:
 
 
 def weighted_moment(
-    gamma: CoeffSeq, t: float, beta: float, kmax: int
+    gamma: CoeffSeq | DecayWitnessParams, t: float, beta: float, kmax: int
 ) -> MomentReport:
     """Partial sums of |gamma_k|^t (1+k)^beta at dyadic checkpoints.
 
-    The sums run in one pass over k = 0..min(kmax, degree), core._CHUNK_ROWS
-    indices at a time, so memory does not grow with kmax.  Each chunk adds
-    the running total into its first term before its cumulative sum, so
-    every partial sum takes the same additions in the same order as one
-    cumulative sum over all the terms, and the checkpoints are bit for bit
-    those of the full-length pass.
+    gamma is a CoeffSeq, or the DecayWitnessParams of a Problem-88 witness,
+    whose entries are then computed chunk by chunk and never held whole.
+    The sums run in one pass over k = 0..min(kmax, len(gamma) - 1),
+    core._CHUNK_ROWS indices at a time, so memory does not grow with kmax.
+    Each chunk adds the running total into its first term before its
+    cumulative sum, so every partial sum takes the same additions in the
+    same order as one cumulative sum over all the terms, and the checkpoints
+    are bit for bit those of the full-length pass.
 
     Divergence is diagnosed from the fitted growth exponent over the last
     third of the checkpoints, never from the size of the sum: finite
@@ -305,15 +321,15 @@ def weighted_moment(
         raise InvalidRegime("moment exponent t must be positive")
     if kmax < 1:
         raise InvalidParameter("kmax must be at least 1")
-    c = gamma.coeffs
-    top = min(kmax, c.size - 1)
+    size = len(gamma)
+    top = min(kmax, size - 1)
     m_hi = int(math.floor(math.log2(kmax)))
     marks = [min(1 << m, top) for m in range(m_hi + 1)]
     sums = []
     run = 0.0
     for lo in range(0, top + 1, core._CHUNK_ROWS):
         hi = min(lo + core._CHUNK_ROWS, top + 1)
-        a = np.abs(c[lo:hi])
+        a = np.abs(gamma.values(lo, hi))
         k = np.arange(lo, hi)
         terms = np.zeros(hi - lo)
         pos = a > 0
@@ -328,8 +344,8 @@ def weighted_moment(
     m_lo = max(1, m_hi - window + 1)
     svals = dict((int(round(math.log2(K))), S) for K, S in checkpoints)
     inc = np.array([svals[m] - svals[m - 1] for m in range(m_lo, m_hi + 1)])
-    if inc.size and (1 << (m_hi - 1)) >= c.size - 1:
-        # increment m_hi sums k in (2^(m_hi-1), 2^m_hi], all past index c.size - 1
+    if inc.size and (1 << (m_hi - 1)) >= size - 1:
+        # increment m_hi sums k in (2^(m_hi-1), 2^m_hi], all past index size - 1
         diag = MomentDiagnosis("inconclusive", None, False, (m_lo, m_hi))
     elif inc.size == 0 or inc.max() <= 0.0:
         diag = MomentDiagnosis("convergent", None, True, (m_lo, m_hi))

@@ -524,15 +524,6 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-# Runs the CLI with its address space limited to 1 GiB.
-_LIMITED = (
-    "import resource, sys\n"
-    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-    "from scottish_lab.cli import run\n"
-    "sys.exit(run(sys.argv[1:]))\n"
-)
-
-
 class TestMemory:
     @staticmethod
     def peak_kib(argv) -> int:
@@ -547,14 +538,35 @@ class TestMemory:
         # peak RSS of a bare CLI call, measured once for the cases below
         return self.peak_kib(["psi", "--t", "1", "--out", str(tmp_path_factory.mktemp("psi") / "psi.json")])
 
-    def test_threshold_override_is_size_checked(self):
-        # 3e8 partition entries would take 2.4 GB; the size cap refuses them
-        # before anything is allocated
-        argv = ["verify", "--suite", "kernel", "--override", "kernel.partition_kmax=300000000"]
-        out = subprocess.run([sys.executable, "-c", _LIMITED, *argv],
-                             capture_output=True, text=True, timeout=300, env=_child_env())
-        assert out.returncode == 1, out.stderr
-        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
+    def test_threshold_override_is_size_checked(self, tmp_path):
+        # One child with its address space limited to 300 MiB runs four CLI
+        # calls.  3e8 partition entries would take 2.4 GB; the size cap
+        # refuses them before anything is allocated.  The CSV readers once
+        # reserved the size cap up front, 512 MiB for any coefficient file
+        # and 256 MiB for any matrix file, which ended in an _ArrayMemoryError
+        # traceback under this limit: two small reads now pass, and a file
+        # whose index passes the cap exits 1.
+        files = {"two.csv": "k,re\n0,1.0\n1,2.0\n", "m.csv": "1,2\n3,4\n",
+                 "over.csv": f"k,re\n0,1.0\n{1 << 25},1.0\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        moment = ["moment", "--t", "1", "--beta", "0.5", "--kmax", "8", "--out", str(tmp_path / "r.json")]
+        calls = [["verify", "--suite", "kernel", "--override", "kernel.partition_kmax=300000000"],
+                 moment + ["--input", str(tmp_path / "two.csv")],
+                 ["inj-norm", "--input", str(tmp_path / "m.csv"), "--out", str(tmp_path / "r.json")],
+                 moment + ["--input", str(tmp_path / "over.csv")]]
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+            "from scottish_lab.cli import run\n"
+            f"print([run(argv) for argv in {calls!r}])\n"
+        )
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+        assert out.stdout == "[1, 0, 0, 1]\n", out.stderr
+        errors = out.stderr.splitlines()
+        assert len(errors) == 2 and all(e.startswith("error:") for e in errors), out.stderr
+        assert "size cap" in errors[1]
 
     def test_sequence_io_bytes_per_coefficient(self, base, tmp_path):
         # README: sequence reports and CSV hand-offs stay within 128 bytes of
@@ -585,14 +597,30 @@ class TestMemory:
             assert per_coeff <= 128, (argv[0], per_coeff)
 
 
+# Every suite at a small size: each runs its code path, and so makes every
+# import it makes at the default sizes.
+_SMALL_SUITES = {
+    "kernel.nmax": 2, "kernel.w0_oversample": 2, "kernel.partition_kmax": 8, "besov.jmax": 1,
+    "inj.cases": 2, "hankel.mmax": 2, "re.cases": 4, "w88.tail_nmax": 2, "w88.m_lo": 2, "w88.m_hi": 4,
+    "w88.lkk_nmax": 2, "w8.nmax": 2, "w8.block_lo": 0, "w8.seeds": 1, "w8.pairs": 1, "dual.pairs": 1,
+    "dual.rank1": 1, "mazur.seeds": 1, "mazur.flat_kmax": 1,
+}
+
+
 class TestImports:
     def test_cli_import_loads_no_scipy(self):
-        # startup dominates a cold CLI call; scipy is loaded only where it is used
+        # startup dominates a cold CLI call, and no library code uses scipy:
+        # neither importing the CLI nor running every verify suite loads it
         code = (
-            "import sys, scottish_lab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import sys, scottish_lab.cli\n"
+            "from scottish_lab import verify\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            f"reports = verify.run_suites(list(verify.SUITES), 0, {_SMALL_SUITES!r})\n"
+            "print(len(reports), scipy())\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+            env=_child_env(),
         )
-        assert out.stdout.strip() == "[]"
+        assert out.stdout == f"[]\n{len(verify.SUITES)} []\n"

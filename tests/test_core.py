@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from scottish_lab.extremal import problem88_witness
 from scottish_lab.mazur import cesaro_product
 from scottish_lab.errors import (
     ComplexNotSupported,
+    DomainError,
     EmptyDimension,
     InvalidInput,
     InvalidParameter,
@@ -454,4 +456,55 @@ class TestCsv:
         p = tmp_path / "r.csv"
         p.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(InvalidInput):
+            read_matrix_csv(p)
+
+    def test_readers_reserve_nothing_for_the_size_cap(self, tmp_path):
+        # loadtxt(max_rows=2^25 + 1) reserved 512 MiB (coefficients) and
+        # 256 MiB (matrices) to read two rows (measured now: under 64 KiB)
+        coeffs, mat = tmp_path / "c.csv", tmp_path / "m.csv"
+        coeffs.write_text("k,re\n0,1.0\n1,2.0\n")
+        mat.write_text("1,2\n3,4\n")
+        for read, path in ((read_coeff_csv, coeffs), (read_matrix_csv, mat)):
+            tracemalloc.start()
+            try:
+                read(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (read.__name__, peak)
+
+    def test_blocks_join_into_one_sequence(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 2)
+        p = tmp_path / "s.csv"
+        p.write_text("k,re,im\n0,1,2\n# c\n3,4,5\n\n4,-0.0,6\n9,7,-0.0\n11,8,9\n")
+        got = read_coeff_csv(p).coeffs
+        want = np.zeros(12, dtype=complex)
+        want[[0, 3, 4, 9, 11]] = [1 + 2j, 4 + 5j, complex(-0.0, 6), complex(7, -0.0), 8 + 9j]
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        p.write_text("1,2,3\n4,5,6\n7,8,9\n")
+        assert read_matrix_csv(p).entries.tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+
+    # Two lines of the file per block: the header and the first row make
+    # the first block, and each later pair of rows one more.
+    @pytest.mark.parametrize("text, match", [
+        ("k,re\n0,1\n0,2\n", "strictly increasing"),  # across the block edge
+        ("k,re\n5,1\n4,2\n", "strictly increasing"),
+        ("k,re\n0,1\n5,1\n6,1\n7,x\n", "after the first 3 data rows"),
+        ("k,re\n0,1\n5,1\n6,inf\n", "NaN/Inf"),
+        # refused at the block past the cap, before the malformed rows after it
+        (f"k,re\n0,1\n1,1\n{1 << 25},1\nx\n", "last index 33554432 exceeds the size cap"),
+    ])
+    def test_each_block_is_checked_as_it_is_read(self, text, match, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 2)
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(DomainError, match=match):
+            read_coeff_csv(p)
+
+    @pytest.mark.parametrize("text", ["1,2\n3,4\n5,6,7\n", "1,2,3\n4,5,6\n7,8\n"])
+    def test_matrix_blocks_of_another_width_are_refused(self, text, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 2)
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        with pytest.raises(InvalidInput, match="columns"):
             read_matrix_csv(p)

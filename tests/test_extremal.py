@@ -13,6 +13,7 @@ from scottish_lab import (
     hard_block_bound,
     lp_norm_circle,
     make_rng,
+    problem88_params,
     problem88_witness,
     psi,
     rudin_shapiro,
@@ -99,6 +100,16 @@ class TestFlatPolynomial:
         assert improved.method == "random_plus_descent"
         assert improved.ratio <= raw.ratio + 1e-12
         assert np.array_equal(np.abs(f.coeffs), beta.coeffs)
+
+    def test_label_claims_a_descent_only_when_a_flip_was_evaluated(self):
+        # a budget of 1 is spent on the starting signs, so no flip is tried
+        beta = CoeffSeq(np.ones(300))
+        _, raw = flat_polynomial(beta, seed=5, descent_budget=0)
+        for budget, method in ((1, "random_signs"), (2, "random_plus_descent")):
+            _, rep = flat_polynomial(beta, seed=5, descent_budget=budget)
+            assert rep.method == method, budget
+        f1, rep1 = flat_polynomial(beta, seed=5, descent_budget=1)
+        assert rep1 == raw and f1 == flat_polynomial(beta, seed=5)[0]
 
     def test_moduli_exact_for_general_targets(self):
         rng = make_rng(61)
@@ -207,6 +218,23 @@ class TestDecayWitness:
             with pytest.raises(InvalidRegime):
                 problem88_witness(bad, 4)
 
+    def test_params_checked_as_the_witness_is(self):
+        assert problem88_params(0.5, 6) == problem88_witness(0.5, 6)[1]
+        for t, nmax, error in ((1.0, 4, InvalidRegime), (0.5, -1, InvalidParameter),
+                               (0.5, 25, InvalidParameter)):
+            with pytest.raises(error):
+                problem88_params(t, nmax)
+            with pytest.raises(error):
+                problem88_witness(t, nmax)
+
+    def test_values_are_slices_of_the_witness(self):
+        for nmax in (0, 1, 2, 5):
+            params = problem88_params(0.5, nmax)
+            alpha = problem88_witness(0.5, nmax)[0].coeffs
+            for lo in range(len(params) + 1):
+                for hi in range(lo, len(params) + 1):
+                    assert params.values(lo, hi).tolist() == alpha[lo:hi].tolist(), (nmax, lo, hi)
+
     def test_built_without_a_copy(self):
         # the fill array is the witness's own: no copy and no finiteness mask
         # beside it (measured: 1.0004 of the array; 2.1 with both)
@@ -259,6 +287,25 @@ class TestWeightedMoment:
             rep = weighted_moment(gamma, t, beta, kmax)
         assert rep.checkpoints == _full_array_checkpoints(gamma, t, beta, kmax)
         assert rep == one_chunk
+
+    @pytest.mark.parametrize("t, nmax, kmax", [
+        (0.5, 0, 1), (0.5, 0, 6),  # two entries, kmax at and past them
+        (0.25, 5, 63), (0.75, 9, 1 << 9), (0.5, 12, 3000),
+        (0.3, 10, 1 << 14),  # past the length: inconclusive
+        (0.9, 13, (1 << 13) + 1234),
+    ])
+    @pytest.mark.parametrize("chunk", [None, 37])
+    def test_streamed_witness_matches_the_built_one(self, t, nmax, kmax, chunk):
+        # chunk edges fall inside blocks (37) and on them (the default)
+        alpha, params = problem88_witness(t, nmax)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(core, "_CHUNK_ROWS", chunk)
+            for beta in (1.5 * t - 1.0, 0.5):
+                streamed = weighted_moment(params, t, beta, kmax)
+                assert streamed == weighted_moment(alpha, t, beta, kmax)
+        if kmax >= 1 << (nmax + 2):
+            assert streamed.diagnosis.label == "inconclusive"
 
     def test_witness_checkpoints_match_the_full_array_pass(self):
         alpha, _ = problem88_witness(0.5, 18)  # 17 chunks of the default size
