@@ -135,7 +135,7 @@ def _emit(args, argv, payload: dict, csv_payload=None) -> int:
 
 
 def _maybe_export(args, seq: CoeffSeq, argv) -> None:
-    if getattr(args, "coeffs_out", None):
+    if args.coeffs_out:
         write_coeff_csv(args.coeffs_out, seq, comment=json.dumps(_jsonable(_run_config(args, argv))))
 
 

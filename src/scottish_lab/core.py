@@ -7,8 +7,10 @@ function, so everything is safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,34 +323,58 @@ def write_coeff_csv(path, seq: CoeffSeq, comment: str | None = None) -> None:
 
 def _data_blocks(fh, path):
     """The lines of fh that are neither blank nor `#` comments, stripped, in
-    one nonempty list for each _CHUNK_ROWS lines of the file that hold any;
-    a byte that is not UTF-8 raises InvalidInput naming the file."""
+    one nonempty list for each _CHUNK_ROWS lines of the file that hold any,
+    each with a function that names the file and line of an item of the
+    list; a byte that is not UTF-8 raises InvalidInput naming the file."""
+    start = 0  # lines of the file before raw
     try:
         while raw := list(itertools.islice(fh, _CHUNK_ROWS)):
             if block := [ln for ln in map(str.strip, raw) if ln and not ln.startswith("#")]:
-                yield block
+                yield block, lambda i, raw=raw, start=start: f"line {start + _line_of(raw, i)} of {path}"
+            start += len(raw)
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path} is not UTF-8 text") from exc
 
 
-def _row_blocks(blocks, what: str, max_rows: int, **loadtxt_args):
-    """np.loadtxt's array of each nonempty block of comma-separated lines,
-    max_rows rows in all, so that memory follows the rows read and the caller
-    can refuse a file before reading all of it.  A parse error raises
-    InvalidInput; numpy counts its rows from the block's first."""
+def _line_of(raw: list, i: int) -> int:
+    """The 1-based index in raw of its i-th line that is neither blank nor a
+    comment; it strips the lines again, so only error paths call it."""
+    return [n for n, ln in enumerate(map(str.strip, raw), 1) if ln and not ln.startswith("#")][i]
+
+
+def _parses(text: list, loadtxt_args: dict) -> bool:
+    try:
+        np.loadtxt(text, delimiter=",", comments=None, **loadtxt_args)
+    except ValueError:
+        return False
+    return True
+
+
+def _row_blocks(blocks, skip: int, what: str, max_rows: int, **loadtxt_args):
+    """np.loadtxt's array of each block of comma-separated lines, the first
+    skip lines of the first block left out, max_rows rows in all, so that
+    memory follows the rows read and the caller can refuse a file before
+    reading all of it.  A parse error raises InvalidInput naming the file
+    line of the first row refused, in place of numpy's row number, which
+    counts from the block's first row and leaves out comments and blanks."""
     done = 0
-    for block in blocks:
+    for block, where in blocks:
         if done == max_rows:
             return
-        block = block[: max_rows - done]
-        if block:
+        text = block[skip : skip + max_rows - done]
+        if text:
             try:
-                rows = np.loadtxt(block, delimiter=",", comments=None, **loadtxt_args)
+                rows = np.loadtxt(text, delimiter=",", comments=None, **loadtxt_args)
             except ValueError as exc:
+                # a prefix holding the bad row is refused, a shorter one is not
+                bad = bisect.bisect_left(range(1, len(text)), True,
+                                         key=lambda n: not _parses(text[:n], loadtxt_args))
                 after = f" after the first {done} data rows" if done else ""
-                raise InvalidInput(f"malformed {what} row{after}: {exc}") from exc
-            done += len(block)
+                reason = re.sub(r" at row \d+(, column)?", lambda m: " in column" if m[1] else "", str(exc))
+                raise InvalidInput(f"malformed {what} row{after}: {where(skip + bad)}: {reason}") from exc
+            done += len(text)
             yield rows
+        skip = 0
 
 
 def read_coeff_csv(path) -> CoeffSeq:
@@ -357,7 +383,7 @@ def read_coeff_csv(path) -> CoeffSeq:
         first = next(blocks, None)
         if first is None:
             raise InvalidInput("empty coefficient file")
-        header = first[0]
+        header = first[0][0]
         fields = {"k,re": ("re",), "k,re,im": ("re", "im")}.get(header.replace(" ", ""))
         if fields is None:
             raise InvalidInput(f"unrecognized header {header!r}")
@@ -365,7 +391,7 @@ def read_coeff_csv(path) -> CoeffSeq:
         parsed, last = [], -1
         # Indices increase strictly from 0, so a file with more rows than the
         # size cap admits fails the last-index check of some block.
-        for rows in _row_blocks(itertools.chain([first[1:]], blocks), "coefficient",
+        for rows in _row_blocks(itertools.chain([first], blocks), 1, "coefficient",
                                 (1 << SIZE_CAP_LOG2) + 1, dtype=dtype, ndmin=1):
             ks = rows["k"]
             if ks[0] < 0:
@@ -408,10 +434,10 @@ def read_matrix_csv(path) -> DenseMatrix:
         first = next(blocks, None)
         if first is None:
             raise InvalidInput("empty matrix file")
-        width = first[0].count(",") + 1
+        width = first[0][0].count(",") + 1
         check_size((width - 1).bit_length(), "matrix entry count")
         # One row past the cap is enough to fail the entry count below.
-        parsed = list(_row_blocks(itertools.chain([first], blocks), "matrix",
+        parsed = list(_row_blocks(itertools.chain([first], blocks), 0, "matrix",
                                   (1 << SIZE_CAP_LOG2) // width + 1, ndmin=2))
     for rows in parsed:
         if rows.shape[1] != width:

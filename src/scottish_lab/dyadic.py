@@ -157,19 +157,23 @@ def dyadic_profile(
     if nmax < 0:
         raise InvalidParameter("nmax must be nonnegative")
     check_size(nmax + 1, f"profile to block {nmax}")
-    grid_size(1 << (nmax + 1), oversample)  # the top block's grid, checked before any block
+    top_grid = grid_size(1 << (nmax + 1), oversample)  # the top block's, the largest G_n
     _validate_exponent(p)
+    try:
+        top_weight = 2.0 ** (nmax * s)  # the largest weight when s > 0
+    except OverflowError:
+        top_weight = math.inf
+    if not (math.isfinite(s) and math.isfinite(top_weight)):
+        raise InvalidParameter(f"s = {s!r} must be finite with a finite top block weight 2^(nmax*s)")
     values = np.zeros(nmax + 1)
     bounds = np.zeros(nmax + 1)
-    top_grid = 0
     for n in range(nmax + 1):
         w = dyadic_kernel(n).coeffs
         block = f.padded(w.size) * w
-        v, e, g = lp_norm_detail(CoeffSeq._adopt(block), p, oversample)
+        v, e, _ = lp_norm_detail(CoeffSeq._adopt(block), p, oversample)
         weight = 2.0 ** (n * s)
         values[n] = weight * v
         bounds[n] = weight * e
-        top_grid = max(top_grid, g)
     degree = f.last_nonzero()
     return DyadicProfile(
         s=float(s),
@@ -185,7 +189,7 @@ def dyadic_profile(
 
 def _lq_aggregate(values: np.ndarray, q: float) -> float:
     if math.isinf(q):
-        return float(values.max()) if values.size else 0.0
+        return float(values.max())
     return float(np.sum(values**q) ** (1.0 / q))
 
 

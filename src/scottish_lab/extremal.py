@@ -317,8 +317,10 @@ def weighted_moment(
     holding an increment that lies wholly past the last coefficient reads
     flat for want of data, not by convergence, and is labelled inconclusive.
     """
-    if t <= 0:
+    if not t > 0:  # NaN too
         raise InvalidRegime("moment exponent t must be positive")
+    if not math.isfinite(beta):
+        raise InvalidRegime("moment weight exponent beta must be finite")
     if kmax < 1:
         raise InvalidParameter("kmax must be at least 1")
     size = len(gamma)
@@ -342,8 +344,7 @@ def weighted_moment(
 
     window = max(3, (m_hi + 1) // 3)
     m_lo = max(1, m_hi - window + 1)
-    svals = dict((int(round(math.log2(K))), S) for K, S in checkpoints)
-    inc = np.array([svals[m] - svals[m - 1] for m in range(m_lo, m_hi + 1)])
+    inc = np.diff(sums)[m_lo - 1 :]  # increments m = m_lo..m_hi
     if inc.size and (1 << (m_hi - 1)) >= size - 1:
         # increment m_hi sums k in (2^(m_hi-1), 2^m_hi], all past index size - 1
         diag = MomentDiagnosis("inconclusive", None, False, (m_lo, m_hi))
@@ -365,6 +366,6 @@ def weighted_moment(
 def psi(t: float) -> float:
     """Regime boundary for weighted coefficient moments: 3t/2 - 1 up to
     t = 2, then t."""
-    if t <= 0:
+    if not t > 0:  # NaN too
         raise InvalidRegime("psi is defined for t > 0")
     return 1.5 * t - 1.0 if t <= 2.0 else float(t)

@@ -2,9 +2,11 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +284,25 @@ class TestExitCodes:
     def test_domain_error(self):
         assert run(["psi", "--t", "-1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["psi", "--t", "nan"],
+        ["moment", "--input", "{f}", "--t", "nan", "--beta", "0.5", "--kmax", "8"],
+        ["moment", "--input", "{f}", "--t", "1", "--beta", "nan", "--kmax", "8"],
+        ["moment", "--input", "{f}", "--t", "1", "--beta=-inf", "--kmax", "8"],
+        ["besov", "--input", "{f}", "--s", "nan", "--p", "1", "--q", "1", "--nmax", "2"],
+        ["besov", "--input", "{f}", "--s", "inf", "--p", "1", "--q", "1", "--nmax", "2"],
+        ["besov", "--input", "{f}", "--s", "1100", "--p", "1", "--q", "1", "--nmax", "2"],
+        ["profile", "--input", "{f}", "--s", "1024", "--p", "1", "--nmax", "1"],
+    ])
+    def test_nan_and_overflowing_parameters(self, argv, two_block, tmp_path, capsys):
+        # each once wrote NaN into its JSON with exit 0, or ended in an
+        # OverflowError traceback
+        out = tmp_path / "r.json"
+        assert run([a.format(f=two_block) for a in argv] + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_missing_file(self):
         assert run(["besov", "--input", "/nonexistent.csv", "--s", "1", "--p", "1",
                     "--q", "1", "--nmax", "2"]) in (1,)  # surfaced as domain error
@@ -442,6 +463,22 @@ class TestExitCodes:
         assert run(argv + ["--input", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "UTF-8" in err, err
+
+
+def test_readme_command_lines_parse():
+    # every `scottish-lab ...` line of README's code blocks names flags the
+    # parser knows; parsed only, nothing run
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    lines = [ln for block in blocks for ln in block.splitlines() if ln.startswith("scottish-lab ")]
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+    assert {shlex.split(ln)[1] for ln in lines} == set(COMMANDS)
 
 
 class TestReproducibility:

@@ -501,6 +501,25 @@ class TestCsv:
         with pytest.raises(DomainError, match=match):
             read_coeff_csv(p)
 
+    # Three lines of the file per block; numpy numbers the rows of a block
+    # from 0 (a value that does not parse) or from 1 (a change of width),
+    # and counts neither headers, comments nor blank lines.
+    @pytest.mark.parametrize("read, text, line", [
+        (read_coeff_csv, "k,re\n0,1\n1,x\n", 3),
+        (read_coeff_csv, "# c\nk,re\n0,1\n\n1,2\n2,x\n", 6),
+        (read_coeff_csv, "k,re\n0,1\n# c\n\n1,2\n2,3\n3,4,5\n", 7),
+        (read_matrix_csv, "1,2\n3,4,5\n", 2),
+        (read_matrix_csv, "1,2\n# c\n3,4\n\n5,6\n7,8,9\n", 6),
+        (read_matrix_csv, "1,2\n3,4\n5,6\n\n# c\n7,x\n", 6),
+    ])
+    def test_parse_errors_name_the_file_line(self, read, text, line, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(InvalidInput, match=f"malformed .* row.*: line {line} of ") as err:
+            read(p)
+        assert " at row " not in str(err.value)
+
     @pytest.mark.parametrize("text", ["1,2\n3,4\n5,6,7\n", "1,2,3\n4,5,6\n7,8\n"])
     def test_matrix_blocks_of_another_width_are_refused(self, text, tmp_path, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ROWS", 2)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scottish_lab import (
     CoeffSeq,
@@ -328,8 +329,10 @@ PINNED_BRACKETS = {
 
 class TestSignVector:
     def test_validation(self):
-        with pytest.raises(InvalidParameter):
-            SignVector([1, 0, -1])
+        # 1.5 and -1.9 once passed as 1 and -1, cast to int8 before the check
+        for entries in ([1, 0, -1], [1.5, -1.0], [-1.9, 1.0], [1.0, math.nan]):
+            with pytest.raises(InvalidParameter):
+                SignVector(entries)
 
 
 class TestBracket:
@@ -409,6 +412,38 @@ class TestBracket:
         assert abs(cert["pairing"]) / cert["denominator"] == br.lower < br.upper
         assert br.upper == pytest.approx(5e200, rel=1e-12)
         assert_upper_certificate(A, br)
+
+    def test_rounding_tie_goes_to_the_entry(self):
+        # the identity's float trace 0.30000000000000004 / 3 once won by
+        # rounding alone; the exact identity pairing is 3 * 0.1, the entry's
+        br = projective_bracket(DenseMatrix(0.1 * np.eye(3)))
+        assert br.lower_certificate == {"kind": "entry", "j": 0, "k": 0, "pairing": 0.1, "denominator": 1.0}
+        assert br.lower == 0.1
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_dropped_test_matrices_never_beat_the_entry(self, data):
+        # the identity's quotient |tr A| / m <= max |a_jj| <= scale, and A
+        # against its absolute sum S gives ||A||_F^2 / S <= scale * S / S:
+        # neither exceeds the entry's scale by more than its float summation
+        # error, so the bracket tries only the entry and A's exact norm
+        if data.draw(st.booleans(), "past the cap"):
+            lo = tensornorm.EXACT_ENUM_CAP + 1
+            shape = (data.draw(st.integers(lo, lo + 3)), data.draw(st.integers(lo, lo + 3)))
+            A = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(-3, 3))).astype(float)
+        else:
+            shape = (data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7)))
+            A = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+                -1e3, 1e3, allow_nan=False, allow_subnormal=False)))
+        J, K = A.shape
+        scale = float(np.abs(A).max())
+        slack = scale * (1 + J * K * 2.0**-52)
+        assert abs(float(np.trace(A))) / min(J, K) <= slack
+        S = float(np.abs(A).sum())
+        assert S == 0 or float(np.sum(A * A)) / S <= slack
+        br = projective_bracket(DenseMatrix(A))
+        assert br.lower_certificate["kind"] in ("zero", "entry", "self-exact")
+        assert br.strategies[-1] == br.lower_certificate["kind"]
 
     def test_tiny_matrix_keeps_its_remainder(self):
         # the zero-remainder test is relative to the matrix: at scale 1e-20
