@@ -25,11 +25,12 @@ from .errors import (
 
 _MASK64 = (1 << 64) - 1
 
-# Size cap: no operation allocates a sequence or circle grid of more than
-# 2^SIZE_CAP_LOG2 points (512 MiB as complex128).  That admits the largest
-# size in use, the 2^25-point grid of the top profile block that `lkk`
-# evaluates on the nmax = 20 witness88 targets (about 1.8 GB peak), and
-# makes larger requests fail fast instead of exhausting memory.
+# Size cap: no operation allocates a sequence or evaluates a circle grid of
+# more than 2^SIZE_CAP_LOG2 points (512 MiB as complex128).  That admits the
+# largest size in use, the 2^25-point grid of the top profile block that
+# `lkk` evaluates on the nmax = 20 witness88 targets (taken 2^16 points at
+# a time: 171 MB peak RSS and 10.5 s under a 1 GiB RLIMIT_AS), and makes
+# larger requests fail fast instead of exhausting memory.
 SIZE_CAP_LOG2 = 25
 
 
@@ -332,6 +333,7 @@ def _data_blocks(fh, path):
             if block := [ln for ln in map(str.strip, raw) if ln and not ln.startswith("#")]:
                 yield block, lambda i, raw=raw, start=start: f"line {start + _line_of(raw, i)} of {path}"
             start += len(raw)
+            del raw, block  # so that one block's text at a time is held
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path} is not UTF-8 text") from exc
 
@@ -350,31 +352,36 @@ def _parses(text: list, loadtxt_args: dict) -> bool:
     return True
 
 
-def _row_blocks(blocks, skip: int, what: str, max_rows: int, **loadtxt_args):
+def _row_blocks(blocks, skip: int, what: str, max_rows: int, check=None, **loadtxt_args):
     """np.loadtxt's array of each block of comma-separated lines, the first
     skip lines of the first block left out, max_rows rows in all, so that
     memory follows the rows read and the caller can refuse a file before
     reading all of it.  A parse error raises InvalidInput naming the file
     line of the first row refused, in place of numpy's row number, which
-    counts from the block's first row and leaves out comments and blanks."""
+    counts from the block's first row and leaves out comments and blanks.
+    check, if given, is called on each block's array and returns a reason
+    to refuse the block, named at its first row, or None."""
     done = 0
     for block, where in blocks:
         if done == max_rows:
             return
         text = block[skip : skip + max_rows - done]
         if text:
+            after = f" after the first {done} data rows" if done else ""
             try:
                 rows = np.loadtxt(text, delimiter=",", comments=None, **loadtxt_args)
             except ValueError as exc:
                 # a prefix holding the bad row is refused, a shorter one is not
                 bad = bisect.bisect_left(range(1, len(text)), True,
                                          key=lambda n: not _parses(text[:n], loadtxt_args))
-                after = f" after the first {done} data rows" if done else ""
                 reason = re.sub(r" at row \d+(, column)?", lambda m: " in column" if m[1] else "", str(exc))
                 raise InvalidInput(f"malformed {what} row{after}: {where(skip + bad)}: {reason}") from exc
+            if check is not None and (reason := check(rows)):
+                raise InvalidInput(f"malformed {what} row{after}: {where(skip)}: {reason}")
             done += len(text)
             yield rows
         skip = 0
+        del block, where, text  # before the next block is read
 
 
 def read_coeff_csv(path) -> CoeffSeq:
@@ -436,11 +443,13 @@ def read_matrix_csv(path) -> DenseMatrix:
             raise InvalidInput("empty matrix file")
         width = first[0][0].count(",") + 1
         check_size((width - 1).bit_length(), "matrix entry count")
+
+        def same_width(rows):
+            if rows.shape[1] != width:
+                return f"rows of {width} and of {rows.shape[1]} columns"
+
         # One row past the cap is enough to fail the entry count below.
         parsed = list(_row_blocks(itertools.chain([first], blocks), 0, "matrix",
-                                  (1 << SIZE_CAP_LOG2) // width + 1, ndmin=2))
-    for rows in parsed:
-        if rows.shape[1] != width:
-            raise InvalidInput(f"malformed matrix row: rows of {width} and of {rows.shape[1]} columns")
+                                  (1 << SIZE_CAP_LOG2) // width + 1, same_width, ndmin=2))
     check_size((sum(len(rows) for rows in parsed) * width - 1).bit_length(), "matrix entry count")
     return DenseMatrix._adopt(parsed[0] if len(parsed) == 1 else np.concatenate(parsed))

@@ -303,6 +303,19 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_besov_norm_past_the_powers_overflow_is_finite(self, tmp_path, capsys):
+        # the profile's 2^600-scale value once overflowed its square to inf,
+        # and the norm and error bound with it
+        f = tmp_path / "f.csv"
+        write_coeff_csv(f, CoeffSeq([1.0, 1.0, 1.0, 1.0]))
+        rep = run_json(["besov", "--input", str(f), "--s", "600", "--p", "1", "--q", "2", "--nmax", "1"],
+                       tmp_path / "r.json")
+        assert capsys.readouterr().err == ""
+        assert isinstance(rep["norm"], float) and isinstance(rep["error_bound"], float)
+        assert math.isfinite(rep["norm"]) and math.isfinite(rep["error_bound"])
+        want = math.hypot(*rep["values"])
+        assert abs(rep["norm"] - want) <= 1e-12 * want
+
     def test_missing_file(self):
         assert run(["besov", "--input", "/nonexistent.csv", "--s", "1", "--p", "1",
                     "--q", "1", "--nmax", "2"]) in (1,)  # surfaced as domain error
@@ -619,16 +632,35 @@ class TestMemory:
             per_coeff = (self.peak_kib(argv) - base) * 1024 / coeffs
             assert per_coeff <= 128, (argv[0], per_coeff)
 
-    def test_p2_profiles_bytes_per_coefficient(self, base, tmp_path):
-        # README: p = 2 profiles need no grid, so they stay within the same
-        # 128 bytes per coefficient (measured: 39 real, 61 complex)
+    @pytest.fixture(scope="class")
+    def profile_inputs(self, tmp_path_factory):
+        # 2^18 real and 2^17 complex coefficients, written once for the cases below
         rng = np.random.default_rng(29)
-        real, cplx = tmp_path / "real.csv", tmp_path / "complex.csv"
+        real, cplx = (tmp_path_factory.mktemp("profile") / name for name in ("real.csv", "complex.csv"))
         write_coeff_csv(real, CoeffSeq(rng.standard_normal(1 << 18)))
         write_coeff_csv(cplx, CoeffSeq(rng.standard_normal(1 << 17) + 1j * rng.standard_normal(1 << 17)))
+        return str(real), str(cplx)
+
+    def test_p2_profiles_bytes_per_coefficient(self, base, profile_inputs, tmp_path):
+        # README: p = 2 profiles need no grid, so they stay within the same
+        # 128 bytes per coefficient (measured: 43 real, 99 complex)
+        real, cplx = profile_inputs
         for argv, coeffs in (
-            (["besov", "--input", str(real), "--s", "0.5", "--p", "2", "--q", "2", "--nmax", "17"], 1 << 18),
-            (["profile", "--input", str(cplx), "--s", "0", "--p", "2", "--nmax", "16"], 1 << 17),
+            (["besov", "--input", real, "--s", "0.5", "--p", "2", "--q", "2", "--nmax", "17"], 1 << 18),
+            (["profile", "--input", cplx, "--s", "0", "--p", "2", "--nmax", "16"], 1 << 17),
+        ):
+            per_coeff = (self.peak_kib(argv + ["--out", str(tmp_path / "r.json")]) - base) * 1024 / coeffs
+            assert per_coeff <= 128, (argv[0], per_coeff)
+
+    def test_coset_profiles_bytes_per_coefficient(self, base, profile_inputs, tmp_path):
+        # README: other exponents take grids past 2^16 points one coset of
+        # at most 2^16 points at a time (2^21 points for the real top block,
+        # 2^20 for the complex one), so they stay within the same 128 bytes
+        # per coefficient (measured: 45 real at p = 1, 112 complex at p = inf)
+        real, cplx = profile_inputs
+        for argv, coeffs in (
+            (["besov", "--input", real, "--s", "0.5", "--p", "1", "--q", "2", "--nmax", "17"], 1 << 18),
+            (["profile", "--input", cplx, "--s", "0", "--p", "inf", "--nmax", "16"], 1 << 17),
         ):
             per_coeff = (self.peak_kib(argv + ["--out", str(tmp_path / "r.json")]) - base) * 1024 / coeffs
             assert per_coeff <= 128, (argv[0], per_coeff)

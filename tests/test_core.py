@@ -520,6 +520,17 @@ class TestCsv:
             read(p)
         assert " at row " not in str(err.value)
 
+    def test_block_of_another_width_names_its_first_line(self, tmp_path, monkeypatch):
+        # refused at the block's first row, before the later blocks are read:
+        # the unparsable last line is never reached
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 2)
+        p = tmp_path / "r.csv"
+        p.write_text("1,2\n3,4\n5,6,7\n8,9,10\nx\n")
+        with pytest.raises(InvalidInput) as err:
+            read_matrix_csv(p)
+        assert str(err.value) == (f"malformed matrix row after the first 2 data rows: line 3 of {p}: "
+                                  "rows of 2 and of 3 columns")
+
     @pytest.mark.parametrize("text", ["1,2\n3,4\n5,6,7\n", "1,2,3\n4,5,6\n7,8\n"])
     def test_matrix_blocks_of_another_width_are_refused(self, text, tmp_path, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ROWS", 2)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,6 +184,93 @@ class TestParseval:
         assert calls == []
         dyadic_profile(f, 0.5, 1.0, 9)  # other exponents still go through the grid
         assert len(calls) == 10
+
+
+def full_grid_detail(c, p, oversample):
+    """lp_norm_detail's value and bound from the moduli of one full G-point
+    numpy.fft.fft, the grid never split."""
+    G = grid_size(len(c), oversample)
+    mags = np.abs(np.fft.fft(c, G))
+    peak = mags.max()
+    value = peak if math.isinf(p) else np.mean(mags**p) ** (1 / p)
+    slack = G - math.pi * (len(c) - 1)
+    return value, math.pi * (len(c) - 1) * peak / slack if slack > 0 else math.inf, G
+
+
+class TestCosets:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1, max_size=40),
+        st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1, max_size=40),
+        st.sampled_from([2, 4, 8, 16]),
+        st.integers(2, 16),
+        st.sampled_from([1.0, 1.5, 3.0, math.inf]),
+    )
+    @example([0.5] * 40, [0.25] * 40, 2, 16, 1.0)  # 20 chunks folded, r = 512 cosets
+    @example([1.0, -1.0, 0.5], [0.0], 4, 3, math.inf)  # r = 4, n < L
+    @example([0.0] * 17, [0.0] * 17, 16, 2, 3.0)
+    def test_matches_one_full_fft(self, re, im, points, oversample, p):
+        # the grid split into cosets of `points` points, folded when the
+        # coefficients outrun them, against one full-grid FFT
+        n = min(len(re), len(im))
+        for c in (np.asarray(re), np.asarray(re[:n]) + 1j * np.asarray(im[:n])):
+            with mock.patch.object(dyadic, "_FFT_POINTS", points):
+                v, bound, G = lp_norm_detail(CoeffSeq(c), p, oversample)
+            want, want_bound, want_G = full_grid_detail(c, p, oversample)
+            assert G == want_G
+            assert abs(v - want) <= 1e-12 * want
+            assert bound == want_bound or abs(bound - want_bound) <= 1e-12 * want_bound
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_grids_within_one_fft_are_unchanged(self, cplx):
+        # G <= _FFT_POINTS: one grid_values call, summed as it always was
+        rng = np.random.default_rng(31)
+        c = rng.standard_normal(1000) + (1j * rng.standard_normal(1000) if cplx else 0)
+        f = CoeffSeq(c)
+        for p in (1.0, 3.0, math.inf):
+            v, _, G = lp_norm_detail(f, p, oversample=64)
+            assert G == dyadic._FFT_POINTS
+            mags = np.abs(grid_values(f, 64))
+            if not math.isinf(p):
+                powers = mags**p
+                total = powers.sum() if cplx else 2 * powers.sum() - powers[0] - powers[-1]
+                assert v == float((total / G) ** (1.0 / p))
+            else:
+                assert v == float(mags.max())
+
+    def test_no_transform_exceeds_the_coset(self, monkeypatch):
+        sizes = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            real = getattr(np.fft, name)
+
+            def recording(a, n=None, *args, real=real, **kwargs):
+                sizes.append(len(a) if n is None else n)
+                return real(a, n, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recording)
+        f = CoeffSeq(np.random.default_rng(37).standard_normal(1 << 15))
+        prof = dyadic_profile(f, 0.0, 1.0, 15)  # block 15's grid has 2^19 points
+        assert prof.grid == 1 << 19
+        assert max(sizes) == dyadic._FFT_POINTS
+        monkeypatch.undo()
+        for n in (13, 15):  # the grids of 2^17 and 2^19 points
+            w = dyadic_kernel(n).coeffs
+            block = f.padded(w.size) * w
+            want, _, _ = full_grid_detail(block, 1.0, dyadic.DEFAULT_OVERSAMPLE)
+            assert abs(prof.values[n] - want) <= 1e-12 * want
+
+    def test_w0_on_the_size_cap_grid_takes_little_memory(self):
+        # 2^25 grid points at oversample 2^24, in 2^9 cosets: one grid would
+        # take 384 MiB, its (2^24 + 1)-point rfft output and the moduli
+        tracemalloc.start()
+        try:
+            v, bound, G = lp_norm_detail(dyadic_kernel(0), 1, oversample=1 << 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G == 1 << 25
+        assert peak < 16 << 20, peak
+        assert abs(v - 4 / math.pi) <= bound + 1e-12
 
 
 class TestProfile:
