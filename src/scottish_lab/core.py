@@ -322,26 +322,50 @@ def write_coeff_csv(path, seq: CoeffSeq, comment: str | None = None) -> None:
             fh.write((row * rows) % fields)
 
 
-def _data_blocks(fh, path):
-    """The lines of fh that are neither blank nor `#` comments, stripped, in
-    one nonempty list for each _CHUNK_ROWS lines of the file that hold any,
-    each with a function that names the file and line of an item of the
-    list; a byte that is not UTF-8 raises InvalidInput naming the file."""
-    start = 0  # lines of the file before raw
-    try:
-        while raw := list(itertools.islice(fh, _CHUNK_ROWS)):
-            if block := [ln for ln in map(str.strip, raw) if ln and not ln.startswith("#")]:
-                yield block, lambda i, raw=raw, start=start: f"line {start + _line_of(raw, i)} of {path}"
-            start += len(raw)
-            del raw, block  # so that one block's text at a time is held
-    except UnicodeDecodeError as exc:
-        raise InvalidInput(f"{path} is not UTF-8 text") from exc
-
-
-def _line_of(raw: list, i: int) -> int:
-    """The 1-based index in raw of its i-th line that is neither blank nor a
-    comment; it strips the lines again, so only error paths call it."""
-    return [n for n, ln in enumerate(map(str.strip, raw), 1) if ln and not ln.startswith("#")][i]
+def _csv_blocks(path, what: str, first, check=None):
+    """np.loadtxt's array of the data rows in each _CHUNK_ROWS lines of the
+    CSV file at path that hold any, blank lines and `#` comments left out,
+    so that one block's text at a time is held and a reader can refuse a
+    file before reading all of it.  first(line) is called on the file's
+    first data line, stripped, before anything is parsed, and returns how
+    many data lines it takes (1 for a header) and np.loadtxt's keyword
+    arguments.  A row numpy refuses raises InvalidInput naming its file
+    line, in place of numpy's row number, which counts from the block's
+    first row and leaves out comments and blanks; so does the first row of
+    a block for which check(row), if given, returns a reason, before the
+    block is parsed.  A file with no data line, or a byte that is not
+    UTF-8, raises InvalidInput."""
+    done = start = 0  # data rows parsed, lines of the file before `lines`
+    args = None
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            while lines := list(map(str.strip, itertools.islice(fh, _CHUNK_ROWS))):
+                text = [ln for ln in lines if ln and ln[0] != "#"]
+                skip = 0
+                if text and args is None:
+                    skip, args = first(text[0])
+                    text = text[skip:]
+                if text:
+                    bad, reason = 0, check and check(text[0])
+                    try:
+                        rows = None if reason else np.loadtxt(text, delimiter=",", comments=None, **args)
+                    except ValueError as exc:
+                        # a prefix holding the bad row is refused, a shorter one is not
+                        bad = bisect.bisect_left(range(1, len(text)), True,
+                                                 key=lambda n: not _parses(text[:n], args))
+                        reason = re.sub(r" at row \d+(, column)?", lambda m: " in column" if m[1] else "", str(exc))
+                    if reason:
+                        line = [n for n, ln in enumerate(lines, start + 1) if ln and ln[0] != "#"][skip + bad]
+                        after = f" after the first {done} data rows" if done else ""
+                        raise InvalidInput(f"malformed {what} row{after}: line {line} of {path}: {reason}")
+                    done += len(text)
+                    yield rows
+                start += len(lines)
+                del lines, text  # before the next block is read
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path} is not UTF-8 text") from exc
+    if args is None:
+        raise InvalidInput(f"empty {what} file")
 
 
 def _parses(text: list, loadtxt_args: dict) -> bool:
@@ -352,71 +376,35 @@ def _parses(text: list, loadtxt_args: dict) -> bool:
     return True
 
 
-def _row_blocks(blocks, skip: int, what: str, max_rows: int, check=None, **loadtxt_args):
-    """np.loadtxt's array of each block of comma-separated lines, the first
-    skip lines of the first block left out, max_rows rows in all, so that
-    memory follows the rows read and the caller can refuse a file before
-    reading all of it.  A parse error raises InvalidInput naming the file
-    line of the first row refused, in place of numpy's row number, which
-    counts from the block's first row and leaves out comments and blanks.
-    check, if given, is called on each block's array and returns a reason
-    to refuse the block, named at its first row, or None."""
-    done = 0
-    for block, where in blocks:
-        if done == max_rows:
-            return
-        text = block[skip : skip + max_rows - done]
-        if text:
-            after = f" after the first {done} data rows" if done else ""
-            try:
-                rows = np.loadtxt(text, delimiter=",", comments=None, **loadtxt_args)
-            except ValueError as exc:
-                # a prefix holding the bad row is refused, a shorter one is not
-                bad = bisect.bisect_left(range(1, len(text)), True,
-                                         key=lambda n: not _parses(text[:n], loadtxt_args))
-                reason = re.sub(r" at row \d+(, column)?", lambda m: " in column" if m[1] else "", str(exc))
-                raise InvalidInput(f"malformed {what} row{after}: {where(skip + bad)}: {reason}") from exc
-            if check is not None and (reason := check(rows)):
-                raise InvalidInput(f"malformed {what} row{after}: {where(skip)}: {reason}")
-            done += len(text)
-            yield rows
-        skip = 0
-        del block, where, text  # before the next block is read
-
-
 def read_coeff_csv(path) -> CoeffSeq:
-    with open(path, "r", encoding="utf-8") as fh:
-        blocks = _data_blocks(fh, path)
-        first = next(blocks, None)
-        if first is None:
-            raise InvalidInput("empty coefficient file")
-        header = first[0][0]
-        fields = {"k,re": ("re",), "k,re,im": ("re", "im")}.get(header.replace(" ", ""))
+    def header(line):
+        fields = {"k,re": ("re",), "k,re,im": ("re", "im")}.get("".join(line.split()))
         if fields is None:
-            raise InvalidInput(f"unrecognized header {header!r}")
-        dtype = [("k", np.int64)] + [(f, np.float64) for f in fields]
-        parsed, last = [], -1
-        # Indices increase strictly from 0, so a file with more rows than the
-        # size cap admits fails the last-index check of some block.
-        for rows in _row_blocks(itertools.chain([first], blocks), 1, "coefficient",
-                                (1 << SIZE_CAP_LOG2) + 1, dtype=dtype, ndmin=1):
-            ks = rows["k"]
-            if ks[0] < 0:
-                raise InvalidInput("indices must be nonnegative")
-            if ks[0] <= last or np.any(ks[1:] <= ks[:-1]):
-                raise InvalidInput("indices must be strictly increasing")
-            if not all(_all_finite(rows[f]) for f in fields):
-                raise InvalidInput("NaN/Inf values are rejected")
-            last = int(ks[-1])
-            check_size(last.bit_length(), f"last index {last}")
-            parsed.append(rows)
+            raise InvalidInput(f"unrecognized header {line!r}")
+        return 1, {"dtype": [("k", np.int64)] + [(f, np.float64) for f in fields], "ndmin": 1}
+
+    parsed, last = [], -1
+    # Indices increase strictly from 0, so a file with more rows than the
+    # size cap admits fails the last-index check of the block that passes it.
+    for rows in _csv_blocks(path, "coefficient", header):
+        ks = rows["k"]
+        if ks[0] < 0:
+            raise InvalidInput("indices must be nonnegative")
+        if ks[0] <= last or np.any(ks[1:] <= ks[:-1]):
+            raise InvalidInput("indices must be strictly increasing")
+        if not all(_all_finite(rows[f]) for f in rows.dtype.names[1:]):
+            raise InvalidInput("NaN/Inf values are rejected")
+        last = int(ks[-1])
+        check_size(last.bit_length(), f"last index {last}")
+        parsed.append(rows)
     if not parsed:
         raise InvalidInput("coefficient file has no data rows")
-    out = np.zeros(last + 1, dtype=np.complex128 if "im" in fields else np.float64)
+    is_complex = "im" in rows.dtype.names
+    out = np.zeros(last + 1, dtype=np.complex128 if is_complex else np.float64)
     for rows in parsed:
         # Parts are set one at a time: re + 1j*im would turn a -0.0 real part into 0.0.
         out.real[rows["k"]] = rows["re"]
-        if "im" in fields:
+        if is_complex:
             out.imag[rows["k"]] = rows["im"]
     return CoeffSeq._adopt(out)
 
@@ -436,20 +424,21 @@ def write_matrix_csv(path, mat, comment: str | None = None, header: str | None =
 
 def read_matrix_csv(path) -> DenseMatrix:
     """Numbers parse as read_coeff_csv's values do; DenseMatrix rejects NaN/Inf."""
-    with open(path, "r", encoding="utf-8") as fh:
-        blocks = _data_blocks(fh, path)
-        first = next(blocks, None)
-        if first is None:
-            raise InvalidInput("empty matrix file")
-        width = first[0][0].count(",") + 1
+    width = 0
+
+    def first_row(line):
+        nonlocal width
+        width = line.count(",") + 1
         check_size((width - 1).bit_length(), "matrix entry count")
+        return 0, {"ndmin": 2}
 
-        def same_width(rows):
-            if rows.shape[1] != width:
-                return f"rows of {width} and of {rows.shape[1]} columns"
+    def same_width(line):
+        if (n := line.count(",") + 1) != width:
+            return f"rows of {width} and of {n} columns"
 
-        # One row past the cap is enough to fail the entry count below.
-        parsed = list(_row_blocks(itertools.chain([first], blocks), 0, "matrix",
-                                  (1 << SIZE_CAP_LOG2) // width + 1, same_width, ndmin=2))
-    check_size((sum(len(rows) for rows in parsed) * width - 1).bit_length(), "matrix entry count")
+    parsed, entries = [], 0
+    for rows in _csv_blocks(path, "matrix", first_row, same_width):
+        entries += rows.size
+        check_size((entries - 1).bit_length(), "matrix entry count")
+        parsed.append(rows)
     return DenseMatrix._adopt(parsed[0] if len(parsed) == 1 else np.concatenate(parsed))

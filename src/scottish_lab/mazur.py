@@ -175,11 +175,7 @@ class RangeDiagnostic:
     classification: str  # growing | bounded-flat | bounded-decaying
 
 
-def range_diagnostic(
-    z: CoeffSeq,
-    nmax: int,
-    oversample: int = DEFAULT_OVERSAMPLE,
-) -> RangeDiagnostic:
+def range_diagnostic(z: CoeffSeq, nmax: int) -> RangeDiagnostic:
     """Classify the dyadic (s=0, p=1) profile of z minus its estimated limit.
 
     A growing profile certifies that z is not a coefficient-plus-constant
@@ -192,7 +188,7 @@ def range_diagnostic(
     resid = z.coeffs - d
     if not np.any(resid):
         return RangeDiagnostic(d, np.zeros(nmax + 1), 0.0, None, None, "bounded-decaying")
-    prof = dyadic_profile(CoeffSeq._adopt(resid), 0.0, 1.0, nmax, oversample)
+    prof = dyadic_profile(CoeffSeq._adopt(resid), 0.0, 1.0, nmax)
     v = prof.values
     sup = float(v.max())
     tail = v[-min(5, v.size):]

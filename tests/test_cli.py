@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -418,6 +419,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("text", ["k,\tre\n0,1\n", "k ,\tre,\tim\n0,1,2\n"])
+    def test_tabs_around_header_fields(self, text, tmp_path, capsys):
+        # README: spaces around fields are accepted, tabs included, in the
+        # header as in the data rows
+        p = tmp_path / "tabs.csv"
+        p.write_text(text)
+        argv = ["moment", "--input", str(p), "--t", "1", "--beta", "0.5", "--kmax", "8"]
+        assert run(argv + ["--out", str(tmp_path / "m.json")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("text", [
         "1_0,2\n",  # no digit separators, as in coefficient files
         "nan,1\n",
@@ -492,6 +503,21 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
     assert {shlex.split(ln)[1] for ln in lines} == set(COMMANDS)
+
+
+def test_readme_package_table_lists_every_public_name():
+    # README's "Package layout" table names each public name in the row of
+    # the module that defines it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            module, contents = line.strip("|").split("|", 1)
+            rows[module.strip().strip("`")] = set(re.findall(r"`(\w+)`", contents))
+    for name in scottish_lab.__all__:
+        module = getattr(scottish_lab, name).__module__.rpartition(".")[2]
+        assert name in rows.get(module, ()), (name, module)
 
 
 class TestReproducibility:

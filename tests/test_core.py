@@ -52,6 +52,84 @@ def _reference_csv(seq, comment):
     return "\n".join(lines) + "\n"
 
 
+_FILLER = st.sampled_from(["", "   ", "\t", "#", "# c, 1", "  # indented"])
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def _csv_files(draw):
+    """(what, lines): the lines, without their ends, of a coefficient or
+    matrix file whose data rows are mixed with blank, whitespace-only and
+    comment lines, and of which at most one row is spoiled by a value that
+    does not parse, a change of width or (coefficients) an index that does
+    not increase."""
+    what = draw(st.sampled_from(["coefficient", "matrix"]))
+    width = draw(st.sampled_from([2, 3]) if what == "coefficient" else st.integers(1, 4))
+    n = draw(st.integers(1, 10))
+    rows = [[repr(v) for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                            min_size=width, max_size=width))] for _ in range(n)]
+    if what == "coefficient":
+        ks = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))) - 1
+        for row, k in zip(rows, ks.tolist()):
+            row[0] = str(k)
+    spoil = draw(st.sampled_from([None, "value", "width"] + ["order"] * (what == "coefficient")))
+    # a matrix's first row sets its width, and the first index has none before it
+    first = int(spoil == "order" or spoil == "width" and what == "matrix")
+    at = draw(st.integers(first, n - 1)) if spoil and first < n else None
+    if at is not None:
+        if spoil == "value":
+            rows[at][draw(st.integers(0, width - 1))] = "x"
+        elif spoil == "order":
+            rows[at][0] = rows[at - 1][0]
+        elif width > 1 and draw(st.booleans()):
+            rows[at].pop()
+        else:
+            rows[at].append("1")
+    if what == "coefficient":
+        rows.insert(0, ["k", "re", "im"][:width])
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(_FILLER, max_size=2))
+        lines.append(",".join(draw(_PAD) + field + draw(_PAD) for field in row))
+    return what, lines + draw(st.lists(_FILLER, max_size=2))
+
+
+def _read_line_by_line(what, lines, chunk, path):
+    """What a reader must return for the file of these lines, read one line
+    at a time: the array, or the start of the message it must raise."""
+    width, rows, last, starts = None, [], -1, []  # starts: file lines of the data rows
+    for n, line in enumerate(lines, 1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if width is None and what == "coefficient":
+            width = len(fields)  # the header
+            continue
+        width = width or len(fields)
+        done = sum(m <= (n - 1) // chunk * chunk for m in starts)  # rows of the blocks before this line's
+        after = f" after the first {done} data rows" if done else ""
+        starts.append(n)
+        try:
+            if len(fields) != width:
+                raise ValueError
+            rows.append([int(fields[0])] + [float(f) for f in fields[1:]] if what == "coefficient"
+                        else [float(f) for f in fields])
+        except ValueError:
+            return f"malformed {what} row{after}: line {n} of {path}: "
+        if what == "coefficient":
+            if rows[-1][0] <= last:
+                return "indices must be strictly increasing"
+            last = rows[-1][0]
+    if what == "matrix":
+        return np.array(rows, dtype=np.float64)
+    out = np.zeros(last + 1, dtype=np.complex128 if width == 3 else np.float64)
+    for k, *parts in rows:
+        out.real[k] = parts[0]
+        if width == 3:
+            out.imag[k] = parts[1]
+    return out
+
+
 class TestCoeffSeq:
     def test_access_past_degree_is_zero(self):
         s = CoeffSeq([1.0, 2.0])
@@ -511,6 +589,9 @@ class TestCsv:
         (read_matrix_csv, "1,2\n3,4,5\n", 2),
         (read_matrix_csv, "1,2\n# c\n3,4\n\n5,6\n7,8,9\n", 6),
         (read_matrix_csv, "1,2\n3,4\n5,6\n\n# c\n7,x\n", 6),
+        # a block opening with another width: numpy alone would take that
+        # row's width for the block's and name the next row
+        (read_matrix_csv, "1,2\n3,4\n5,6\n7,8,9\n1,2\n", 4),
     ])
     def test_parse_errors_name_the_file_line(self, read, text, line, tmp_path, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
@@ -538,3 +619,52 @@ class TestCsv:
         p.write_text(text)
         with pytest.raises(InvalidInput, match="columns"):
             read_matrix_csv(p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(file=_csv_files(), ends=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=40, max_size=40),
+           chunk=st.integers(1, 5))
+    def test_readers_match_a_line_by_line_oracle(self, file, ends, chunk, tmp_path_factory):
+        what, lines = file
+        path = tmp_path_factory.mktemp("oracle") / "f.csv"
+        path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
+        want = _read_line_by_line(what, lines, chunk, path)
+        read = read_coeff_csv if what == "coefficient" else lambda p: read_matrix_csv(p).entries
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CHUNK_ROWS", chunk)
+            if isinstance(want, str):
+                with pytest.raises(InvalidInput) as err:
+                    read(path)
+                assert str(err.value).startswith(want)
+            else:
+                got = read(path)
+                got = got.coeffs if what == "coefficient" else got
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("header, row, want", [
+        ("k,\tre", "0,1", [1.0]),
+        ("k ,\tre,\tim", "0,1,2", [1 + 2j]),
+        ("\tk\t,\tr e ", "1,-0.5", [0.0, -0.5]),
+    ])
+    def test_header_fields_may_carry_tabs(self, header, row, want, tmp_path):
+        p = tmp_path / "tabs.csv"
+        p.write_text(f"{header}\n{row}\n")
+        assert read_coeff_csv(p).coeffs.tolist() == want
+
+    def test_complex_read_holds_one_block_of_text(self, tmp_path):
+        # 2^17 rows parsed 2^14 at a time: 3 MiB of parsed rows, 2 MiB of
+        # coefficients and one block's line texts (about 1.6 MiB); the first
+        # block's texts, once held through the whole read, took it to 9.55 MiB
+        n = 1 << 17
+        rng = make_rng(17)
+        seq = CoeffSeq(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        p = tmp_path / "c.csv"
+        write_coeff_csv(p, seq)
+        tracemalloc.start()
+        try:
+            got = read_coeff_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.coeffs.view(np.uint64).tolist() == seq.coeffs.view(np.uint64).tolist()
+        assert peak < 8 << 20, peak
