@@ -232,26 +232,14 @@ def _cmd_mazur_b(args, argv):
 def _cmd_witness8(args, argv):
     z, report = problem8_witness(args.nmax, args.seed, args.sign_mode, oversample=args.oversample)
     _maybe_export(args, z, argv)
-    payload = {
-        "params": report.params,
-        "blocks": report.blocks,
-        "fit": report.fit,
-        "flags": report.flags,
-    }
     rows = [(b["n"], b["l1"]) for b in report.blocks]
-    return _emit(args, argv, payload, csv_payload=("n,value", rows))
+    return _emit(args, argv, asdict(report), csv_payload=("n,value", rows))
 
 
 def _cmd_witness88(args, argv):
     alpha, params = problem88_witness(args.t, args.nmax)
     _maybe_export(args, alpha, argv)
-    payload = {
-        "t": params.t,
-        "g": params.g,
-        "nmax": params.nmax,
-        "length": len(alpha),
-        "block_bound": hard_block_bound(alpha, params.nmax),
-    }
+    payload = dict(asdict(params), length=len(alpha), block_bound=hard_block_bound(alpha, params.nmax))
     return _emit(args, argv, payload, csv_payload=alpha)
 
 
@@ -276,11 +264,10 @@ def _cmd_moment(args, argv):
         "t": rep.t,
         "beta": rep.beta,
         "kmax": args.kmax,
-        "checkpoints": [[int(K), S] for K, S in rep.checkpoints],
+        "checkpoints": rep.checkpoints,
         "diagnosis": asdict(rep.diagnosis),
     }
-    rows = [(int(K), S) for K, S in rep.checkpoints]
-    return _emit(args, argv, payload, csv_payload=("k,value", rows))
+    return _emit(args, argv, payload, csv_payload=("k,value", rep.checkpoints))
 
 
 def _cmd_psi(args, argv):

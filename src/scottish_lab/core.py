@@ -234,8 +234,7 @@ def hankel_matrix(symbol: CoeffSeq, size: int) -> DenseMatrix:
         raise ComplexNotSupported("Hankel symbols must be real")
     check_size((size * size - 1).bit_length(), "Hankel matrix entry count")
     g = symbol.padded(2 * size - 1)
-    idx = np.add.outer(np.arange(size), np.arange(size))
-    return DenseMatrix._adopt(g[idx])
+    return DenseMatrix._adopt(np.lib.stride_tricks.sliding_window_view(g, size).copy())
 
 
 def limit_estimate(z: CoeffSeq):
@@ -337,7 +336,7 @@ def _csv_blocks(path, what: str, first, check=None):
     UTF-8, raises InvalidInput."""
     done = start = 0  # data rows parsed, lines of the file before `lines`
     args = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         try:
             while lines := list(map(str.strip, itertools.islice(fh, _CHUNK_ROWS))):
                 text = [ln for ln in lines if ln and ln[0] != "#"]

@@ -10,11 +10,12 @@ flagged as truncated and the associated norms are lower bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoeffSeq, _all_finite, check_size
+from .core import CoeffSeq, check_size
 from .errors import InvalidExponent, InvalidParameter
 
 DEFAULT_OVERSAMPLE = 8
@@ -29,6 +30,8 @@ DEFAULT_OVERSAMPLE = 8
 _FFT_POINTS = 1 << 16
 # The width of the rows in which a coset's twist is applied (_coset_input).
 _TWIST_ROW = 256
+# A power sum below the smallest normal float has lost digits to underflow.
+_TINY = sys.float_info.min
 
 
 def dyadic_kernel(n: int) -> CoeffSeq:
@@ -152,6 +155,22 @@ def _grid_moduli(f: CoeffSeq, oversample: int, G: int):
         yield (1 if f.is_complex else 2), np.abs(spectrum)
 
 
+def _grid_power_sum(f: CoeffSeq, oversample: int, G: int, p: float, scale: float = 1.0):
+    """(sum of (|f| / scale)^p over the G-point grid, the grid maximum of
+    |f|), from one pass over _grid_moduli's parts, each taken in place.
+    The sum is nan or inf when the powers overflow, 0 when they underflow."""
+    maxima, total = [], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, mags in _grid_moduli(f, oversample, G):
+            maxima.append(mags.max())
+            if not math.isinf(p):
+                if scale != 1.0:
+                    mags /= scale
+                powers = mags if p == 1 else np.power(mags, p, out=mags)
+                total += 2 * powers.sum() - powers[0] - powers[-1] if weight is None else weight * powers.sum()
+    return total, float(np.max(maxima))
+
+
 def lp_norm_detail(
     f: CoeffSeq, p: float, oversample: int = DEFAULT_OVERSAMPLE
 ) -> tuple[float, float, int]:
@@ -174,6 +193,10 @@ def lp_norm_detail(
     sum |c_k|^2 (discrete Parseval, no aliasing), as does the circle's
     squared L^2 norm.  G is still reported, and still checked first.
 
+    A sum of squares or of |f|^p that under- or overflows, while the largest
+    modulus is positive and finite, is taken again divided by that modulus,
+    so the value scales with f instead of reading 0, inf or nan.
+
     For other p the bound pi * D * peak / (G - pi * D), for degree D and grid
     peak `peak`, covers the gap between the grid value and the true norm.
     Every point of the circle lies within pi / G of the grid and
@@ -189,15 +212,16 @@ def lp_norm_detail(
         # numpy's own loop, not a BLAS dot: no thread hand-off per block when
         # BLAS is multithreaded, and the same sum whatever its thread count
         v = f.coeffs.view(np.float64)  # complex entries as (re, im) pairs
-        return math.sqrt(np.einsum("i,i->", v, v)), 0.0, G
-    maxima, total = [], 0.0
-    for weight, mags in _grid_moduli(f, oversample, G):
-        maxima.append(mags.max())
-        if not math.isinf(p):
-            powers = mags if p == 1 else np.power(mags, p, out=mags)  # in place
-            total += 2 * powers.sum() - powers[0] - powers[-1] if weight is None else weight * powers.sum()
-    peak = float(np.max(maxima))
-    value = peak if math.isinf(p) else float((total / G) ** (1.0 / p))
+        total = np.einsum("i,i->", v, v)
+        value = math.sqrt(total) if _TINY <= total < math.inf else _power_root(np.abs(v), 2, np.sqrt)
+        return value, 0.0, G
+    total, peak = _grid_power_sum(f, oversample, G, p)
+    if math.isinf(p) or not 0 < peak < math.inf:
+        value = peak
+    elif _TINY <= total < math.inf:
+        value = float((total / G) ** (1.0 / p))
+    else:  # |f|^p under- or overflows: a second pass, scaled by the peak
+        value = peak * float((_grid_power_sum(f, oversample, G, p, peak)[0] / G) ** (1.0 / p))
     slack = G - math.pi * f.degree
     bound = math.pi * f.degree * peak / slack if slack > 0 else math.inf
     return value, bound, G
@@ -271,16 +295,21 @@ def dyadic_profile(
     )
 
 
+def _power_root(a: np.ndarray, q: float, root) -> float:
+    """root(sum of a^q) for a nonnegative array a.  When that sum under- or
+    overflows though the largest entry top is positive and finite, it is
+    taken as top * root(sum of (a / top)^q), whose largest term is 1."""
+    with np.errstate(over="ignore"):
+        total = np.sum(a**q)
+    if _TINY <= total < math.inf or not 0 < (top := float(a.max())) < math.inf:
+        return float(root(total))
+    return top * float(root(np.sum((a / top) ** q)))
+
+
 def _lq_aggregate(values: np.ndarray, q: float) -> float:
     if math.isinf(q):
         return float(values.max())
-    with np.errstate(over="ignore"):
-        total = np.sum(values**q)
-    if math.isfinite(total) or not _all_finite(values):
-        return float(total ** (1.0 / q))
-    # the powers overflow though the values are finite: scale by the largest
-    top = float(values.max())
-    return top * float(np.sum((values / top) ** q) ** (1.0 / q))
+    return _power_root(values, q, lambda total: total ** (1.0 / q))
 
 
 def besov_detail(
@@ -330,5 +359,5 @@ def hard_block_bound(gamma: CoeffSeq, nmax: int) -> float:
     for n in range(nmax + 1):
         blk = c[1 << n : 1 << (n + 1)]
         if blk.size:
-            total += (2.0**n) * float(np.sqrt(np.sum(np.abs(blk) ** 2)))
+            total += (2.0**n) * _power_root(np.abs(blk), 2, np.sqrt)
     return total

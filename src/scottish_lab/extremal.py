@@ -15,6 +15,7 @@ from . import core
 from .core import CoeffSeq, block_of, check_size, derive_seed, least_squares_line, make_rng
 from .dyadic import (
     DEFAULT_OVERSAMPLE,
+    _power_root,
     besov_detail,
     grid_size,
     hard_block_bound,
@@ -53,11 +54,9 @@ class FlatPolyReport:
     descent_iterations: int
 
 
-def _aligned_constant_support(b: np.ndarray) -> int | None:
-    """Power-of-two length of the support if it is an aligned constant run."""
-    nz = np.nonzero(b)[0]
-    if nz.size == 0:
-        return None
+def _aligned_constant_support(b: np.ndarray, nz: np.ndarray) -> int | None:
+    """Power-of-two length of the support nz of b if it is an aligned
+    constant run."""
     lo, hi = int(nz[0]), int(nz[-1])
     length = hi - lo + 1
     if nz.size != length:  # support must be contiguous
@@ -91,16 +90,17 @@ def flat_polynomial(
     if np.any(b < 0):
         raise InvalidTarget("targets must be nonnegative")
 
-    targets_l2 = float(np.sqrt(np.sum(b**2)))
+    targets_l2 = _power_root(b, 2, np.sqrt)
     if targets_l2 == 0.0:
         f = CoeffSeq._adopt(np.zeros(len(beta)))
         return f, FlatPolyReport(0.0, 0.0, 0.0, "rudin_shapiro", seed, 0)
 
-    run = _aligned_constant_support(b)
+    support = np.nonzero(b)[0]
+    run = _aligned_constant_support(b, support)
     iterations = 0
     if run is not None:
         signs = np.ones(b.size)
-        lo = int(np.nonzero(b)[0][0])
+        lo = int(support[0])
         signs[lo : lo + run] = rudin_shapiro(run.bit_length() - 1)[0].coeffs
         method = "rudin_shapiro"
         coeffs = signs * b
@@ -111,7 +111,6 @@ def flat_polynomial(
         coeffs = signs * b
         sup = lp_norm_circle(CoeffSeq(coeffs), math.inf, oversample)
         evals = 1
-        support = np.nonzero(b)[0]
         improved = True
         while improved and evals < descent_budget:
             improved = False
@@ -182,7 +181,6 @@ def assemble_majorant(
     length = 1 << (top_block + 1)
     phi = np.zeros(length)
     blocks = []
-    ratios = []
 
     for n in range(top_block + 1):
         lo, hi = (1 << n) if n else 0, 1 << (n + 1)  # piece 0 is the base {0, 1}
@@ -196,10 +194,9 @@ def assemble_majorant(
         )
         phi[lo:hi] = piece.coeffs[lo:hi]
         blocks.append({"n": n, "ratio": rep.ratio, "method": rep.method})
-        ratios.append(rep.ratio)
 
     phi_seq = CoeffSeq._adopt(phi)
-    k_achieved = max(ratios) if ratios else 0.0
+    k_achieved = max((b["ratio"] for b in blocks), default=0.0)
     besov_value, _, _ = besov_detail(
         phi_seq, 1.0, math.inf, 1.0, top_block + 1, oversample
     )
@@ -309,7 +306,8 @@ def weighted_moment(
     Each chunk adds the running total into its first term before its
     cumulative sum, so every partial sum takes the same additions in the
     same order as one cumulative sum over all the terms, and the checkpoints
-    are bit for bit those of the full-length pass.
+    are bit for bit those of the full-length pass.  A partial sum that is
+    not a finite float raises InvalidRegime: it reports no moment.
 
     Divergence is diagnosed from the fitted growth exponent over the last
     third of the checkpoints, never from the size of the sum: finite
@@ -317,8 +315,8 @@ def weighted_moment(
     holding an increment that lies wholly past the last coefficient reads
     flat for want of data, not by convergence, and is labelled inconclusive.
     """
-    if not t > 0:  # NaN too
-        raise InvalidRegime("moment exponent t must be positive")
+    if not 0 < t < math.inf:  # NaN too
+        raise InvalidRegime("moment exponent t must be positive and finite")
     if not math.isfinite(beta):
         raise InvalidRegime("moment weight exponent beta must be finite")
     if kmax < 1:
@@ -335,11 +333,14 @@ def weighted_moment(
         k = np.arange(lo, hi)
         terms = np.zeros(hi - lo)
         pos = a > 0
-        terms[pos] = a[pos] ** t * (1.0 + k[pos]) ** beta
-        terms[0] += run
-        cum = np.cumsum(terms)
-        sums += [float(cum[j - lo]) for j in marks[len(sums) :] if j < hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms[pos] = a[pos] ** t * (1.0 + k[pos]) ** beta
+            terms[0] += run
+            cum = np.cumsum(terms)
         run = cum[-1]
+        if not math.isfinite(run):
+            raise InvalidRegime(f"moment partial sum to k = {hi - 1} is not a finite float at t = {t}, beta = {beta}")
+        sums += [float(cum[j - lo]) for j in marks[len(sums) :] if j < hi]
     checkpoints = [(1 << m, S) for m, S in enumerate(sums)]
 
     window = max(3, (m_hi + 1) // 3)

@@ -269,8 +269,8 @@ class NormBracket:
 def _split_pairs(R: np.ndarray, split: str) -> list:
     """Pairs of the "rows" or "cols" split of R, zero lines skipped."""
     M = R if split == "rows" else R.T
-    eye = np.eye(M.shape[0])
-    pairs = [(eye[i], M[i].copy()) for i in range(M.shape[0]) if M[i].any()]
+    n = M.shape[0]
+    pairs = [(np.eye(1, n, i)[0], M[i].copy()) for i in range(n) if M[i].any()]
     return pairs if split == "rows" else [(b, a) for a, b in pairs]
 
 

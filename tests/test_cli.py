@@ -294,6 +294,8 @@ class TestExitCodes:
         ["besov", "--input", "{f}", "--s", "inf", "--p", "1", "--q", "1", "--nmax", "2"],
         ["besov", "--input", "{f}", "--s", "1100", "--p", "1", "--q", "1", "--nmax", "2"],
         ["profile", "--input", "{f}", "--s", "1024", "--p", "1", "--nmax", "1"],
+        ["moment", "--input", "{f}", "--t", "inf", "--beta", "0.5", "--kmax", "8"],
+        ["moment", "--input", "{f}", "--t", "1", "--beta", "1e300", "--kmax", "8"],
     ])
     def test_nan_and_overflowing_parameters(self, argv, two_block, tmp_path, capsys):
         # each once wrote NaN into its JSON with exit 0, or ended in an
@@ -316,6 +318,19 @@ class TestExitCodes:
         assert math.isfinite(rep["norm"]) and math.isfinite(rep["error_bound"])
         want = math.hypot(*rep["values"])
         assert abs(rep["norm"] - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("scale,p", [(1e120, "3"), (1e-120, "3"), (1e200, "2"), (1e-200, "2")])
+    def test_block_norms_past_the_float_range(self, scale, p, tmp_path, capsys):
+        # |f|^p once overflowed to nan or inf, or underflowed to 0, with exit 0
+        argv = ["besov", "--s", "0", "--p", p, "--q", "2", "--nmax", "1", "--input"]
+        for name, coeffs in (("f.csv", [scale, 2 * scale]), ("g.csv", [1.0, 2.0])):
+            write_coeff_csv(tmp_path / name, CoeffSeq(coeffs))
+        got = run_json(argv + [str(tmp_path / "f.csv")], tmp_path / "f.json")
+        want = run_json(argv + [str(tmp_path / "g.csv")], tmp_path / "g.json")
+        assert capsys.readouterr().err == ""
+        for key in ("values", "norm", "error_bound"):
+            for v, w in zip(np.ravel(got[key]), np.ravel(want[key])):
+                assert isinstance(v, float) and abs(v - scale * w) <= 1e-12 * scale * w, (key, v, w)
 
     def test_missing_file(self):
         assert run(["besov", "--input", "/nonexistent.csv", "--s", "1", "--p", "1",
@@ -690,6 +705,26 @@ class TestMemory:
         ):
             per_coeff = (self.peak_kib(argv + ["--out", str(tmp_path / "r.json")]) - base) * 1024 / coeffs
             assert per_coeff <= 128, (argv[0], per_coeff)
+
+
+    def test_bracket_of_a_wide_matrix(self, tmp_path):
+        # proj-norm on a 3 x 40000 matrix with two nonzero columns, under a
+        # 1 GiB address space: its column split once took its unit rows from
+        # np.eye(40000) and ended in an _ArrayMemoryError traceback (11.9 GiB)
+        A = np.zeros((3, 40000))
+        A[:, 7] = [1.0, 2.0, 3.0]
+        A[:, -1] = [2.0, -2.0, 2.0]
+        write_matrix_csv(tmp_path / "wide.csv", DenseMatrix(A))
+        argv = ["proj-norm", "--input", str(tmp_path / "wide.csv"), "--out", str(tmp_path / "r.json")]
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from scottish_lab.cli import run\n"
+            f"print(run({argv!r}))\n"
+        )
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+        assert out.stdout == "0\n" and out.stderr == "", out.stderr
 
 
 # Every suite at a small size: each runs its code path, and so makes every

@@ -316,6 +316,25 @@ class TestHankel:
         Q = hankel_matrix(CoeffSeq(sym), n)
         assert np.array_equal(Q.entries, Q.entries.T)
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=40), st.integers(1, 30))
+    def test_entries_are_the_symbol_at_j_plus_k(self, sym, n):
+        g = sym + [0.0] * (2 * n)
+        want = [[g[j + k] for k in range(n)] for j in range(n)]
+        assert hankel_matrix(CoeffSeq(sym), n).entries.tolist() == want
+
+    def test_holds_only_the_matrix(self):
+        # an index array of the matrix's shape once doubled the peak
+        n = 1000
+        sym = CoeffSeq(make_rng(19).standard_normal(2 * n - 1))
+        tracemalloc.start()
+        try:
+            Q = hankel_matrix(sym, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * Q.entries.nbytes, peak
+
 
 class TestBlocks:
     def test_partition_up_to_2_20(self):
@@ -529,6 +548,13 @@ class TestCsv:
         got = read_matrix_csv(p).entries
         assert got.tolist() == [[1.0, 2.5], [0.0, 1e-3]]
         assert np.signbit(got).tolist() == [[False, False], [True, False]]
+
+    def test_byte_order_mark_and_crlf_line_ends(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfk,re\r\n0,1.5\r\n2,-0.25\r\n")
+        assert read_coeff_csv(p) == CoeffSeq([1.5, 0.0, -0.25])
+        p.write_bytes(b"\xef\xbb\xbf1,2\r\n3,4\r\n")
+        assert read_matrix_csv(p).entries.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_matrix_rejects_ragged(self, tmp_path):
         p = tmp_path / "r.csv"

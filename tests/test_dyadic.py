@@ -385,6 +385,35 @@ class TestBesov:
         assert abs(n1 - n2) <= b1
 
 
+class TestFloatRange:
+    # a sum of powers that under- or overflows is taken again divided by the
+    # largest modulus, so every value scales with the coefficients by 2^e;
+    # at p = 7 every factor here once read 0, inf or nan
+    @pytest.mark.parametrize("points", [None, 16])  # one grid; cosets of 16 points
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
+    def test_values_scale_by_powers_of_two(self, p, points):
+        rng = np.random.default_rng(43)
+        c = rng.standard_normal(40)
+        with mock.patch.object(dyadic, "_FFT_POINTS", points or dyadic._FFT_POINTS):
+            for coeffs in (c, c + 1j * rng.standard_normal(40)):
+
+                def values(e):
+                    f = CoeffSeq(coeffs * 2.0**e)
+                    v, bound, _ = lp_norm_detail(f, p)
+                    norm, norm_bound, prof = besov_detail(f, 0.5, p, p, 5)
+                    return [v, bound, norm, norm_bound, *prof.values, *prof.error_bounds,
+                            hard_block_bound(f, 5)]
+
+                want = values(0)
+                assert all(0 <= w < math.inf for w in want)
+                for e in (-600, -300, 300, 600):
+                    for got, w in zip(values(e), want):
+                        assert abs(got - w * 2.0**e) <= 1e-12 * w * 2.0**e, (e, got, w)
+
+    def test_aggregate_of_values_whose_squares_underflow(self):
+        assert dyadic._lq_aggregate(np.array([3e-170, 4e-170]), 2) == pytest.approx(5e-170, rel=1e-15)
+
+
 class TestHardBlockBound:
     def test_unit_at_zero(self):
         assert hard_block_bound(CoeffSeq([1.0]), 10) == 1.0

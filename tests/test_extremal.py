@@ -122,6 +122,16 @@ class TestFlatPolynomial:
         assert not f.coeffs.any()
         assert rep.ratio == 0.0
 
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_targets_whose_squares_leave_the_float_range(self, e):
+        # the targets' l2 norm once read 0, which returned the zero
+        # polynomial, or inf after a RuntimeWarning
+        beta = make_rng(67).random(40)
+        f, rep = flat_polynomial(CoeffSeq(beta), seed=2, descent_budget=30)
+        g, scaled = flat_polynomial(CoeffSeq(beta * 2.0**e), seed=2, descent_budget=30)
+        assert np.array_equal(g.coeffs, f.coeffs * 2.0**e)
+        assert abs(scaled.ratio - rep.ratio) <= 1e-12 * rep.ratio
+
     def test_negative_rejected(self):
         with pytest.raises(InvalidTarget):
             flat_polynomial(CoeffSeq([1.0, -0.5]))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -478,6 +479,26 @@ _NORMS = {
     "bracket": projective_bracket,
     "v2": lambda Q: v2_profile(Q, 0),
 }
+
+
+class TestBracketMemory:
+    def test_split_of_a_wide_matrix_holds_its_entries(self):
+        # the column split of a 3 x 4000 matrix once took its unit rows from
+        # np.eye(4000), 122 MiB traced for two pairs
+        A = np.zeros((3, 4000))
+        A[:, 7] = [1.0, 2.0, 3.0]
+        A[:, -1] = [2.0, -2.0, 2.0]
+        Q = DenseMatrix(A)
+        tracemalloc.start()
+        try:
+            br = projective_bracket(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert br.strategies[0] == "cols"
+        rebuilt = sum(np.outer(a, b) for a, b in br.upper_certificate)
+        assert np.array_equal(rebuilt, A)
+        assert peak < 4 << 20, peak
 
 
 class TestOverflow:
