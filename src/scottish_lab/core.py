@@ -234,7 +234,9 @@ def hankel_matrix(symbol: CoeffSeq, size: int) -> DenseMatrix:
         raise ComplexNotSupported("Hankel symbols must be real")
     check_size((size * size - 1).bit_length(), "Hankel matrix entry count")
     g = symbol.padded(2 * size - 1)
-    return DenseMatrix._adopt(np.lib.stride_tricks.sliding_window_view(g, size).copy())
+    # row j is g[j : j + size]; its last entry, g[j + size - 1], lies within
+    # the 2 * size - 1 padded entries for every j < size
+    return DenseMatrix._adopt(np.lib.stride_tricks.as_strided(g, (size, size), (g.strides[0],) * 2).copy())
 
 
 def limit_estimate(z: CoeffSeq):

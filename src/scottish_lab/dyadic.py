@@ -195,7 +195,11 @@ def lp_norm_detail(
 
     A sum of squares or of |f|^p that under- or overflows, while the largest
     modulus is positive and finite, is taken again divided by that modulus,
-    so the value scales with f instead of reading 0, inf or nan.
+    so the value scales with f instead of reading 0, inf or nan.  A grid
+    whose values themselves overflow (a peak of inf or nan, from finite
+    coefficients) is taken again on the coefficients times 2^-e, e the
+    binary exponent of the largest |c_k|, and its value and bound are scaled
+    back by 2^e; they read inf only when they lie past the float range.
 
     For other p the bound pi * D * peak / (G - pi * D), for degree D and grid
     peak `peak`, covers the gap between the grid value and the true norm.
@@ -216,7 +220,11 @@ def lp_norm_detail(
         value = math.sqrt(total) if _TINY <= total < math.inf else _power_root(np.abs(v), 2, np.sqrt)
         return value, 0.0, G
     total, peak = _grid_power_sum(f, oversample, G, p)
-    if math.isinf(p) or not 0 < peak < math.inf:
+    if not math.isfinite(peak):  # the FFT overflowed: again on f / 2^e, exactly scaled
+        e = math.frexp(float(np.abs(f.coeffs).max()))[1] - 1
+        value, bound, _ = lp_norm_detail(CoeffSeq._adopt(f.coeffs * 2.0**-e), p, oversample)
+        return value * 2.0**e, bound * 2.0**e, G
+    if math.isinf(p) or peak == 0:
         value = peak
     elif _TINY <= total < math.inf:
         value = float((total / G) ** (1.0 / p))
@@ -244,6 +252,14 @@ class DyadicProfile:
     grid: int
     degree: int
     truncated: bool
+
+
+def _block_detail(f: CoeffSeq, n: int, p: float, oversample: int) -> tuple[float, float, int]:
+    """lp_norm_detail of block n of f's profile, before its weight: the
+    coefficient-wise product of f with the n-th kernel."""
+    block = f.padded(2 << n)  # the kernel's length
+    block *= dyadic_kernel(n).coeffs
+    return lp_norm_detail(CoeffSeq._adopt(block), p, oversample)
 
 
 def dyadic_profile(
@@ -276,9 +292,7 @@ def dyadic_profile(
     values = np.zeros(nmax + 1)
     bounds = np.zeros(nmax + 1)
     for n in range(nmax + 1):
-        block = f.padded(2 << n)  # the kernel's length
-        block *= dyadic_kernel(n).coeffs
-        v, e, _ = lp_norm_detail(CoeffSeq._adopt(block), p, oversample)
+        v, e, _ = _block_detail(f, n, p, oversample)
         weight = 2.0 ** (n * s)
         values[n] = weight * v
         bounds[n] = weight * e

@@ -19,7 +19,7 @@ from .core import (
     limit_estimate,
     make_rng,
 )
-from .dyadic import DEFAULT_OVERSAMPLE, dyadic_profile, grid_size, lp_norm_circle
+from .dyadic import DEFAULT_OVERSAMPLE, _block_detail, dyadic_profile, grid_size, lp_norm_circle
 from .errors import InvalidParameter
 from .extremal import rudin_shapiro
 
@@ -37,11 +37,18 @@ def antidiagonal_average(Q: DenseMatrix) -> CoeffSeq:
     The divisor stays n + 1 even when a truncated antidiagonal has fewer than
     n + 1 entries: that matches applying the infinite-matrix formula to the
     zero-padded matrix, and the two conventions diverge on rectangles.
+
+    Each line of the shorter side is added into its slice of the sums (rows
+    in order, or columns from the last to the first), so nothing the size
+    of the matrix is built beside it.  Either order adds the terms of each
+    antidiagonal by ascending row, as a row-major scatter does.
     """
     A = Q.entries
     J, K = A.shape
-    n_index = np.add.outer(np.arange(J), np.arange(K)).ravel()
-    sums = np.bincount(n_index, weights=A.ravel(), minlength=J + K - 1)
+    sums = np.zeros(J + K - 1)
+    lines = enumerate(A) if J <= K else ((k, A[:, k]) for k in range(K - 1, -1, -1))
+    for i, line in lines:
+        sums[i : i + line.size] += line
     return CoeffSeq._adopt(sums / (np.arange(J + K - 1) + 1.0))
 
 
@@ -142,11 +149,9 @@ def problem8_witness(
             linfs[i + 1] < linfs[i] for i in range(len(linfs) - 1)
         ),
     }
-    if profiled:
-        prof = dyadic_profile(seq, 0.0, 1.0, nmax, oversample).values
-        flags["profile_growth"] = bool(
-            prof[-1] >= prof[0] * 2.0 ** ((nmax - 8) / 2 - 1)
-        )
+    if profiled:  # blocks 0 and nmax of the s = 0, p = 1 profile, whose weights are 1
+        first, last = (_block_detail(seq, n, 1.0, oversample)[0] for n in (0, nmax))
+        flags["profile_growth"] = bool(last >= first * 2.0 ** ((nmax - 8) / 2 - 1))
 
     report = WitnessReport(
         params={
@@ -178,11 +183,13 @@ class RangeDiagnostic:
 def range_diagnostic(z: CoeffSeq, nmax: int) -> RangeDiagnostic:
     """Classify the dyadic (s=0, p=1) profile of z minus its estimated limit.
 
-    A growing profile certifies that z is not a coefficient-plus-constant
-    sequence of a bounded-profile function (the truncation-visible
-    direction); a decaying one is merely consistent with membership.
-    Thresholds: growing needs trailing slope > 0.15 with fit residual < 0.2;
-    decaying is the mirrored slope test; the rest is bounded-flat.
+    The label is an estimate from finite data: a least-squares line through
+    the last five profile values (fewer when nmax < 4), tested against fixed
+    thresholds.  Growing needs trailing slope > 0.15 with fit residual < 0.2;
+    decaying is the mirrored slope test; the rest is bounded-flat.  A
+    growing label suggests that z is not a coefficient-plus-constant
+    sequence of a bounded-profile function, and a decaying one is consistent
+    with membership; neither is proved by a truncated profile.
     """
     d = limit_estimate(z)
     resid = z.coeffs - d

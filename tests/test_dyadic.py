@@ -410,6 +410,20 @@ class TestFloatRange:
                     for got, w in zip(values(e), want):
                         assert abs(got - w * 2.0**e) <= 1e-12 * w * 2.0**e, (e, got, w)
 
+    # the grid values of 1e308 (1 + z) overflow in the FFT (the sup is 2e308),
+    # though its L1 and L3 norms lie within the float range
+    @pytest.mark.parametrize("points", [None, 4])  # one grid; cosets of 4 points
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_grid_values_past_the_float_range(self, unit, points):
+        with mock.patch.object(dyadic, "_FFT_POINTS", points or dyadic._FFT_POINTS):
+            for p in (1.0, 3.0):
+                value, bound, G = lp_norm_detail(CoeffSeq([1e308, 1e308 * unit]), p)
+                v1, b1, G1 = lp_norm_detail(CoeffSeq([1.0, unit]), p)
+                assert G == G1
+                assert abs(value - 1e308 * v1) <= 4e-16 * 1e308 * v1, (p, value, v1)
+                assert abs(bound - 1e308 * b1) <= 4e-16 * 1e308 * b1, (p, bound, b1)
+            assert lp_norm_detail(CoeffSeq([1e308, 1e308 * unit]), math.inf)[0] == math.inf
+
     def test_aggregate_of_values_whose_squares_underflow(self):
         assert dyadic._lq_aggregate(np.array([3e-170, 4e-170]), 2) == pytest.approx(5e-170, rel=1e-15)
 

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scottish_lab import (
     CoeffSeq,
@@ -15,7 +18,8 @@ from scottish_lab import (
     problem8_witness,
     range_diagnostic,
 )
-from scottish_lab import core, mazur
+from scottish_lab import core, dyadic, mazur
+from scottish_lab.dyadic import dyadic_profile
 from scottish_lab.errors import InvalidParameter, TooShort
 
 
@@ -43,6 +47,33 @@ class TestAverage:
         # the divisor stays n+1 even when the antidiagonal is short
         avg = antidiagonal_average(DenseMatrix(np.ones((2, 3))))
         assert np.array_equal(avg.coeffs, [1.0, 1.0, 2.0 / 3.0, 1.0 / 4.0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=64),
+            elements=st.floats(-1e300, 1e300, allow_subnormal=True),
+        )
+    )
+    def test_matches_the_scatter_formula(self, A):
+        # the oracle scatters every entry by its antidiagonal in row-major
+        # order; equal bits pin the order in which each sum is taken
+        J, K = A.shape
+        n_index = np.add.outer(np.arange(J), np.arange(K)).ravel()
+        sums = np.bincount(n_index, weights=A.ravel(), minlength=J + K - 1)
+        want = sums / (np.arange(J + K - 1) + 1.0)
+        assert np.array_equal(antidiagonal_average(DenseMatrix(A)).coeffs, want)
+
+    def test_holds_no_array_the_size_of_the_matrix(self):
+        Q = DenseMatrix(make_rng(52).standard_normal((2048, 2048)))  # 32 MiB
+        tracemalloc.start()
+        try:
+            antidiagonal_average(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak  # an index array of the entries takes 32 MiB
 
 
 class TestProduct:
@@ -158,6 +189,16 @@ class TestWitness:
         assert rep.flags["profile_growth"]
         assert rep.flags["bounded_by_one"]
         assert rep.flags["block_peaks_decreasing"]
+
+    def test_growth_flag_measures_two_profile_blocks(self):
+        # 13 hard blocks and profile blocks 0 and 12; the whole profile adds 13
+        with mock.patch.object(dyadic, "lp_norm_detail", wraps=dyadic.lp_norm_detail) as spy:
+            problem8_witness(12, seed=3, sign_mode="rudin_shapiro")
+        assert spy.call_count == 15
+        for nmax in (12, 13, 14):
+            z, rep = problem8_witness(nmax, sign_mode="rudin_shapiro")
+            prof = dyadic_profile(z, 0.0, 1.0, nmax).values
+            assert rep.flags["profile_growth"] == bool(prof[-1] >= prof[0] * 2.0 ** ((nmax - 8) / 2 - 1))
 
     def test_fit_recomputable_from_blocks(self):
         _, rep = problem8_witness(13, seed=2, sign_mode="random")
