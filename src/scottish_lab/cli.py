@@ -203,7 +203,7 @@ def _bracket_json(br) -> dict:
 
 def _cmd_proj_norm(args, argv):
     Q = read_matrix_csv(args.input)
-    br = projective_bracket(Q, args.budget, args.seed)
+    br = projective_bracket(Q)
     return _emit(args, argv, _bracket_json(br))
 
 
@@ -366,7 +366,7 @@ COMMANDS = {
                         "--input --method --seed --budget", "value method x y evaluations",
                         "--input {m}"),
     "proj-norm": Command(_cmd_proj_norm, "bracket for the decomposition norm",
-                         "--input --seed --budget", "lower upper lower_cert upper_cert strategies",
+                         "--input", "lower upper lower_cert upper_cert strategies",
                          "--input {m}"),
     "v2": Command(_cmd_v2, "brackets for leading corner truncations",
                   "--input --nmax", "nmax brackets", "--input {m} --nmax 1"),

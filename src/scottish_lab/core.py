@@ -135,11 +135,6 @@ class CoeffSeq:
         out[:m] = self.coeffs[:m]
         return out
 
-    def last_nonzero(self) -> int:
-        """Index of the last nonzero coefficient (0 for the zero sequence)."""
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if nz.size else 0
-
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:

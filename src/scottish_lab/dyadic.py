@@ -81,7 +81,7 @@ def grid_values(f: CoeffSeq, oversample: int = DEFAULT_OVERSAMPLE) -> np.ndarray
     """
     G = grid_size(len(f), oversample)
     if f.is_complex:
-        return np.fft.ifft(f.coeffs, n=G) * G
+        return np.fft.ifft(f.coeffs, n=G, norm="forward")
     out = np.fft.rfft(f.coeffs, n=G)
     return np.conjugate(out, out=out)
 
@@ -250,7 +250,6 @@ class DyadicProfile:
     values: np.ndarray
     error_bounds: np.ndarray
     grid: int
-    degree: int
     truncated: bool
 
 
@@ -296,7 +295,6 @@ def dyadic_profile(
         weight = 2.0 ** (n * s)
         values[n] = weight * v
         bounds[n] = weight * e
-    degree = f.last_nonzero()
     return DyadicProfile(
         s=float(s),
         p=float(p),
@@ -304,8 +302,7 @@ def dyadic_profile(
         values=values,
         error_bounds=bounds,
         grid=top_grid,
-        degree=degree,
-        truncated=(1 << (nmax + 1)) <= degree,
+        truncated=bool(np.any(f.coeffs[1 << (nmax + 1):])),
     )
 
 

@@ -84,6 +84,8 @@ def flat_polynomial(
     sup norm within the evaluation budget.  The reported ratio is measured,
     not asserted against any universal constant.
     """
+    if descent_budget < 0:
+        raise InvalidParameter("budget must be nonnegative")
     if beta.is_complex:
         raise InvalidTarget("targets must be nonnegative reals")
     b = beta.coeffs
@@ -170,6 +172,8 @@ def assemble_majorant(
     the weighted block-l2 bound of the targets; both sides are measured and
     reported.
     """
+    if descent_budget < 0:
+        raise InvalidParameter("budget must be nonnegative")
     if alpha.is_complex:
         raise InvalidTarget("targets must be nonnegative reals")
     a = alpha.coeffs
@@ -367,6 +371,6 @@ def weighted_moment(
 def psi(t: float) -> float:
     """Regime boundary for weighted coefficient moments: 3t/2 - 1 up to
     t = 2, then t."""
-    if not t > 0:  # NaN too
-        raise InvalidRegime("psi is defined for t > 0")
+    if not 0 < t < math.inf:  # NaN too
+        raise InvalidRegime("psi is defined for finite t > 0")
     return 1.5 * t - 1.0 if t <= 2.0 else float(t)

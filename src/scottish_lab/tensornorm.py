@@ -199,6 +199,8 @@ def injective_norm_search(Q: DenseMatrix, budget: int, seed: int) -> SearchOutco
     is a certified lower bound on the exact norm and is deterministic for a
     given seed because each restart draws from its own derived stream.
     """
+    if budget < 0:
+        raise InvalidParameter("budget must be nonnegative")
     A = Q.entries
     J = A.shape[0]
     _abs_sum(A)
@@ -274,16 +276,15 @@ def _split_pairs(R: np.ndarray, split: str) -> list:
     return pairs if split == "rows" else [(b, a) for a, b in pairs]
 
 
-def _upper_decomposition(A: np.ndarray) -> tuple[str, float, list]:
+def _upper_decomposition(A: np.ndarray, scale: float) -> tuple[str, float, list]:
     """Cheapest (k, split) over peel depth k = 0..MAX_PEELS, as (tag, cost, pairs).
 
     Depth k strips the leading singular pair of the remainder k times, then
     splits what is left into its rows or its columns, each costing its
-    largest entry; a remainder within 1e-14 of zero, relative to A, costs
+    largest entry; a remainder within 1e-14 * scale (= max |A|) of zero costs
     nothing and ends the search.  Ties keep the first of k = 0 rows, k = 0
     cols, k = 1 rows, ...; the tag is the split at k = 0 and peel after.
     """
-    scale = float(np.abs(A).max())
     depth = min(MAX_PEELS, *A.shape)
     R, peeled, peel_cost = A, [], 0.0
     best = None  # (cost, k, split or None for a zero remainder, remainder)
@@ -310,7 +311,7 @@ def _upper_decomposition(A: np.ndarray) -> tuple[str, float, list]:
     return ("peel" if k else split), cost, pairs
 
 
-def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> NormBracket:
+def projective_bracket(Q: DenseMatrix) -> NormBracket:
     """Two-sided bracket for the rank-one decomposition norm of Q.
 
     Upper bound: exact detection of (numerically) rank-one matrices, else
@@ -320,19 +321,19 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
     norm 1) and of Q itself against its exact norm, when min(J, K) is within
     the cap.  Two other test matrices never beat the entry: the identity,
     |tr Q| / m <= max |q_jj|, and Q against its absolute sum S,
-    ||Q||_F^2 / S <= max |q_jk| * S / S.  budget and seed are part of the
-    stable call surface; the bracket does not consume them.
+    ||Q||_F^2 / S <= max |q_jk| * S / S.
     """
     A = Q.entries
     J, K = A.shape
     _abs_sum(A)
-    scale = float(np.abs(A).max())
+    absA = np.abs(A)
+    j_star, k_star = np.unravel_index(int(np.argmax(absA)), A.shape)
+    scale = float(absA[j_star, k_star])
 
     if scale == 0.0:
         return NormBracket(0.0, 0.0, {"kind": "zero"}, (), ("zero",))
 
     # Rank-one detection: factor through the globally largest entry.
-    j_star, k_star = np.unravel_index(int(np.argmax(np.abs(A))), A.shape)
     a1 = A[:, k_star] / A[j_star, k_star]
     b1 = A[j_star, :].copy()
     entry = {
@@ -345,7 +346,7 @@ def projective_bracket(Q: DenseMatrix, budget: int = 4096, seed: int = 0) -> Nor
     if float(np.abs(A - np.outer(a1, b1)).max()) <= _RANK_ONE_TOL * scale:
         return NormBracket(scale, scale, entry, ((a1, b1),), ("rank-one", "entry"))
 
-    tag, upper, upper_pairs = _upper_decomposition(A)
+    tag, upper, upper_pairs = _upper_decomposition(A, scale)
 
     # Lower bound by duality, ties to the entry (the identity, |tr A| / m <=
     # scale, and A against its absolute sum S, ||A||_F^2 / S <= scale * S / S,

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -296,15 +297,25 @@ class TestExitCodes:
         ["profile", "--input", "{f}", "--s", "1024", "--p", "1", "--nmax", "1"],
         ["moment", "--input", "{f}", "--t", "inf", "--beta", "0.5", "--kmax", "8"],
         ["moment", "--input", "{f}", "--t", "1", "--beta", "1e300", "--kmax", "8"],
+        ["psi", "--t", "inf"],
+        ["inj-norm", "--input", "{m}", "--method", "search", "--budget", "-3"],
+        ["flatpoly", "--input", "{f}", "--budget", "-7"],
+        ["lkk", "--input", "{f}", "--budget", "-7"],
     ])
-    def test_nan_and_overflowing_parameters(self, argv, two_block, tmp_path, capsys):
-        # each once wrote NaN into its JSON with exit 0, or ended in an
-        # OverflowError traceback
+    def test_nan_and_overflowing_parameters(self, argv, two_block, hadamard, tmp_path, capsys):
+        # each once wrote NaN or inf into its JSON with exit 0, ran a negative
+        # budget as budget 0 with exit 0, or ended in an OverflowError traceback
         out = tmp_path / "r.json"
-        assert run([a.format(f=two_block) for a in argv] + ["--out", str(out)]) == 1
+        assert run([a.format(f=two_block, m=hadamard) for a in argv] + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--budget", "5"], ["--seed", "3"]])
+    def test_proj_norm_takes_no_budget_or_seed(self, flag, hadamard, capsys):
+        # the bracket read neither, so both flags went with them
+        assert run(["proj-norm", "--input", str(hadamard)] + flag) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_besov_norm_past_the_powers_overflow_is_finite(self, tmp_path, capsys):
         # the profile's 2^600-scale value once overflowed its square to inf,
@@ -535,6 +546,27 @@ def test_readme_package_table_lists_every_public_name():
         assert name in rows.get(module, ()), (name, module)
 
 
+def test_every_parameter_is_read():
+    # a parameter its function never reads changes no result; only the
+    # verify suites keep one, for their common suite(seed, th) signature
+    src = Path(scottish_lab.__file__).parent
+    suites = {fn.__name__ for fn in verify.SUITES.values()}
+    inert = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if path.stem == "verify" and name in suites:
+                continue
+            a = node.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            inert += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read]
+    assert inert == []
+
+
 class TestReproducibility:
     def test_byte_identical_rerun(self, two_block, tmp_path):
         out = tmp_path / "rep.json"
@@ -576,7 +608,7 @@ class TestReproducibility:
             "profile": ("--input f --s 1 --p inf --nmax 1",
                         {"input": "f", "nmax": 1, "oversample": 8, "p": "inf", "s": 1.0}),
             "inj-norm": ("--input m", {"budget": 4096, "input": "m", "method": "exact", "seed": 0}),
-            "proj-norm": ("--input m", {"budget": 4096, "input": "m", "seed": 0}),
+            "proj-norm": ("--input m", {"input": "m"}),
             "v2": ("--input m --nmax 1", {"input": "m", "nmax": 1}),
             "mazur-a": ("--input m", {"input": "m"}),
             "mazur-b": ("--input x --input2 y", {"input": "x", "input2": "y"}),

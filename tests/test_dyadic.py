@@ -142,6 +142,19 @@ class TestHalfGrid:
         assert half.size == G // 2 + 1 and grid.size == G
         assert np.abs(half - grid[: G // 2 + 1]).max() <= 1e-12 * np.abs(real.coeffs).sum()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.floats(-900, 900), st.floats(0, 2 * math.pi)), min_size=1, max_size=300),
+        st.integers(2, 16),
+    )
+    def test_complex_grid_is_the_scaled_inverse_fft(self, polar, oversample):
+        # one unscaled inverse FFT, bit for bit the scaled one times G
+        c = np.array([2.0**e * complex(math.cos(a), math.sin(a)) for e, a in polar])
+        G = grid_size(c.size, oversample)
+        got = grid_values(CoeffSeq(c), oversample)
+        want = np.fft.ifft(c, n=G) * G
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestParseval:
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -301,6 +314,12 @@ class TestProfile:
         assert not dyadic_profile(f, 0.0, 1.0, 6).truncated
         # z^4 lies outside every kernel up to nmax = 1
         assert dyadic_profile(CoeffSeq([0, 0, 0, 0, 1.0]), 0.0, 1.0, 1).truncated
+        # a coefficient past the top kernel truncates iff it is nonzero:
+        # zeros and -0.0 do not, a purely imaginary one does
+        assert not dyadic_profile(CoeffSeq([1.0] + [0.0] * 999), 0.0, 1.0, 1).truncated
+        assert not dyadic_profile(CoeffSeq([1.0, 2.0] + [-0.0] * 30), 0.0, 1.0, 1).truncated
+        assert dyadic_profile(CoeffSeq([1.0, 0, 0, 0, 0, 0.5j]), 0.0, 1.0, 1).truncated
+        assert not dyadic_profile(CoeffSeq(np.zeros(50)), 0.0, 1.0, 2).truncated
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 6), st.integers(-3, 3))

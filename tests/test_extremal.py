@@ -136,6 +136,16 @@ class TestFlatPolynomial:
         with pytest.raises(InvalidTarget):
             flat_polynomial(CoeffSeq([1.0, -0.5]))
 
+    @pytest.mark.parametrize("build", [flat_polynomial, assemble_majorant])
+    def test_negative_budget_refused_before_any_evaluation(self, build, monkeypatch):
+        # a negative budget once ran as budget 0; zero targets do no work at all
+        calls = []
+        monkeypatch.setattr(extremal, "lp_norm_circle", lambda *args: calls.append(args))
+        for targets in (np.linspace(0.5, 1.0, 10), np.zeros(4)):
+            with pytest.raises(InvalidParameter, match="budget must be nonnegative"):
+                build(CoeffSeq(targets), seed=1, descent_budget=-7)
+        assert calls == []
+
     def test_deterministic(self):
         beta = CoeffSeq(np.ones(100))
         f1, _ = flat_polynomial(beta, seed=3, descent_budget=64)
@@ -411,5 +421,6 @@ class TestPsi:
             assert psi(t) == 1.5 * t - 1.0
 
     def test_invalid(self):
-        with pytest.raises(InvalidRegime):
-            psi(0.0)
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidRegime):
+                psi(t)

@@ -270,6 +270,12 @@ class TestSearch:
         out = injective_norm_search(DenseMatrix(np.ones((5, 5))), budget=37, seed=3)
         assert out.evaluations <= 37 + 5  # one sweep may finish in flight
 
+    def test_negative_budget_refused(self):
+        # it once ran as budget 0 and reported its one baseline evaluation
+        with pytest.raises(InvalidParameter, match="budget must be nonnegative"):
+            injective_norm_search(DenseMatrix(np.ones((3, 3))), budget=-3, seed=0)
+        assert injective_norm_search(DenseMatrix(np.ones((3, 3))), budget=0, seed=0).evaluations == 1
+
     def test_canonical_output(self):
         rng = make_rng(32)
         for i in range(10):
