@@ -63,14 +63,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj

@@ -99,38 +99,31 @@ def flat_polynomial(
 
     support = np.nonzero(b)[0]
     run = _aligned_constant_support(b, support)
-    iterations = 0
     if run is not None:
         signs = np.ones(b.size)
         lo = int(support[0])
         signs[lo : lo + run] = rudin_shapiro(run.bit_length() - 1)[0].coeffs
-        method = "rudin_shapiro"
-        coeffs = signs * b
-        sup = lp_norm_circle(CoeffSeq(coeffs), math.inf, oversample)
     else:
-        rng = make_rng(seed)
-        signs = rng.integers(0, 2, b.size) * 2.0 - 1.0
-        coeffs = signs * b
-        sup = lp_norm_circle(CoeffSeq(coeffs), math.inf, oversample)
+        signs = make_rng(seed).integers(0, 2, b.size) * 2.0 - 1.0
+    coeffs = signs * b
+    sup = lp_norm_circle(CoeffSeq(coeffs), math.inf, oversample)
+    method, iterations = "rudin_shapiro", 0
+    if run is None:
         evals = 1
-        improved = True
-        while improved and evals < descent_budget:
-            improved = False
+        while evals < descent_budget:
             best_j, best_sup = -1, sup
-            for j in support:
-                if evals >= descent_budget:
-                    break
+            for j in support[: descent_budget - evals]:
                 coeffs[j] = -coeffs[j]
                 cand = lp_norm_circle(CoeffSeq(coeffs), math.inf, oversample)
                 coeffs[j] = -coeffs[j]
                 evals += 1
                 if cand < best_sup:
                     best_sup, best_j = cand, j
-            if best_j >= 0:
-                coeffs[best_j] = -coeffs[best_j]
-                sup = best_sup
-                iterations += 1
-                improved = True
+            if best_j < 0:
+                break
+            coeffs[best_j] = -coeffs[best_j]
+            sup = best_sup
+            iterations += 1
         method = "random_plus_descent" if evals > 1 else "random_signs"  # a flip was evaluated
 
     f = CoeffSeq._adopt(coeffs)

@@ -80,10 +80,6 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return a[diff[0]] > b[diff[0]]
 
 
-def _objective(A: np.ndarray, x: np.ndarray) -> float:
-    return float(np.abs(x @ A).sum())
-
-
 def _y_from_sums(col_sums: np.ndarray) -> np.ndarray:
     y = np.ones(col_sums.size, dtype=np.int8)
     y[col_sums < 0] = -1  # zero column sums get +1
@@ -96,20 +92,20 @@ def _lex_signs(q, n: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.asarray(q)[..., None] >> np.arange(n - 1, -1, -1)) & 1)
 
 
-def _abs_sum(A: np.ndarray) -> float:
-    """The entrywise absolute sum S of A; InvalidInput past _ABS_SUM_CAP,
-    where the sums of the norms could overflow."""
+def _abs_sum(absA: np.ndarray) -> float:
+    """The entrywise absolute sum S of A, given |A|; InvalidInput past
+    _ABS_SUM_CAP, where the sums of the norms could overflow."""
     with np.errstate(over="ignore"):
-        S = float(np.abs(A).sum())
+        S = float(absA.sum())
     if not S <= _ABS_SUM_CAP:  # inf too
         raise InvalidInput(f"entrywise absolute sum {S!r} of the matrix exceeds {_ABS_SUM_CAP!r}, "
                            "past which the sign-form sums could overflow")
     return S
 
 
-def _int_table_type(A: np.ndarray):
-    """int16 when A holds integers whose absolute sum fits it, else None."""
-    exact = (A == np.rint(A)).all() and np.abs(A).sum() <= np.iinfo(_INT_TYPE).max
+def _int_table_type(A: np.ndarray, S: float):
+    """int16 when A holds integers whose absolute sum S fits it, else None."""
+    exact = S <= np.iinfo(_INT_TYPE).max and (A == np.rint(A)).all()
     return _INT_TYPE if exact else None
 
 
@@ -160,11 +156,11 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
     if J > EXACT_ENUM_CAP:
         raise TooLargeForExact(f"shorter side {J} exceeds the cap {EXACT_ENUM_CAP}")
 
-    _abs_sum(A)
+    S = _abs_sum(np.abs(A))
 
     # x = (+1, high bits, low bits).  One table holds the column sums of all
     # low patterns; each high pattern, in ascending order, adds its row to it.
-    dt = _int_table_type(A)
+    dt = _int_table_type(A, S)
     entries = _SCAN_BYTES // np.dtype(dt or np.float64).itemsize
     lo = min(J - 1, max(_MIN_LOW_BITS, (entries // K).bit_length() - 1))
     hi = J - 1 - lo
@@ -181,7 +177,7 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
             best_x = np.concatenate(([1.0], x_hi, x_lo[i]))
 
     col = best_x @ A
-    return _objective(A, best_x), SignVector(best_x), SignVector(_y_from_sums(col))
+    return float(np.abs(col).sum()), SignVector(best_x), SignVector(_y_from_sums(col))
 
 
 @dataclass(frozen=True)
@@ -203,12 +199,11 @@ def injective_norm_search(Q: DenseMatrix, budget: int, seed: int) -> SearchOutco
         raise InvalidParameter("budget must be nonnegative")
     A = Q.entries
     J = A.shape[0]
-    _abs_sum(A)
+    _abs_sum(np.abs(A))
 
     # Deterministic baseline so even a zero budget returns a certificate.
-    x = np.ones(J)
-    best_val = _objective(A, x)
-    best_x = x.copy()
+    best_x = np.ones(J)
+    best_val = float(np.abs(best_x @ A).sum())
     evals = 1
 
     restart = 0
@@ -236,7 +231,7 @@ def injective_norm_search(Q: DenseMatrix, budget: int, seed: int) -> SearchOutco
 
     col = best_x @ A
     return SearchOutcome(
-        value=_objective(A, best_x),
+        value=float(np.abs(col).sum()),
         x=SignVector(best_x),
         y=SignVector(_y_from_sums(col)),
         evaluations=evals,
@@ -276,7 +271,7 @@ def _split_pairs(R: np.ndarray, split: str) -> list:
     return pairs if split == "rows" else [(b, a) for a, b in pairs]
 
 
-def _upper_decomposition(A: np.ndarray, scale: float) -> tuple[str, float, list]:
+def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple[str, float, list]:
     """Cheapest (k, split) over peel depth k = 0..MAX_PEELS, as (tag, cost, pairs).
 
     Depth k strips the leading singular pair of the remainder k times, then
@@ -286,10 +281,9 @@ def _upper_decomposition(A: np.ndarray, scale: float) -> tuple[str, float, list]
     cols, k = 1 rows, ...; the tag is the split at k = 0 and peel after.
     """
     depth = min(MAX_PEELS, *A.shape)
-    R, peeled, peel_cost = A, [], 0.0
+    R, absR, peeled, peel_cost = A, absA, [], 0.0
     best = None  # (cost, k, split or None for a zero remainder, remainder)
     for k in range(depth + 1):
-        absR = np.abs(R)
         if float(absR.max()) <= 1e-14 * scale:  # never at k = 0, where R is A
             if peel_cost < best[0]:
                 best = (peel_cost, k, None, R)
@@ -306,6 +300,7 @@ def _upper_decomposition(A: np.ndarray, scale: float) -> tuple[str, float, list]
         peeled.append((a, b))
         peel_cost += float(np.abs(a).max() * np.abs(b).max())
         R = R - np.outer(a, b)
+        absR = np.abs(R)
     cost, k, split, R = best
     pairs = peeled[:k] + (_split_pairs(R, split) if split else [])
     return ("peel" if k else split), cost, pairs
@@ -325,8 +320,8 @@ def projective_bracket(Q: DenseMatrix) -> NormBracket:
     """
     A = Q.entries
     J, K = A.shape
-    _abs_sum(A)
     absA = np.abs(A)
+    _abs_sum(absA)
     j_star, k_star = np.unravel_index(int(np.argmax(absA)), A.shape)
     scale = float(absA[j_star, k_star])
 
@@ -346,7 +341,7 @@ def projective_bracket(Q: DenseMatrix) -> NormBracket:
     if float(np.abs(A - np.outer(a1, b1)).max()) <= _RANK_ONE_TOL * scale:
         return NormBracket(scale, scale, entry, ((a1, b1),), ("rank-one", "entry"))
 
-    tag, upper, upper_pairs = _upper_decomposition(A, scale)
+    tag, upper, upper_pairs = _upper_decomposition(A, absA, scale)
 
     # Lower bound by duality, ties to the entry (the identity, |tr A| / m <=
     # scale, and A against its absolute sum S, ||A||_F^2 / S <= scale * S / S,

@@ -311,6 +311,19 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["lkk", "--input", "{neg}"],
+        ["moment", "--input", "{f}", "--t", "1", "--beta", "0.5", "--kmax", "0"],
+        ["besov", "--input", "{f}", "--s", "1", "--p", "1", "--q", "1", "--nmax", "2", "--format", "csv"],
+    ])
+    def test_refused_inputs_write_nothing(self, argv, two_block, tmp_path, capsys):
+        # a negative target, kmax 0, and a CSV report with no --out to go to
+        neg = tmp_path / "neg.csv"
+        write_coeff_csv(neg, CoeffSeq([1.0, -0.5]))
+        assert run([a.format(f=two_block, neg=neg) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("flag", [["--budget", "5"], ["--seed", "3"]])
     def test_proj_norm_takes_no_budget_or_seed(self, flag, hadamard, capsys):
         # the bracket read neither, so both flags went with them
@@ -354,7 +367,7 @@ class TestExitCodes:
     def test_unknown_override_key(self):
         assert run(["verify", "--suite", "besov", "--override", "nope.key=1"]) == 1
 
-    @pytest.mark.parametrize("override", ["besov.rel_tol=abc", "besov.jmax=2.5"])
+    @pytest.mark.parametrize("override", ["besov.rel_tol=abc", "besov.jmax=2.5", "foo"])
     def test_malformed_override_value(self, override, capsys):
         assert run(["verify", "--suite", "besov", "--override", override]) == 1
         err = capsys.readouterr().err

@@ -347,6 +347,8 @@ class TestBlocks:
         for k in (1, 2, 3, 4, 1023, 1024, (1 << 20)):
             n = block_of(k)
             assert (1 << n) <= k < (1 << (n + 1))
+        with pytest.raises(InvalidInput):
+            block_of(0)
 
     def test_support_disjointness(self):
         for n in range(0, 13):
@@ -401,6 +403,12 @@ class TestLineFit:
         assert abs(slope - 3.0) < 1e-12
         assert abs(intercept + 2.0) < 1e-12
         assert resid < 1e-12
+
+    def test_degenerate_abscissae(self):
+        with pytest.raises(TooShort):
+            least_squares_line([1.0], [2.0])
+        with pytest.raises(InvalidInput):
+            least_squares_line([1.0, 1.0], [2.0, 3.0])
 
 
 class TestCsv:

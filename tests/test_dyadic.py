@@ -57,6 +57,13 @@ class TestKernels:
             assert not np.any(w[: (1 << (n - 1)) + 1])
             assert len(w) == 1 << (n + 1)
 
+    def test_negative_indices_refused(self):
+        f = CoeffSeq([1.0, 2.0])
+        for call in (lambda: dyadic_kernel(-1), lambda: dyadic_profile(f, 0.0, 1.0, -1),
+                     lambda: hard_block_bound(f, -1)):
+            with pytest.raises(InvalidParameter):
+                call()
+
     def test_partition_of_unity_exact(self):
         kmax = 1 << 14
         acc = np.zeros(kmax + 1)

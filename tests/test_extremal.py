@@ -82,6 +82,12 @@ class TestFlatPolynomial:
         f, rep = flat_polynomial(CoeffSeq(beta))
         assert rep.method == "rudin_shapiro"
         assert rep.ratio <= math.sqrt(2) + 1e-6
+        # a constant run of 4 from index 2 does not start on a multiple of 4
+        for start, method in ((2, "random_plus_descent"), (4, "rudin_shapiro")):
+            beta = np.zeros(8)
+            beta[start : start + 4] = 1.0
+            _, rep = flat_polynomial(CoeffSeq(beta), seed=1, descent_budget=10)
+            assert rep.method == method
 
     def test_random_median_ratio(self):
         # measured envelope for 1024 random signs (spec threshold 4)
@@ -133,8 +139,11 @@ class TestFlatPolynomial:
         assert abs(scaled.ratio - rep.ratio) <= 1e-12 * rep.ratio
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidTarget):
-            flat_polynomial(CoeffSeq([1.0, -0.5]))
+        # complex targets too, by both builders
+        for build, targets in ((flat_polynomial, [1.0, -0.5]), (assemble_majorant, [1.0, 0.5, -0.5]),
+                               (flat_polynomial, [1.0, 0.5j]), (assemble_majorant, [1.0, 0.5j])):
+            with pytest.raises(InvalidTarget):
+                build(CoeffSeq(targets))
 
     @pytest.mark.parametrize("build", [flat_polynomial, assemble_majorant])
     def test_negative_budget_refused_before_any_evaluation(self, build, monkeypatch):
@@ -405,6 +414,10 @@ class TestWeightedMoment:
     def test_invalid_t(self):
         with pytest.raises(InvalidRegime):
             weighted_moment(CoeffSeq([1.0]), 0.0, 0.0, 4)
+
+    def test_invalid_kmax(self):
+        with pytest.raises(InvalidParameter):
+            weighted_moment(CoeffSeq([1.0]), 1.0, 0.0, kmax=0)
 
 
 class TestPsi:

@@ -245,6 +245,12 @@ class TestRangeDiagnostic:
         assert diag.sup == 0.0
         assert diag.limit == 3.25
 
+    def test_single_block_is_flat(self):
+        # one profile value admits no trailing fit
+        diag = range_diagnostic(CoeffSeq([1.0, 2.0, 3.0, 4.0]), 0)
+        assert diag.classification == "bounded-flat"
+        assert diag.trailing_slope is None
+
     def test_witness_is_growing(self):
         z, _ = problem8_witness(12, sign_mode="rudin_shapiro")
         diag = range_diagnostic(z, 12)

@@ -171,6 +171,11 @@ def signs(v):
     return "".join("+" if e > 0 else "-" for e in v.entries)
 
 
+def table_type(A):
+    """The scan's table type for A, given the absolute sum its gate takes."""
+    return tensornorm._int_table_type(A, tensornorm._abs_sum(np.abs(A)))
+
+
 def rank_one_pattern(rng, J, K, total):
     """Entries s_j t_k |b_jk| with absolute sum `total`: the optimum is
     `total`, attained by x = s, y = t, so every partial sum reaches it."""
@@ -195,7 +200,7 @@ class TestIntegerScan:
     ])
     def test_pinned_outputs(self, name, A, pinned):
         # (value, x, y) as the float64 scan gave them
-        assert tensornorm._int_table_type(A) is np.int16
+        assert table_type(A) is np.int16
         value, x, y = injective_norm_exact(DenseMatrix(A))
         assert (value, signs(x), signs(y)) == pinned
 
@@ -206,7 +211,7 @@ class TestIntegerScan:
         rng = make_rng(total)
         for J, K in ((5, 7), (7, 4), (1, 6), (6, 1)):
             A = rank_one_pattern(rng, J, K, total)
-            assert tensornorm._int_table_type(A) is dt
+            assert table_type(A) is dt
             value, x, y = injective_norm_exact(DenseMatrix(A))
             assert value == brute_force_norm(A) == total
             assert x.entries.astype(float) @ A @ y.entries.astype(float) == value
@@ -227,9 +232,9 @@ class TestIntegerScan:
         rng = make_rng(seed)
         amp = int(rng.integers(0, 32767 // (J * K) + 1))
         A = rng.integers(-amp, amp + 1, (J, K)).astype(float)
-        assert tensornorm._int_table_type(A) is np.int16
+        assert table_type(A) is np.int16
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tensornorm, "_int_table_type", lambda A: None)
+            mp.setattr(tensornorm, "_int_table_type", lambda A, S: None)
             value, x, y = injective_norm_exact(DenseMatrix(A))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensornorm, "_SCAN_BYTES", 64)
@@ -240,7 +245,7 @@ class TestIntegerScan:
         np.array([[1e17, -3e17, 2.0], [5e16, 1e17, -1e17]]),
     ])
     def test_other_matrices_take_the_float_scan(self, A):
-        assert tensornorm._int_table_type(A) is None
+        assert table_type(A) is None
         value, x, y = injective_norm_exact(DenseMatrix(A))
         assert value == brute_force_norm(A)
         assert abs(x.entries.astype(float) @ A @ y.entries.astype(float) - value) <= 1e-15 * value
@@ -442,12 +447,16 @@ class TestBracket:
             shape = (data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7)))
             A = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
                 -1e3, 1e3, allow_nan=False, allow_subnormal=False)))
+        # both quotients scale linearly with A: check them on A times the
+        # power of two that brings max |A| to m in [1/2, 1), so that the
+        # largest square cannot underflow
         J, K = A.shape
-        scale = float(np.abs(A).max())
-        slack = scale * (1 + J * K * 2.0**-52)
-        assert abs(float(np.trace(A))) / min(J, K) <= slack
-        S = float(np.abs(A).sum())
-        assert S == 0 or float(np.sum(A * A)) / S <= slack
+        m, e = math.frexp(float(np.abs(A).max()))
+        A1 = A * 2.0**-e
+        slack = m * (1 + J * K * 2.0**-52)
+        assert abs(float(np.trace(A1))) / min(J, K) <= slack
+        S = float(np.abs(A1).sum())
+        assert S == 0 or float(np.sum(A1 * A1)) / S <= slack
         br = projective_bracket(DenseMatrix(A))
         assert br.lower_certificate["kind"] in ("zero", "entry", "self-exact")
         assert br.strategies[-1] == br.lower_certificate["kind"]
