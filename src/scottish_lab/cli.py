@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -21,7 +22,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import verify
 from .core import (
     CoeffSeq,
     _row_chunks,
@@ -30,23 +30,8 @@ from .core import (
     write_coeff_csv,
     write_matrix_csv,
 )
-from .dyadic import (
-    DEFAULT_OVERSAMPLE,
-    besov_detail,
-    dyadic_kernel,
-    dyadic_profile,
-    hard_block_bound,
-)
 from .errors import DomainError, InvalidParameter
-from .extremal import (
-    assemble_majorant,
-    flat_polynomial,
-    problem88_witness,
-    psi,
-    weighted_moment,
-)
-from .mazur import antidiagonal_average, cesaro_product, problem8_witness
-from .tensornorm import injective_norm_exact, injective_norm_search, projective_bracket, v2_profile
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64."""
@@ -132,17 +117,22 @@ def _maybe_export(args, seq: CoeffSeq, argv) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Handlers.
+# Handlers.  Each imports the kernel module it calls when it runs, so a call
+# loads only what it needs and finds the function in its module at call time.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_wn(args, argv):
+    from .dyadic import dyadic_kernel
+
     seq = dyadic_kernel(args.n)
     payload = {"n": args.n, "length": len(seq), "sequence": seq}
     return _emit(args, argv, payload, csv_payload=seq)
 
 
 def _cmd_besov(args, argv):
+    from .dyadic import besov_detail, dyadic_profile
+
     f = read_coeff_csv(args.input)
     q = getattr(args, "q", None)  # profile has no --q: no norm, the largest block bound
     if q is None:
@@ -166,6 +156,8 @@ def _cmd_besov(args, argv):
 
 
 def _cmd_inj_norm(args, argv):
+    from .tensornorm import injective_norm_exact, injective_norm_search
+
     Q = read_matrix_csv(args.input)
     if args.method == "exact":
         value, x, y = injective_norm_exact(Q)
@@ -194,12 +186,16 @@ def _bracket_json(br) -> dict:
 
 
 def _cmd_proj_norm(args, argv):
+    from .tensornorm import projective_bracket
+
     Q = read_matrix_csv(args.input)
     br = projective_bracket(Q)
     return _emit(args, argv, _bracket_json(br))
 
 
 def _cmd_v2(args, argv):
+    from .tensornorm import v2_profile
+
     Q = read_matrix_csv(args.input)
     brackets = v2_profile(Q, args.nmax)
     payload = {"nmax": args.nmax, "brackets": [_bracket_json(b) for b in brackets]}
@@ -207,6 +203,8 @@ def _cmd_v2(args, argv):
 
 
 def _cmd_mazur_a(args, argv):
+    from .mazur import antidiagonal_average
+
     Q = read_matrix_csv(args.input)
     seq = antidiagonal_average(Q)
     payload = {"length": len(seq), "sequence": seq}
@@ -214,6 +212,8 @@ def _cmd_mazur_a(args, argv):
 
 
 def _cmd_mazur_b(args, argv):
+    from .mazur import cesaro_product
+
     x = read_coeff_csv(args.input)
     y = read_coeff_csv(args.input2)
     seq = cesaro_product(x, y)
@@ -222,6 +222,8 @@ def _cmd_mazur_b(args, argv):
 
 
 def _cmd_witness8(args, argv):
+    from .mazur import problem8_witness
+
     z, report = problem8_witness(args.nmax, args.seed, args.sign_mode, oversample=args.oversample)
     _maybe_export(args, z, argv)
     rows = [(b["n"], b["l1"]) for b in report.blocks]
@@ -229,6 +231,9 @@ def _cmd_witness8(args, argv):
 
 
 def _cmd_witness88(args, argv):
+    from .dyadic import hard_block_bound
+    from .extremal import problem88_witness
+
     alpha, params = problem88_witness(args.t, args.nmax)
     _maybe_export(args, alpha, argv)
     payload = dict(asdict(params), length=len(alpha), block_bound=hard_block_bound(alpha, params.nmax))
@@ -236,6 +241,8 @@ def _cmd_witness88(args, argv):
 
 
 def _cmd_flatpoly(args, argv):
+    from .extremal import flat_polynomial
+
     beta = read_coeff_csv(args.input)
     f, report = flat_polynomial(beta, args.seed, args.budget, args.oversample)
     _maybe_export(args, f, argv)
@@ -243,6 +250,8 @@ def _cmd_flatpoly(args, argv):
 
 
 def _cmd_lkk(args, argv):
+    from .extremal import assemble_majorant
+
     alpha = read_coeff_csv(args.input)
     phi, report = assemble_majorant(alpha, args.seed, args.budget, args.oversample)
     _maybe_export(args, phi, argv)
@@ -250,6 +259,8 @@ def _cmd_lkk(args, argv):
 
 
 def _cmd_moment(args, argv):
+    from .extremal import weighted_moment
+
     gamma = read_coeff_csv(args.input)
     rep = weighted_moment(gamma, args.t, args.beta, args.kmax)
     payload = {
@@ -263,6 +274,8 @@ def _cmd_moment(args, argv):
 
 
 def _cmd_psi(args, argv):
+    from .extremal import psi
+
     return _emit(args, argv, {"t": args.t, "value": psi(args.t)})
 
 
@@ -277,6 +290,8 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _cmd_verify(args, argv):
+    from . import verify
+
     _csv_output(args)  # refuse a CSV report before any suite runs
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = verify.run_suites(names, seed=args.seed, thresholds=_parse_overrides(args.override))
@@ -307,6 +322,11 @@ def _cmd_verify(args, argv):
 # stand for its coefficient, matrix and all-ones input files).
 # ---------------------------------------------------------------------------
 
+# verify.SUITES's keys, held here so that building the parser imports no
+# verify; a test pins the copy, as it pins --oversample's default.
+SUITE_NAMES = ("kernel", "besov", "inj-oracle", "hankel-shadow", "theorem-re",
+               "witness88", "witness8", "duality", "mazur-id", "cli-roundtrip")
+
 FLAGS = {
     "--n": dict(type=int, required=True),
     "--input": dict(required=True),
@@ -320,12 +340,12 @@ FLAGS = {
     "--kmax": dict(type=int, required=True),
     "--method": dict(choices=("exact", "search"), default="exact"),
     "--sign-mode": dict(choices=("random", "rudin_shapiro"), default="random"),
-    "--suite": dict(choices=tuple(verify.SUITES) + ("all",), default="all"),
+    "--suite": dict(choices=SUITE_NAMES + ("all",), default="all"),
     "--override": dict(action="append", default=None, metavar="KEY=VALUE",
                        help="threshold override; repeatable"),
     "--seed": dict(type=int, default=0),
     "--budget": dict(type=int, default=4096),
-    "--oversample": dict(type=int, default=DEFAULT_OVERSAMPLE),
+    "--oversample": dict(type=int, default=8),  # dyadic.DEFAULT_OVERSAMPLE
     "--coeffs-out": dict(default=None, help="also export the constructed sequence as CSV"),
     "--out": dict(default=None, help="output path (stdout if omitted)"),
     "--format": dict(choices=("json", "csv"), default=None,
@@ -389,6 +409,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="scottish-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -443,10 +464,13 @@ def _run_quiet(argv) -> int:
 
 
 def self_check(seed: int = 0) -> list:
+    from .dyadic import dyadic_kernel
+    from .verify import CaseResult
+
     cases = []
 
     def check(name, ok, detail):
-        cases.append(verify.CaseResult(name, bool(ok), detail))
+        cases.append(CaseResult(name, bool(ok), detail))
 
     with tempfile.TemporaryDirectory(prefix="scottish-lab-") as tmp:
         fcsv = os.path.join(tmp, "f.csv")

@@ -799,3 +799,71 @@ class TestImports:
             env=_child_env(),
         )
         assert out.stdout == f"[]\n{len(verify.SUITES)} []\n"
+
+    def test_package_import_loads_no_submodule(self):
+        # public names load on first use, so a bare import loads no kernel
+        # module and no numpy; a kernel module is still an attribute
+        code = ("import sys, scottish_lab\n"
+                "print(sorted(m for m in sys.modules if m.startswith(('scottish_lab.', 'numpy'))))\n"
+                "print(scottish_lab.tensornorm.__name__)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             timeout=120, env=_child_env())
+        assert out.stdout == "[]\nscottish_lab.tensornorm\n"
+
+    def test_public_names_resolve_to_their_modules(self):
+        star = {}
+        exec("from scottish_lab import *", star)
+        listed = dir(scottish_lab)
+        for name in scottish_lab.__all__:
+            obj = getattr(scottish_lab, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+            assert star[name] is obj and name in listed, name
+            assert name not in vars(scottish_lab), name  # looked up, never stored
+        assert set(star) - {"__builtins__"} == set(scottish_lab.__all__)
+
+    def test_package_names_follow_their_module(self, monkeypatch):
+        # the span tracer rebinds functions in their modules; the package
+        # must hand out the rebound function and, after undo, the original
+        from scottish_lab import extremal
+        sentinel = object()
+        monkeypatch.setattr(extremal, "psi", sentinel)
+        assert scottish_lab.psi is sentinel
+        monkeypatch.undo()
+        assert scottish_lab.psi is extremal.psi
+
+    def test_unknown_names_are_refused(self):
+        with pytest.raises(AttributeError):
+            scottish_lab.nope
+        with pytest.raises(ImportError):
+            exec("from scottish_lab import nope", {})
+
+    @pytest.mark.parametrize("argv, modules", [
+        (None, "cli core errors"),
+        (["psi", "--t", "1"], "cli core errors dyadic extremal"),
+        (["inj-norm", "--input", "{m}"], "cli core errors tensornorm"),
+        (["witness8", "--nmax", "4"], "cli core errors dyadic extremal mazur"),
+    ], ids=["import", "psi", "inj-norm", "witness8"])
+    def test_cold_call_loads_only_what_it_runs(self, argv, modules, hadamard, tmp_path):
+        # a fresh interpreter imports the CLI and, unless argv is None, runs
+        # one call; verify and the kernels the call does not use stay unloaded
+        code = "import sys, scottish_lab.cli\n"
+        if argv is not None:
+            argv = [a.format(m=hadamard) for a in argv] + ["--out", str(tmp_path / "r.json")]
+            code += f"assert scottish_lab.cli.run({argv!r}) == 0\n"
+        code += "print(' '.join(sorted(m.split('.')[1] for m in sys.modules if m.startswith('scottish_lab.'))))\n"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                             env=_child_env())
+        assert out.stdout.split() == sorted(modules.split()), out.stderr
+
+    def test_parser_copies_match_their_sources(self):
+        # the parser is built without importing verify or dyadic, from copies
+        from scottish_lab import cli, dyadic
+        assert cli.SUITE_NAMES == tuple(verify.SUITES)
+        assert cli.FLAGS["--oversample"]["default"] == dyadic.DEFAULT_OVERSAMPLE
+
+    def test_parser_is_built_once_and_keeps_no_state(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        assert parser.parse_args(["verify", "--override", "a=1"]).override == ["a=1"]
+        assert parser.parse_args(["verify"]).override is None
+        assert parser.parse_args(["verify", "--override", "b=2"]).override == ["b=2"]
