@@ -16,20 +16,8 @@ import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .core import (
-    CoeffSeq,
-    _row_chunks,
-    read_coeff_csv,
-    read_matrix_csv,
-    write_coeff_csv,
-    write_matrix_csv,
-)
 from .errors import DomainError, InvalidParameter
 
 
@@ -46,7 +34,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    if np is not None and isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
@@ -62,13 +51,16 @@ def _run_config(args, argv) -> dict:
 
 
 def _write_json(fh, doc: dict) -> None:
-    """Write json.dumps(doc, indent=2) and a newline.  A CoeffSeq under the
-    top-level key "sequence" is written as the list of its nonzero [k, value]
-    or [k, re, im] rows, chunk by chunk, never as one list or string."""
-    seq = doc.get("sequence")
-    if not isinstance(seq, CoeffSeq):
+    """Write json.dumps(doc, indent=2) and a newline.  The CoeffSeq under the
+    top-level key "sequence", if there is one, is written as the list of its
+    nonzero [k, value] or [k, re, im] rows, chunk by chunk, never as one list
+    or string."""
+    if "sequence" not in doc:
         fh.write(json.dumps(_jsonable(doc), indent=2) + "\n")
         return
+    from .core import _row_chunks
+
+    seq = doc["sequence"]
     text = json.dumps(_jsonable(dict(doc, sequence=[])), indent=2) + "\n"
     key = '\n  "sequence":'
     head, _, tail = text.partition(key + " []")
@@ -102,6 +94,8 @@ def _emit(args, argv, payload: dict, csv_payload=None) -> int:
         return 0
     if not args.out:
         raise InvalidParameter("CSV output needs --out")
+    from .core import CoeffSeq, write_coeff_csv, write_matrix_csv
+
     comment = json.dumps(_jsonable(cfg))
     if isinstance(csv_payload, CoeffSeq):
         write_coeff_csv(args.out, csv_payload, comment=comment)
@@ -111,14 +105,17 @@ def _emit(args, argv, payload: dict, csv_payload=None) -> int:
     return 0
 
 
-def _maybe_export(args, seq: CoeffSeq, argv) -> None:
+def _maybe_export(args, seq, argv) -> None:
     if args.coeffs_out:
+        from .core import write_coeff_csv
+
         write_coeff_csv(args.coeffs_out, seq, comment=json.dumps(_jsonable(_run_config(args, argv))))
 
 
 # ---------------------------------------------------------------------------
-# Handlers.  Each imports the kernel module it calls when it runs, so a call
-# loads only what it needs and finds the function in its module at call time.
+# Handlers.  Each imports the kernel and the reader it calls when it runs, so
+# a call loads only what it needs and finds the function in its module at
+# call time; the CLI itself loads no numpy.
 # ---------------------------------------------------------------------------
 
 
@@ -131,6 +128,7 @@ def _cmd_wn(args, argv):
 
 
 def _cmd_besov(args, argv):
+    from .core import read_coeff_csv
     from .dyadic import besov_detail, dyadic_profile
 
     f = read_coeff_csv(args.input)
@@ -156,6 +154,7 @@ def _cmd_besov(args, argv):
 
 
 def _cmd_inj_norm(args, argv):
+    from .core import read_matrix_csv
     from .tensornorm import injective_norm_exact, injective_norm_search
 
     Q = read_matrix_csv(args.input)
@@ -186,6 +185,7 @@ def _bracket_json(br) -> dict:
 
 
 def _cmd_proj_norm(args, argv):
+    from .core import read_matrix_csv
     from .tensornorm import projective_bracket
 
     Q = read_matrix_csv(args.input)
@@ -194,6 +194,7 @@ def _cmd_proj_norm(args, argv):
 
 
 def _cmd_v2(args, argv):
+    from .core import read_matrix_csv
     from .tensornorm import v2_profile
 
     Q = read_matrix_csv(args.input)
@@ -203,6 +204,7 @@ def _cmd_v2(args, argv):
 
 
 def _cmd_mazur_a(args, argv):
+    from .core import read_matrix_csv
     from .mazur import antidiagonal_average
 
     Q = read_matrix_csv(args.input)
@@ -212,6 +214,7 @@ def _cmd_mazur_a(args, argv):
 
 
 def _cmd_mazur_b(args, argv):
+    from .core import read_coeff_csv
     from .mazur import cesaro_product
 
     x = read_coeff_csv(args.input)
@@ -222,6 +225,8 @@ def _cmd_mazur_b(args, argv):
 
 
 def _cmd_witness8(args, argv):
+    from dataclasses import asdict
+
     from .mazur import problem8_witness
 
     z, report = problem8_witness(args.nmax, args.seed, args.sign_mode, oversample=args.oversample)
@@ -231,6 +236,8 @@ def _cmd_witness8(args, argv):
 
 
 def _cmd_witness88(args, argv):
+    from dataclasses import asdict
+
     from .dyadic import hard_block_bound
     from .extremal import problem88_witness
 
@@ -241,6 +248,9 @@ def _cmd_witness88(args, argv):
 
 
 def _cmd_flatpoly(args, argv):
+    from dataclasses import asdict
+
+    from .core import read_coeff_csv
     from .extremal import flat_polynomial
 
     beta = read_coeff_csv(args.input)
@@ -250,6 +260,9 @@ def _cmd_flatpoly(args, argv):
 
 
 def _cmd_lkk(args, argv):
+    from dataclasses import asdict
+
+    from .core import read_coeff_csv
     from .extremal import assemble_majorant
 
     alpha = read_coeff_csv(args.input)
@@ -259,6 +272,9 @@ def _cmd_lkk(args, argv):
 
 
 def _cmd_moment(args, argv):
+    from dataclasses import asdict
+
+    from .core import read_coeff_csv
     from .extremal import weighted_moment
 
     gamma = read_coeff_csv(args.input)
@@ -290,6 +306,8 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _cmd_verify(args, argv):
+    from dataclasses import asdict
+
     from . import verify
 
     _csv_output(args)  # refuse a CSV report before any suite runs
@@ -464,6 +482,11 @@ def _run_quiet(argv) -> int:
 
 
 def self_check(seed: int = 0) -> list:
+    import tempfile
+
+    import numpy as np
+
+    from .core import CoeffSeq, read_coeff_csv, write_coeff_csv
     from .dyadic import dyadic_kernel
     from .verify import CaseResult
 

@@ -273,6 +273,214 @@ class TestStreamedSequence:
         assert body == "k,re\n" + "".join("%d,%r\n" % (k, v) for k, v in enumerate(alpha) if k)
 
 
+# The exact report text of four emit paths, pinned so that the way the CLI
+# recognises arrays without importing numpy cannot change a byte: a streamed
+# sequence (JSON and CSV), an ndarray of values, and a dataclass report of
+# floats and bools.
+_GOLDEN_WN_JSON = """\
+{
+  "run_config": {
+    "subcommand": "wn",
+    "argv": [
+      "wn",
+      "--n",
+      "2"
+    ],
+    "options": {
+      "format": null,
+      "n": 2,
+      "out": null
+    }
+  },
+  "n": 2,
+  "length": 8,
+  "sequence": [
+    [
+      3,
+      0.5
+    ],
+    [
+      4,
+      1.0
+    ],
+    [
+      5,
+      0.75
+    ],
+    [
+      6,
+      0.5
+    ],
+    [
+      7,
+      0.25
+    ]
+  ]
+}
+"""
+
+_GOLDEN_WN_CSV = """\
+# {"subcommand": "wn", "argv": ["wn", "--n", "2", "--out", "{out}"], "options": {"format": null, "n": 2, "out": "{out}"}}
+k,re
+3,0.5
+4,1.0
+5,0.75
+6,0.5
+7,0.25
+"""
+
+_GOLDEN_BESOV = """\
+{
+  "run_config": {
+    "subcommand": "besov",
+    "argv": [
+      "besov",
+      "--input",
+      "{f}",
+      "--s",
+      "1",
+      "--p",
+      "inf",
+      "--q",
+      "1",
+      "--nmax",
+      "4"
+    ],
+    "options": {
+      "format": null,
+      "input": "{f}",
+      "nmax": 4,
+      "out": null,
+      "oversample": 8,
+      "p": "inf",
+      "q": 1.0,
+      "s": 1.0
+    }
+  },
+  "s": 1.0,
+  "p": "inf",
+  "q": 1.0,
+  "nmax": 4,
+  "grid": 256,
+  "values": [
+    0.0,
+    2.0000000000000004,
+    0.0,
+    8.000000000000002,
+    0.0
+  ],
+  "norm": 10.000000000000002,
+  "error_bound": 5.496307456242285,
+  "truncated": false
+}
+"""
+
+_GOLDEN_WITNESS8 = """\
+{
+  "run_config": {
+    "subcommand": "witness8",
+    "argv": [
+      "witness8",
+      "--nmax",
+      "6",
+      "--seed",
+      "1",
+      "--sign-mode",
+      "rudin_shapiro"
+    ],
+    "options": {
+      "coeffs_out": null,
+      "format": null,
+      "nmax": 6,
+      "out": null,
+      "oversample": 8,
+      "seed": 1,
+      "sign_mode": "rudin_shapiro"
+    }
+  },
+  "params": {
+    "nmax": 6,
+    "seed": 1,
+    "sign_mode": "rudin_shapiro",
+    "decay": "1/(n+1)",
+    "fit_start": 3
+  },
+  "blocks": [
+    {
+      "n": 0,
+      "l1": 1.0,
+      "linf": 1.0,
+      "l2": 1.0
+    },
+    {
+      "n": 1,
+      "l1": 0.6345731492255537,
+      "linf": 0.5,
+      "l2": 0.7071067811865476
+    },
+    {
+      "n": 2,
+      "l1": 0.6418487595454624,
+      "linf": 0.3333333333333333,
+      "l2": 0.6666666666666666
+    },
+    {
+      "n": 3,
+      "l1": 0.6636200221835061,
+      "linf": 0.25,
+      "l2": 0.7071067811865476
+    },
+    {
+      "n": 4,
+      "l1": 0.7612122604115128,
+      "linf": 0.2,
+      "l2": 0.8
+    },
+    {
+      "n": 5,
+      "l1": 0.8874131787069045,
+      "linf": 0.16666666666666666,
+      "l2": 0.9428090415820634
+    },
+    {
+      "n": 6,
+      "l1": 1.078309900576471,
+      "linf": 0.14285714285714285,
+      "l2": 1.1428571428571428
+    }
+  ],
+  "fit": {
+    "slope": 0.5007433974244003,
+    "intercept": -0.0869714671170474,
+    "residual": 0.007357930516694969
+  },
+  "flags": {
+    "bounded_by_one": true,
+    "block_peaks_decreasing": true
+  }
+}
+"""
+
+
+class TestGoldenBytes:
+    def test_wn_json(self, capsys):
+        assert run(["wn", "--n", "2"]) == 0
+        assert capsys.readouterr().out == _GOLDEN_WN_JSON
+
+    def test_wn_csv(self, tmp_path):
+        out = tmp_path / "w2.csv"
+        assert run(["wn", "--n", "2", "--out", str(out)]) == 0
+        assert out.read_text().replace(str(out), "{out}") == _GOLDEN_WN_CSV
+
+    def test_besov_example(self, two_block, capsys):
+        assert run(["besov", "--input", str(two_block), "--s", "1", "--p", "inf", "--q", "1", "--nmax", "4"]) == 0
+        assert capsys.readouterr().out.replace(str(two_block), "{f}") == _GOLDEN_BESOV
+
+    def test_witness8_example(self, capsys):
+        assert run(["witness8", "--nmax", "6", "--seed", "1", "--sign-mode", "rudin_shapiro"]) == 0
+        assert capsys.readouterr().out == _GOLDEN_WITNESS8
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run(["besov", "--nonsense"]) == 64
@@ -837,23 +1045,29 @@ class TestImports:
         with pytest.raises(ImportError):
             exec("from scottish_lab import nope", {})
 
-    @pytest.mark.parametrize("argv, modules", [
-        (None, "cli core errors"),
-        (["psi", "--t", "1"], "cli core errors dyadic extremal"),
-        (["inj-norm", "--input", "{m}"], "cli core errors tensornorm"),
-        (["witness8", "--nmax", "4"], "cli core errors dyadic extremal mazur"),
-    ], ids=["import", "psi", "inj-norm", "witness8"])
-    def test_cold_call_loads_only_what_it_runs(self, argv, modules, hadamard, tmp_path):
+    @pytest.mark.parametrize("argv, rc, modules", [
+        (None, 0, "cli errors"),
+        (["--help"], 0, "cli errors"),
+        (["besov", "--nonsense"], 64, "cli errors"),
+        (["psi", "--t", "1"], 0, "cli core errors dyadic extremal"),
+        (["inj-norm", "--input", "{m}"], 0, "cli core errors tensornorm"),
+        (["witness8", "--nmax", "4"], 0, "cli core errors dyadic extremal mazur"),
+    ], ids=["import", "help", "usage", "psi", "inj-norm", "witness8"])
+    def test_cold_call_loads_only_what_it_runs(self, argv, rc, modules, hadamard, tmp_path):
         # a fresh interpreter imports the CLI and, unless argv is None, runs
-        # one call; verify and the kernels the call does not use stay unloaded
+        # one call; verify and the kernels the call does not use stay
+        # unloaded, and a call that loads no core loads no numpy either
         code = "import sys, scottish_lab.cli\n"
         if argv is not None:
             argv = [a.format(m=hadamard) for a in argv] + ["--out", str(tmp_path / "r.json")]
-            code += f"assert scottish_lab.cli.run({argv!r}) == 0\n"
+            code += f"assert scottish_lab.cli.run({argv!r}) == {rc}\n"
         code += "print(' '.join(sorted(m.split('.')[1] for m in sys.modules if m.startswith('scottish_lab.'))))\n"
+        code += "print(any(m.split('.')[0] == 'numpy' for m in sys.modules))\n"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                              env=_child_env())
-        assert out.stdout.split() == sorted(modules.split()), out.stderr
+        loaded, numpy = out.stdout.splitlines()[-2:]  # after the --help text
+        assert loaded.split() == sorted(modules.split()), out.stderr
+        assert "core" in modules.split() or numpy == "False"
 
     def test_parser_copies_match_their_sources(self):
         # the parser is built without importing verify or dyadic, from copies
