@@ -21,10 +21,38 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, InvalidParameter
 
 
+class _MissingFlags(Exception):
+    """argparse found required flags missing (raised by _Parser.error)."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 64."""
+    """argparse with usage failures mapped to exit code 64, and unrecognised
+    arguments reported before missing required flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except _MissingFlags as exc:
+            # argparse checks required flags before it hands back the arguments
+            # it did not recognise, so `besov --nonsense` would name only the
+            # missing flags.  The pass above found nothing else wrong: parse
+            # again with the flags optional to find the unrecognised ones.
+            required = [action for action in self._actions if action.required]
+            for action in required:
+                action.required = False
+            try:
+                _, extras = super().parse_known_args(args, namespace)
+            finally:
+                for action in required:
+                    action.required = True
+            self._fail(f"unrecognized arguments: {' '.join(extras)}" if extras else str(exc))
 
     def error(self, message):
+        if message.startswith("the following arguments are required: "):  # argparse's wording
+            raise _MissingFlags(message)
+        self._fail(message)
+
+    def _fail(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
 

@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
@@ -18,7 +19,7 @@ from scottish_lab import CoeffSeq, read_coeff_csv, read_matrix_csv, write_coeff_
 from scottish_lab import core, dyadic_kernel, verify
 from scottish_lab.cli import COMMANDS, _jsonable, _options, _write_json, build_parser, rerun_config_argv, run
 from scottish_lab.dyadic import dyadic_profile
-from scottish_lab.errors import InvalidInput
+from scottish_lab.errors import InvalidInput, InvalidParameter
 from scottish_lab.extremal import problem88_witness
 from scottish_lab.mazur import cesaro_product
 
@@ -482,8 +483,14 @@ class TestGoldenBytes:
 
 
 class TestExitCodes:
-    def test_usage_error(self):
+    def test_usage_error(self, capsys):
+        # the unknown flag is named, though the required flags are missing too
         assert run(["besov", "--nonsense"]) == 64
+        err = capsys.readouterr().err
+        assert err.endswith("scottish-lab besov: error: unrecognized arguments: --nonsense\n"), err
+        assert run(["besov", "--s", "1"]) == 64
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: --input, --p, --q, --nmax\n"), err
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 64
@@ -599,6 +606,19 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert ran == [] and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "mazur.flat_kmax" in err
+
+    def test_suite_error_in_a_worker_exits_1(self, pin_cpus, monkeypatch, capsys):
+        def refuse(seed, th):
+            raise InvalidParameter(f"refused seed {seed}")
+
+        pin_cpus(2)
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, lambda seed, th: [])
+        monkeypatch.setitem(verify.SUITES, "witness8", refuse)
+        assert run(["verify", "--suite", "all", "--seed", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: refused seed 5\n"
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("override, keys", [
         ("w8.block_lo=17", ("w8.block_lo", "w8.nmax")), ("w88.m_lo=21", ("w88.m_lo", "w88.m_hi")),
@@ -980,26 +1000,18 @@ class TestMemory:
         assert out.stdout == "0\n" and out.stderr == "", out.stderr
 
 
-# Every suite at a small size: each runs its code path, and so makes every
-# import it makes at the default sizes.
-_SMALL_SUITES = {
-    "kernel.nmax": 2, "kernel.w0_oversample": 2, "kernel.partition_kmax": 8, "besov.jmax": 1,
-    "inj.cases": 2, "hankel.mmax": 2, "re.cases": 4, "w88.tail_nmax": 2, "w88.m_lo": 2, "w88.m_hi": 4,
-    "w88.lkk_nmax": 2, "w8.nmax": 2, "w8.block_lo": 0, "w8.seeds": 1, "w8.pairs": 1, "dual.pairs": 1,
-    "dual.rank1": 1, "mazur.seeds": 1, "mazur.flat_kmax": 1,
-}
-
-
 class TestImports:
-    def test_cli_import_loads_no_scipy(self):
+    def test_cli_import_loads_no_scipy(self, small_suites):
         # startup dominates a cold CLI call, and no library code uses scipy:
-        # neither importing the CLI nor running every verify suite loads it
+        # neither importing the CLI nor running every verify suite loads it.
+        # On one CPU the suites run in this process, whose modules are listed.
         code = (
-            "import sys, scottish_lab.cli\n"
+            "import os, sys, scottish_lab.cli\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "from scottish_lab import verify\n"
             "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(scipy())\n"
-            f"reports = verify.run_suites(list(verify.SUITES), 0, {_SMALL_SUITES!r})\n"
+            f"reports = verify.run_suites(list(verify.SUITES), 0, {small_suites!r})\n"
             "print(len(reports), scipy())\n"
         )
         out = subprocess.run(

@@ -3,8 +3,11 @@ override's range is checked before any suite runs, and every threshold is
 read by some suite."""
 
 import math
+import multiprocessing
+import os
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,15 +27,87 @@ def test_every_threshold_is_read(suite_report):
     assert sorted(set(verify.DEFAULT_THRESHOLDS) - suite_report.read) == []
 
 
-def test_thresholds_merged_once_and_reports_named_by_key(monkeypatch):
+def _run_recording_suites(monkeypatch) -> tuple[set, list]:
+    """Runs two suites that write the seed, the merged besov.rel_tol and their
+    process id into their case detail (a worker sends back only its report),
+    checks the names, the single merge and the details, and returns the
+    details' process ids and the (seed, th) pairs seen in this process."""
+    merges = []
+    merge = verify.merged_thresholds
+    monkeypatch.setattr(verify, "merged_thresholds", lambda overrides: merges.append(overrides) or merge(overrides))
     seen = []
+
+    def suite(seed, th):
+        seen.append((seed, th))
+        return [verify.CaseResult("seen", True, f"{seed} {th['besov.rel_tol']!r} {os.getpid()}")]
+
     for key in ("kernel", "besov"):
-        monkeypatch.setitem(verify.SUITES, key, lambda seed, th: seen.append((seed, th)) or [])
+        monkeypatch.setitem(verify.SUITES, key, suite)
     reports = verify.run_suites(iter(["besov", "kernel"]), seed=3, thresholds={"besov.rel_tol": "0.5"})
     assert [r.suite for r in reports] == ["besov", "kernel"]
-    assert seen[0][1] is seen[1][1] and seen[0][1]["besov.rel_tol"] == 0.5
-    assert [s for s, _ in seen] == [3, 3]
+    assert merges == [{"besov.rel_tol": "0.5"}]
+    details = [r.cases[0].detail.split() for r in reports]
+    assert [d[:2] for d in details] == [["3", "0.5"], ["3", "0.5"]]
+    return {int(d[2]) for d in details}, seen
+
+
+def test_thresholds_merged_once_and_reports_named_by_key(pin_cpus, monkeypatch):
+    pin_cpus(1)
+    pids, seen = _run_recording_suites(monkeypatch)
+    assert pids == {os.getpid()}
+    assert seen[0][1] is seen[1][1] and [s for s, _ in seen] == [3, 3]
     assert verify.run_suite("kernel").suite == "kernel"
+
+
+def test_thresholds_merged_once_in_the_parent_of_the_workers(pin_cpus, monkeypatch):
+    pin_cpus(2)
+    pids, seen = _run_recording_suites(monkeypatch)
+    assert os.getpid() not in pids and seen == []
+
+
+def test_suites_run_in_process_while_another_thread_runs(pin_cpus, monkeypatch):
+    # a fork would copy the other thread's locks as they stand
+    pin_cpus(2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        pids, _ = _run_recording_suites(monkeypatch)
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive() and pids == {os.getpid()}
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_pool_reports_equal_in_process_reports(seed, pin_cpus, small_suites):
+    names = list(verify.SUITES)
+    pin_cpus(2)
+    pooled = verify.run_suites(names, seed, small_suites)
+    assert multiprocessing.active_children() == []
+    pin_cpus(1)
+    assert pooled == verify.run_suites(names, seed, small_suites)
+
+
+def _refuse(seed, th):
+    raise InvalidParameter(f"refused seed {seed} in process {os.getpid()}")
+
+
+def test_suite_error_in_a_worker_reaches_the_caller(pin_cpus, small_suites, monkeypatch):
+    # besov is read second but started eighth, so it raises while other
+    # suites may still be queued or running; the pool cancels what has not
+    # started, and every worker has exited when the error arrives
+    pin_cpus(2)
+    monkeypatch.setitem(verify.SUITES, "besov", _refuse)
+    with pytest.raises(InvalidParameter, match=r"^refused seed 4 in process \d+$") as info:
+        verify.run_suites(list(verify.SUITES), seed=4, thresholds=small_suites)
+    assert type(info.value) is InvalidParameter
+    assert not str(info.value).endswith(f" {os.getpid()}")
+    assert multiprocessing.active_children() == []
+
+
+def test_cost_order_is_a_permutation_of_the_suites():
+    assert sorted(verify._COST_ORDER) == sorted(verify.SUITES)
 
 
 def test_names_checked_before_any_suite_runs(monkeypatch):
