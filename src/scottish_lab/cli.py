@@ -20,6 +20,8 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, InvalidParameter
 
+_lab = sys.modules[__package__]  # public names load their module on first use
+
 
 class _MissingFlags(Exception):
     """argparse found required flags missing (raised by _Parser.error)."""
@@ -86,8 +88,6 @@ def _write_json(fh, doc: dict) -> None:
     if "sequence" not in doc:
         fh.write(json.dumps(_jsonable(doc), indent=2) + "\n")
         return
-    from .core import _row_chunks
-
     seq = doc["sequence"]
     text = json.dumps(_jsonable(dict(doc, sequence=[])), indent=2) + "\n"
     key = '\n  "sequence":'
@@ -97,75 +97,61 @@ def _write_json(fh, doc: dict) -> None:
         row = "\n    [\n      %d,\n      %s,\n      %s\n    ]"
     fh.write(head + key)
     sep = " ["
-    for rows, fields in _row_chunks(seq, pin_last=False):
+    for rows, fields in _lab.core._row_chunks(seq, pin_last=False):
         fh.write((sep + row + ("," + row) * (rows - 1)) % fields)
         sep = ","
     fh.write((" []" if sep == " [" else "\n  ]") + tail)
 
 
-def _csv_output(args, has_csv: bool = False) -> bool:
+def _csv_output(args) -> bool:
     fmt = args.format or ("csv" if (args.out or "").endswith(".csv") else "json")
-    if fmt == "csv" and not has_csv:
-        raise InvalidParameter(f"{args.command} has no CSV form; use --format json")
     return fmt == "csv"
 
 
 def _emit(args, argv, payload: dict, csv_payload=None) -> int:
     """Write the report; csv_payload is a CoeffSeq or (header, rows) table."""
     cfg = _run_config(args, argv)
-    if not _csv_output(args, csv_payload is not None):
+    if not _csv_output(args):
         doc = {"run_config": cfg}
         doc.update(payload)
         out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
         with out as fh:
             _write_json(fh, doc)
         return 0
-    if not args.out:
-        raise InvalidParameter("CSV output needs --out")
-    from .core import CoeffSeq, write_coeff_csv, write_matrix_csv
-
     comment = json.dumps(_jsonable(cfg))
-    if isinstance(csv_payload, CoeffSeq):
-        write_coeff_csv(args.out, csv_payload, comment=comment)
+    if isinstance(csv_payload, _lab.CoeffSeq):
+        _lab.write_coeff_csv(args.out, csv_payload, comment=comment)
     else:
         header, rows = csv_payload
-        write_matrix_csv(args.out, rows, comment=comment, header=header)
+        _lab.write_matrix_csv(args.out, rows, comment=comment, header=header)
     return 0
 
 
 def _maybe_export(args, seq, argv) -> None:
     if args.coeffs_out:
-        from .core import write_coeff_csv
-
-        write_coeff_csv(args.coeffs_out, seq, comment=json.dumps(_jsonable(_run_config(args, argv))))
+        _lab.write_coeff_csv(args.coeffs_out, seq, comment=json.dumps(_jsonable(_run_config(args, argv))))
 
 
 # ---------------------------------------------------------------------------
-# Handlers.  Each imports the kernel and the reader it calls when it runs, so
-# a call loads only what it needs and finds the function in its module at
-# call time; the CLI itself loads no numpy.
+# Handlers.  Each reaches the library through the package's lazy names, so a
+# call loads only the modules it uses and finds each function in its module.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_wn(args, argv):
-    from .dyadic import dyadic_kernel
-
-    seq = dyadic_kernel(args.n)
+    seq = _lab.dyadic_kernel(args.n)
     payload = {"n": args.n, "length": len(seq), "sequence": seq}
     return _emit(args, argv, payload, csv_payload=seq)
 
 
 def _cmd_besov(args, argv):
-    from .core import read_coeff_csv
-    from .dyadic import besov_detail, dyadic_profile
-
-    f = read_coeff_csv(args.input)
+    f = _lab.read_coeff_csv(args.input)
     q = getattr(args, "q", None)  # profile has no --q: no norm, the largest block bound
     if q is None:
-        prof = dyadic_profile(f, args.s, args.p, args.nmax, args.oversample)
+        prof = _lab.dyadic_profile(f, args.s, args.p, args.nmax, args.oversample)
         norm, bound = None, float(prof.error_bounds.max())
     else:
-        norm, bound, prof = besov_detail(f, args.s, args.p, q, args.nmax, args.oversample)
+        norm, bound, prof = _lab.besov_detail(f, args.s, args.p, q, args.nmax, args.oversample)
     payload = {
         "s": prof.s,
         "p": prof.p,
@@ -182,15 +168,12 @@ def _cmd_besov(args, argv):
 
 
 def _cmd_inj_norm(args, argv):
-    from .core import read_matrix_csv
-    from .tensornorm import injective_norm_exact, injective_norm_search
-
-    Q = read_matrix_csv(args.input)
+    Q = _lab.read_matrix_csv(args.input)
     if args.method == "exact":
-        value, x, y = injective_norm_exact(Q)
+        value, x, y = _lab.injective_norm_exact(Q)
         evals = None
     else:
-        out = injective_norm_search(Q, args.budget, args.seed)
+        out = _lab.injective_norm_search(Q, args.budget, args.seed)
         value, x, y, evals = out.value, out.x, out.y, out.evaluations
     payload = {
         "value": value,
@@ -213,41 +196,29 @@ def _bracket_json(br) -> dict:
 
 
 def _cmd_proj_norm(args, argv):
-    from .core import read_matrix_csv
-    from .tensornorm import projective_bracket
-
-    Q = read_matrix_csv(args.input)
-    br = projective_bracket(Q)
+    Q = _lab.read_matrix_csv(args.input)
+    br = _lab.projective_bracket(Q)
     return _emit(args, argv, _bracket_json(br))
 
 
 def _cmd_v2(args, argv):
-    from .core import read_matrix_csv
-    from .tensornorm import v2_profile
-
-    Q = read_matrix_csv(args.input)
-    brackets = v2_profile(Q, args.nmax)
+    Q = _lab.read_matrix_csv(args.input)
+    brackets = _lab.v2_profile(Q, args.nmax)
     payload = {"nmax": args.nmax, "brackets": [_bracket_json(b) for b in brackets]}
     return _emit(args, argv, payload)
 
 
 def _cmd_mazur_a(args, argv):
-    from .core import read_matrix_csv
-    from .mazur import antidiagonal_average
-
-    Q = read_matrix_csv(args.input)
-    seq = antidiagonal_average(Q)
+    Q = _lab.read_matrix_csv(args.input)
+    seq = _lab.antidiagonal_average(Q)
     payload = {"length": len(seq), "sequence": seq}
     return _emit(args, argv, payload, csv_payload=seq)
 
 
 def _cmd_mazur_b(args, argv):
-    from .core import read_coeff_csv
-    from .mazur import cesaro_product
-
-    x = read_coeff_csv(args.input)
-    y = read_coeff_csv(args.input2)
-    seq = cesaro_product(x, y)
+    x = _lab.read_coeff_csv(args.input)
+    y = _lab.read_coeff_csv(args.input2)
+    seq = _lab.cesaro_product(x, y)
     payload = {"length": len(seq), "sequence": seq}
     return _emit(args, argv, payload, csv_payload=seq)
 
@@ -255,9 +226,7 @@ def _cmd_mazur_b(args, argv):
 def _cmd_witness8(args, argv):
     from dataclasses import asdict
 
-    from .mazur import problem8_witness
-
-    z, report = problem8_witness(args.nmax, args.seed, args.sign_mode, oversample=args.oversample)
+    z, report = _lab.problem8_witness(args.nmax, args.seed, args.sign_mode, oversample=args.oversample)
     _maybe_export(args, z, argv)
     rows = [(b["n"], b["l1"]) for b in report.blocks]
     return _emit(args, argv, asdict(report), csv_payload=("n,value", rows))
@@ -266,23 +235,17 @@ def _cmd_witness8(args, argv):
 def _cmd_witness88(args, argv):
     from dataclasses import asdict
 
-    from .dyadic import hard_block_bound
-    from .extremal import problem88_witness
-
-    alpha, params = problem88_witness(args.t, args.nmax)
+    alpha, params = _lab.problem88_witness(args.t, args.nmax)
     _maybe_export(args, alpha, argv)
-    payload = dict(asdict(params), length=len(alpha), block_bound=hard_block_bound(alpha, params.nmax))
+    payload = dict(asdict(params), length=len(alpha), block_bound=_lab.hard_block_bound(alpha, params.nmax))
     return _emit(args, argv, payload, csv_payload=alpha)
 
 
 def _cmd_flatpoly(args, argv):
     from dataclasses import asdict
 
-    from .core import read_coeff_csv
-    from .extremal import flat_polynomial
-
-    beta = read_coeff_csv(args.input)
-    f, report = flat_polynomial(beta, args.seed, args.budget, args.oversample)
+    beta = _lab.read_coeff_csv(args.input)
+    f, report = _lab.flat_polynomial(beta, args.seed, args.budget, args.oversample)
     _maybe_export(args, f, argv)
     return _emit(args, argv, asdict(report), csv_payload=f)
 
@@ -290,11 +253,8 @@ def _cmd_flatpoly(args, argv):
 def _cmd_lkk(args, argv):
     from dataclasses import asdict
 
-    from .core import read_coeff_csv
-    from .extremal import assemble_majorant
-
-    alpha = read_coeff_csv(args.input)
-    phi, report = assemble_majorant(alpha, args.seed, args.budget, args.oversample)
+    alpha = _lab.read_coeff_csv(args.input)
+    phi, report = _lab.assemble_majorant(alpha, args.seed, args.budget, args.oversample)
     _maybe_export(args, phi, argv)
     return _emit(args, argv, asdict(report), csv_payload=phi)
 
@@ -302,11 +262,8 @@ def _cmd_lkk(args, argv):
 def _cmd_moment(args, argv):
     from dataclasses import asdict
 
-    from .core import read_coeff_csv
-    from .extremal import weighted_moment
-
-    gamma = read_coeff_csv(args.input)
-    rep = weighted_moment(gamma, args.t, args.beta, args.kmax)
+    gamma = _lab.read_coeff_csv(args.input)
+    rep = _lab.weighted_moment(gamma, args.t, args.beta, args.kmax)
     payload = {
         "t": rep.t,
         "beta": rep.beta,
@@ -318,9 +275,7 @@ def _cmd_moment(args, argv):
 
 
 def _cmd_psi(args, argv):
-    from .extremal import psi
-
-    return _emit(args, argv, {"t": args.t, "value": psi(args.t)})
+    return _emit(args, argv, {"t": args.t, "value": _lab.psi(args.t)})
 
 
 def _parse_overrides(pairs) -> dict:
@@ -338,7 +293,6 @@ def _cmd_verify(args, argv):
 
     from . import verify
 
-    _csv_output(args)  # refuse a CSV report before any suite runs
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = verify.run_suites(names, seed=args.seed, thresholds=_parse_overrides(args.override))
     for rep in reports:
@@ -363,9 +317,10 @@ def _cmd_verify(args, argv):
 
 # ---------------------------------------------------------------------------
 # The command table.  FLAGS defines every flag once; each COMMANDS row names
-# a subcommand's handler, help, flags, the top-level keys of its JSON report
-# and an example argv that the cli-roundtrip suite runs ({f}, {m} and {x}
-# stand for its coefficient, matrix and all-ones input files).
+# a subcommand's handler, help, flags, the top-level keys of its JSON report,
+# an example argv that the cli-roundtrip suite runs ({f}, {m} and {x} stand
+# for its coefficient, matrix and all-ones input files) and whether its report
+# has a CSV form.
 # ---------------------------------------------------------------------------
 
 # verify.SUITES's keys, held here so that building the parser imports no
@@ -407,19 +362,20 @@ class Command(NamedTuple):
     flags: str
     schema: str
     example: str
+    csv: bool = False
 
 
 COMMANDS = {
     "wn": Command(_cmd_wn, "coefficients of the n-th dyadic kernel",
-                  "--n", "n length sequence", "--n 2"),
+                  "--n", "n length sequence", "--n 2", csv=True),
     "besov": Command(_cmd_besov, "weighted dyadic-profile norm of a polynomial",
                      "--input --s --p --q --nmax --oversample",
                      "s p q nmax grid values norm error_bound truncated",
-                     "--input {f} --s 1 --p inf --q 1 --nmax 4"),
+                     "--input {f} --s 1 --p inf --q 1 --nmax 4", csv=True),
     "profile": Command(_cmd_besov, "dyadic block profile of a polynomial",
                        "--input --s --p --nmax --oversample",
                        "s p q nmax grid values norm error_bound truncated",
-                       "--input {f} --s 0 --p 1 --nmax 4"),
+                       "--input {f} --s 0 --p 1 --nmax 4", csv=True),
     "inj-norm": Command(_cmd_inj_norm, "bilinear sign-form norm of a matrix",
                         "--input --method --seed --budget", "value method x y evaluations",
                         "--input {m}"),
@@ -429,26 +385,26 @@ COMMANDS = {
     "v2": Command(_cmd_v2, "brackets for leading corner truncations",
                   "--input --nmax", "nmax brackets", "--input {m} --nmax 1"),
     "mazur-a": Command(_cmd_mazur_a, "antidiagonal averages of a matrix",
-                       "--input", "length sequence", "--input {m}"),
+                       "--input", "length sequence", "--input {m}", csv=True),
     "mazur-b": Command(_cmd_mazur_b, "Cesaro-normalized Cauchy product",
-                       "--input --input2", "length sequence", "--input {x} --input2 {x}"),
+                       "--input --input2", "length sequence", "--input {x} --input2 {x}", csv=True),
     "witness8": Command(_cmd_witness8, "decaying sequence with growing block norms",
                         "--nmax --sign-mode --seed --oversample --coeffs-out",
-                        "params blocks fit flags", "--nmax 6 --seed 1 --sign-mode rudin_shapiro"),
+                        "params blocks fit flags", "--nmax 6 --seed 1 --sign-mode rudin_shapiro", csv=True),
     "witness88": Command(_cmd_witness88, "slow-decay block-constant target sequence",
                          "--t --nmax --coeffs-out", "t g nmax length block_bound",
-                         "--t 0.5 --nmax 8"),
+                         "--t 0.5 --nmax 8", csv=True),
     "flatpoly": Command(_cmd_flatpoly, "signs for prescribed coefficient moduli",
                         "--input --seed --budget --oversample --coeffs-out",
                         "targets_l2 sup_norm ratio method seed descent_iterations",
-                        "--input {f} --seed 2"),
+                        "--input {f} --seed 2", csv=True),
     "lkk": Command(_cmd_lkk, "assemble a coefficient majorant block by block",
                    "--input --seed --budget --oversample --coeffs-out",
                    "k_achieved besov_value chain_bound block_bound blocks fidelity_exact",
-                   "--input {f} --seed 2"),
+                   "--input {f} --seed 2", csv=True),
     "moment": Command(_cmd_moment, "weighted coefficient moments at dyadic checkpoints",
                       "--input --t --beta --kmax", "t beta kmax checkpoints diagnosis",
-                      "--input {f} --t 1 --beta 0.5 --kmax 8"),
+                      "--input {f} --t 1 --beta 0.5 --kmax 8", csv=True),
     "psi": Command(_cmd_psi, "regime boundary exponent", "--t", "t value", "--t 1"),
     "verify": Command(_cmd_verify, "run verification suites", "--suite --override --seed",
                       "suites passed", "--suite besov"),
@@ -476,8 +432,14 @@ def run(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 64
+    cmd = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command].handler(args, argv)
+        if _csv_output(args):  # refused before any input is read
+            if not cmd.csv:
+                raise InvalidParameter(f"{args.command} has no CSV form; use --format json")
+            if not args.out:
+                raise InvalidParameter("CSV output needs --out")
+        return cmd.handler(args, argv)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -512,10 +474,6 @@ def _run_quiet(argv) -> int:
 def self_check(seed: int = 0) -> list:
     import tempfile
 
-    import numpy as np
-
-    from .core import CoeffSeq, read_coeff_csv, write_coeff_csv
-    from .dyadic import dyadic_kernel
     from .verify import CaseResult
 
     cases = []
@@ -525,15 +483,12 @@ def self_check(seed: int = 0) -> list:
 
     with tempfile.TemporaryDirectory(prefix="scottish-lab-") as tmp:
         fcsv = os.path.join(tmp, "f.csv")
-        seq = np.zeros(9)
-        seq[2] = 1.0
-        seq[8] = 1.0
-        write_coeff_csv(fcsv, CoeffSeq(seq))
+        _lab.write_coeff_csv(fcsv, _lab.CoeffSeq([0.0, 0.0, 1.0] + [0.0] * 5 + [1.0]))
         mcsv = os.path.join(tmp, "m.csv")
         with open(mcsv, "w", encoding="utf-8") as fh:
             fh.write("1.0,1.0\n1.0,-1.0\n")
         xcsv = os.path.join(tmp, "x.csv")
-        write_coeff_csv(xcsv, CoeffSeq(np.ones(8)))
+        _lab.write_coeff_csv(xcsv, _lab.CoeffSeq([1.0] * 8))
 
         files = {"f": fcsv, "m": mcsv, "x": xcsv}
         invocations = {
@@ -572,8 +527,8 @@ def self_check(seed: int = 0) -> list:
         check("wn-csv-sparse", rc == 0 and len(data_rows) == 5,
               f"W_2 CSV carries {len(data_rows)} coefficient rows (want 5)")
 
-        rt = read_coeff_csv(wn_csv)
-        check("csv-round-trip", rt == dyadic_kernel(2), "kernel CSV reads back bit-identical")
+        rt = _lab.read_coeff_csv(wn_csv)
+        check("csv-round-trip", rt == _lab.dyadic_kernel(2), "kernel CSV reads back bit-identical")
 
         check("exit-usage", _run_quiet(["besov", "--nonsense"]) == 64, "unknown flag exits 64")
         check("exit-domain", _run_quiet(["psi", "--t", "-1"]) == 1, "domain error exits 1")

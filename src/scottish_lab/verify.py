@@ -138,7 +138,7 @@ def merged_thresholds(overrides: dict | None) -> dict:
 
 def suite_kernel(seed: int, th: dict) -> list:
     cases = []
-    nmax = int(th["kernel.nmax"])
+    nmax = th["kernel.nmax"]
     worst = 0.0
     for n in range(nmax + 1):
         worst = max(worst, lp_norm_circle(dyadic_kernel(n), 1))
@@ -150,7 +150,7 @@ def suite_kernel(seed: int, th: dict) -> list:
         )
     )
 
-    w0 = lp_norm_circle(dyadic_kernel(0), 1, oversample=int(th["kernel.w0_oversample"]))
+    w0 = lp_norm_circle(dyadic_kernel(0), 1, oversample=th["kernel.w0_oversample"])
     target = 4.0 / math.pi
     cases.append(
         CaseResult(
@@ -160,7 +160,7 @@ def suite_kernel(seed: int, th: dict) -> list:
         )
     )
 
-    kmax = int(th["kernel.partition_kmax"])
+    kmax = th["kernel.partition_kmax"]
     acc = np.zeros(kmax + 1)
     # W_n (n >= 1) is zero below 2^(n-1) + 1: stop at the last that reaches kmax.
     for n in range((kmax - 1).bit_length() + 1):
@@ -186,7 +186,7 @@ def suite_besov(seed: int, th: dict) -> list:
     cases = []
     rel = th["besov.rel_tol"]
     worst = 0.0
-    for j in range(int(th["besov.jmax"]) + 1):
+    for j in range(th["besov.jmax"] + 1):
         e = np.zeros((1 << j) + 1)
         e[-1] = 1.0
         v = besov_norm(CoeffSeq(e), 1.0, math.inf, 1.0, j + 1)
@@ -231,7 +231,7 @@ def brute_force_norm(A: np.ndarray) -> float:
 
 
 def suite_inj_oracle(seed: int, th: dict) -> list:
-    cases = int(th["inj.cases"])
+    cases = th["inj.cases"]
     rng = make_rng(derive_seed(seed, 3001))
     exact_bad = 0
     search_hits = 0
@@ -273,7 +273,7 @@ def suite_inj_oracle(seed: int, th: dict) -> list:
 
 
 def suite_hankel_shadow(seed: int, th: dict) -> list:
-    mmax = int(th["hankel.mmax"])
+    mmax = th["hankel.mmax"]
     ok_norm = True
     ok_ratio = True
     worst_ratio = (1.0, 0)
@@ -325,7 +325,7 @@ def _random_nonneg_sequence(rng: np.random.Generator) -> np.ndarray:
 
 
 def suite_theorem_re(seed: int, th: dict) -> list:
-    total = int(th["re.cases"])
+    total = th["re.cases"]
     const = th["re.constant"]
     ts = (1.0, 1.1, 1.25, 1.33)
     rng = make_rng(derive_seed(seed, 5001))
@@ -379,13 +379,13 @@ def _hurwitz_zeta(s: float, a: float) -> float:
 def suite_witness88(seed: int, th: dict) -> list:
     cases = []
     t = 0.5
-    m_lo = int(th["w88.m_lo"])
-    m_hi = int(th["w88.m_hi"])
+    m_lo = th["w88.m_lo"]
+    m_hi = th["w88.m_hi"]
 
     params = problem88_params(t, nmax=m_hi)
     g = params.g
 
-    tail_nmax = int(th["w88.tail_nmax"])
+    tail_nmax = th["w88.tail_nmax"]
     factor = th["w88.tail_factor"]
     tail_ok = True
     worst = (1.0, 0)
@@ -415,7 +415,7 @@ def suite_witness88(seed: int, th: dict) -> list:
         )
     )
 
-    alpha14, _ = problem88_witness(t, nmax=int(th["w88.lkk_nmax"]))
+    alpha14, _ = problem88_witness(t, nmax=th["w88.lkk_nmax"])
     phi, mrep = assemble_majorant(alpha14, seed=derive_seed(seed, 88))
     chain_ok = mrep.besov_value <= mrep.chain_bound + th["w88.chain_slack"]
     cases.append(
@@ -442,8 +442,8 @@ def suite_witness88(seed: int, th: dict) -> list:
 
 def suite_witness8(seed: int, th: dict) -> list:
     cases = []
-    nmax = int(th["w8.nmax"])
-    lo = int(th["w8.block_lo"])
+    nmax = th["w8.nmax"]
+    lo = th["w8.block_lo"]
 
     z_rs, rep_rs = problem8_witness(nmax, seed=seed, sign_mode="rudin_shapiro")
     bound_ok = True
@@ -464,7 +464,7 @@ def suite_witness8(seed: int, th: dict) -> list:
 
     slopes = []
     ok_slopes = True
-    for s in range(int(th["w8.seeds"])):
+    for s in range(th["w8.seeds"]):
         _, rep = problem8_witness(nmax, seed=derive_seed(seed, 700 + s), sign_mode="random")
         slopes.append(rep.fit["slope"])
         if not th["w8.exp_lo"] <= rep.fit["slope"] <= th["w8.exp_hi"]:
@@ -486,7 +486,7 @@ def suite_witness8(seed: int, th: dict) -> list:
         )
     )
 
-    pairs = int(th["w8.pairs"])
+    pairs = th["w8.pairs"]
     not_growing = 0
     L = 1 << 12
     n_idx = np.arange(L, dtype=float)
@@ -500,7 +500,7 @@ def suite_witness8(seed: int, th: dict) -> list:
     cases.append(
         CaseResult(
             "product-images-not-growing",
-            not_growing >= int(th["w8.notgrow_min"]),
+            not_growing >= th["w8.notgrow_min"],
             f"{not_growing}/{pairs} product images classified not-growing",
         )
     )
@@ -516,7 +516,7 @@ def suite_duality(seed: int, th: dict) -> list:
     tol = th["dual.tol"]
     rng = make_rng(derive_seed(seed, 8001))
     bad_pairing = 0
-    for _ in range(int(th["dual.pairs"])):
+    for _ in range(th["dual.pairs"]):
         J = int(rng.integers(1, 9))
         K = int(rng.integers(1, 9))
         A = rng.integers(-3, 4, (J, K)).astype(float)
@@ -527,7 +527,7 @@ def suite_duality(seed: int, th: dict) -> list:
         if pairing > upper * value + tol:
             bad_pairing += 1
     bad_rank1 = 0
-    for _ in range(int(th["dual.rank1"])):
+    for _ in range(th["dual.rank1"]):
         J = int(rng.integers(1, 9))
         K = int(rng.integers(1, 9))
         a = rng.integers(-3, 4, J).astype(float)
@@ -544,12 +544,12 @@ def suite_duality(seed: int, th: dict) -> list:
         CaseResult(
             "pairing-bound",
             bad_pairing == 0,
-            f"{int(th['dual.pairs']) - bad_pairing}/{int(th['dual.pairs'])} pairings within upper * norm",
+            f"{th['dual.pairs'] - bad_pairing}/{th['dual.pairs']} pairings within upper * norm",
         ),
         CaseResult(
             "rank-one-tight",
             bad_rank1 == 0,
-            f"{int(th['dual.rank1']) - bad_rank1}/{int(th['dual.rank1'])} rank-one brackets tight",
+            f"{th['dual.rank1'] - bad_rank1}/{th['dual.rank1']} rank-one brackets tight",
         ),
     ]
 
@@ -564,7 +564,7 @@ def suite_mazur(seed: int, th: dict) -> list:
     rng = make_rng(derive_seed(seed, 9001))
 
     bad = 0
-    for _ in range(int(th["mazur.seeds"])):
+    for _ in range(th["mazur.seeds"]):
         N = int(rng.integers(1, 65))
         z = rng.integers(-1000, 1001, 2 * N - 1).astype(float) / 256.0
         avg = antidiagonal_average(hankel_matrix(CoeffSeq(z), N))
@@ -574,7 +574,7 @@ def suite_mazur(seed: int, th: dict) -> list:
         CaseResult(
             "average-of-hankel",
             bad == 0,
-            f"{int(th['mazur.seeds']) - bad}/{int(th['mazur.seeds'])} exact round trips",
+            f"{th['mazur.seeds'] - bad}/{th['mazur.seeds']} exact round trips",
         )
     )
 
@@ -597,7 +597,7 @@ def suite_mazur(seed: int, th: dict) -> list:
 
     flat_ok = True
     worst_rel = 0.0
-    for k in range(int(th["mazur.flat_kmax"]) + 1):
+    for k in range(th["mazur.flat_kmax"] + 1):
         P, Q = rudin_shapiro(k)
         # Real P and Q give the upper half of the grid; |P|^2 + |Q|^2 on the
         # lower half is its mirror image, so every grid point is checked.

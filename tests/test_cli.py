@@ -16,7 +16,7 @@ import pytest
 
 import scottish_lab
 from scottish_lab import CoeffSeq, read_coeff_csv, read_matrix_csv, write_coeff_csv, write_matrix_csv, DenseMatrix
-from scottish_lab import core, dyadic_kernel, verify
+from scottish_lab import core, dyadic_kernel, tensornorm, verify
 from scottish_lab.cli import COMMANDS, _jsonable, _options, _write_json, build_parser, rerun_config_argv, run
 from scottish_lab.dyadic import dyadic_profile
 from scottish_lab.errors import InvalidInput, InvalidParameter
@@ -45,6 +45,13 @@ def two_block(tmp_path):
 def hadamard(tmp_path):
     p = tmp_path / "m.csv"
     write_matrix_csv(p, DenseMatrix([[1.0, 1.0], [1.0, -1.0]]))
+    return p
+
+
+@pytest.fixture
+def ones(tmp_path):
+    p = tmp_path / "x.csv"
+    write_coeff_csv(p, CoeffSeq(np.ones(8)))
     return p
 
 
@@ -202,6 +209,19 @@ class TestCommands:
         assert (tmp_path / "m.csv").read_bytes() == (
             b"# a 2 by 3 matrix\n1.0,-0.0,0.3333333333333333\n2.5e+300,-0.001,7.0\n"
         )
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_csv_form_follows_the_table(self, name, two_block, hadamard, ones, tmp_path, capsys):
+        # a subcommand the table gives a CSV form writes one; any other is
+        # refused before it runs
+        out = tmp_path / "r.csv"
+        argv = [a.format(f=two_block, m=hadamard, x=ones) for a in COMMANDS[name].example.split()]
+        rc = run([name] + argv + ["--out", str(out)])
+        if COMMANDS[name].csv:
+            assert rc == 0 and out.read_text().startswith(f'# {{"subcommand": "{name}"')
+        else:
+            assert rc == 1 and not out.exists()
+            assert capsys.readouterr() == ("", f"error: {name} has no CSV form; use --format json\n")
 
     def test_psi_json(self, tmp_path):
         doc = run_json(["psi", "--t", "2.0"], tmp_path / "psi.json")
@@ -481,6 +501,17 @@ class TestGoldenBytes:
         assert run(["witness8", "--nmax", "6", "--seed", "1", "--sign-mode", "rudin_shapiro"]) == 0
         assert capsys.readouterr().out == _GOLDEN_WITNESS8
 
+    @pytest.mark.parametrize("name", [name for name in COMMANDS if name not in ("wn", "besov", "witness8")])
+    def test_command_example(self, name, two_block, hadamard, ones, capsys):
+        # every other COMMANDS example's report, as tests/golden/<name>.txt
+        # holds it with the input paths written {f}, {m} and {x}
+        files = {"f": two_block, "m": hadamard, "x": ones}
+        assert run([name] + [a.format(**files) for a in COMMANDS[name].example.split()]) == 0
+        out = capsys.readouterr().out
+        for key, path in files.items():
+            out = out.replace(str(path), "{%s}" % key)
+        assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text(encoding="utf-8")
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -530,14 +561,25 @@ class TestExitCodes:
         ["lkk", "--input", "{neg}"],
         ["moment", "--input", "{f}", "--t", "1", "--beta", "0.5", "--kmax", "0"],
         ["besov", "--input", "{f}", "--s", "1", "--p", "1", "--q", "1", "--nmax", "2", "--format", "csv"],
+        ["flatpoly", "--input", "{f}", "--coeffs-out", "{c}", "--format", "csv"],
+        ["witness88", "--t", "0.5", "--nmax", "3", "--coeffs-out", "{c}", "--format", "csv"],
+        ["inj-norm", "--input", "{m}", "--out", "{r}"],
     ])
-    def test_refused_inputs_write_nothing(self, argv, two_block, tmp_path, capsys):
-        # a negative target, kmax 0, and a CSV report with no --out to go to
+    def test_refused_inputs_write_nothing(self, argv, two_block, hadamard, tmp_path, monkeypatch, capsys):
+        # a negative target, kmax 0, a CSV report with no --out to go to (the
+        # --coeffs-out export included), and a report form the subcommand
+        # lacks, refused before its kernel runs
+        def scan(Q):
+            raise AssertionError("the sign scan ran")
+
+        monkeypatch.setattr(tensornorm, "injective_norm_exact", scan)
         neg = tmp_path / "neg.csv"
         write_coeff_csv(neg, CoeffSeq([1.0, -0.5]))
-        assert run([a.format(f=two_block, neg=neg) for a in argv]) == 1
+        files = dict(f=two_block, m=hadamard, neg=neg, c=tmp_path / "c.csv", r=tmp_path / "r.csv")
+        assert run([a.format(**files) for a in argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+        assert sorted(os.listdir(tmp_path)) == ["f.csv", "m.csv", "neg.csv"]
 
     @pytest.mark.parametrize("flag", [["--budget", "5"], ["--seed", "3"]])
     def test_proj_norm_takes_no_budget_or_seed(self, flag, hadamard, capsys):
@@ -1064,14 +1106,20 @@ class TestImports:
         (["psi", "--t", "1"], 0, "cli core errors dyadic extremal"),
         (["inj-norm", "--input", "{m}"], 0, "cli core errors tensornorm"),
         (["witness8", "--nmax", "4"], 0, "cli core errors dyadic extremal mazur"),
-    ], ids=["import", "help", "usage", "psi", "inj-norm", "witness8"])
-    def test_cold_call_loads_only_what_it_runs(self, argv, rc, modules, hadamard, tmp_path):
+        (["wn", "--n", "2", "--format", "csv"], 0, "cli core dyadic errors"),
+        (["lkk", "--input", "{f}", "--coeffs-out", "{c}"], 0, "cli core dyadic errors extremal"),
+        (["proj-norm", "--input", "{m}"], 0, "cli core errors tensornorm"),
+        (["mazur-b", "--input", "{f}", "--input2", "{f}"], 0, "cli core dyadic errors extremal mazur"),
+    ], ids=["import", "help", "usage", "psi", "inj-norm", "witness8", "wn-csv", "lkk-export", "proj-norm",
+            "mazur-b"])
+    def test_cold_call_loads_only_what_it_runs(self, argv, rc, modules, two_block, hadamard, tmp_path):
         # a fresh interpreter imports the CLI and, unless argv is None, runs
         # one call; verify and the kernels the call does not use stay
         # unloaded, and a call that loads no core loads no numpy either
         code = "import sys, scottish_lab.cli\n"
         if argv is not None:
-            argv = [a.format(m=hadamard) for a in argv] + ["--out", str(tmp_path / "r.json")]
+            files = dict(f=two_block, m=hadamard, c=tmp_path / "c.csv")
+            argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "r.json")]
             code += f"assert scottish_lab.cli.run({argv!r}) == {rc}\n"
         code += "print(' '.join(sorted(m.split('.')[1] for m in sys.modules if m.startswith('scottish_lab.'))))\n"
         code += "print(any(m.split('.')[0] == 'numpy' for m in sys.modules))\n"

@@ -222,6 +222,18 @@ def test_int_threshold_refuses_fractions_and_bools(value):
         verify.merged_thresholds({"besov.jmax": value})
 
 
+@pytest.mark.parametrize("form", [str, float, np.int64])
+def test_merged_thresholds_take_their_default_type(form):
+    # the suites use an int threshold as it comes, with no cast of their own
+    kinds = {key: type(default) for key, default in verify.DEFAULT_THRESHOLDS.items()}
+    assert set(kinds.values()) == {int, float}
+    assert {key: type(v) for key, v in verify.merged_thresholds(None).items()} == kinds
+    for key in verify.THRESHOLDS:
+        extra = {"w8.nmax": {"w8.block_lo": 0}, "w88.m_hi": {"w88.m_lo": 1}}.get(key, {})
+        th = verify.merged_thresholds({**extra, key: form(1 if key == "inj.match_min" else 3)})
+        assert {k: type(v) for k, v in th.items()} == kinds, key
+
+
 @pytest.mark.parametrize(
     "suite, overrides",
     [("kernel", {"kernel.partition_kmax": 0}),
