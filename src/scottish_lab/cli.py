@@ -224,44 +224,34 @@ def _cmd_mazur_b(args, argv):
 
 
 def _cmd_witness8(args, argv):
-    from dataclasses import asdict
-
     z, report = _lab.problem8_witness(args.nmax, args.seed, args.sign_mode, oversample=args.oversample)
     _maybe_export(args, z, argv)
     rows = [(b["n"], b["l1"]) for b in report.blocks]
-    return _emit(args, argv, asdict(report), csv_payload=("n,value", rows))
+    return _emit(args, argv, vars(report), csv_payload=("n,value", rows))
 
 
 def _cmd_witness88(args, argv):
-    from dataclasses import asdict
-
     alpha, params = _lab.problem88_witness(args.t, args.nmax)
     _maybe_export(args, alpha, argv)
-    payload = dict(asdict(params), length=len(alpha), block_bound=_lab.hard_block_bound(alpha, params.nmax))
+    payload = dict(vars(params), length=len(alpha), block_bound=_lab.hard_block_bound(alpha, params.nmax))
     return _emit(args, argv, payload, csv_payload=alpha)
 
 
 def _cmd_flatpoly(args, argv):
-    from dataclasses import asdict
-
     beta = _lab.read_coeff_csv(args.input)
     f, report = _lab.flat_polynomial(beta, args.seed, args.budget, args.oversample)
     _maybe_export(args, f, argv)
-    return _emit(args, argv, asdict(report), csv_payload=f)
+    return _emit(args, argv, vars(report), csv_payload=f)
 
 
 def _cmd_lkk(args, argv):
-    from dataclasses import asdict
-
     alpha = _lab.read_coeff_csv(args.input)
     phi, report = _lab.assemble_majorant(alpha, args.seed, args.budget, args.oversample)
     _maybe_export(args, phi, argv)
-    return _emit(args, argv, asdict(report), csv_payload=phi)
+    return _emit(args, argv, vars(report), csv_payload=phi)
 
 
 def _cmd_moment(args, argv):
-    from dataclasses import asdict
-
     gamma = _lab.read_coeff_csv(args.input)
     rep = _lab.weighted_moment(gamma, args.t, args.beta, args.kmax)
     payload = {
@@ -269,7 +259,7 @@ def _cmd_moment(args, argv):
         "beta": rep.beta,
         "kmax": args.kmax,
         "checkpoints": rep.checkpoints,
-        "diagnosis": asdict(rep.diagnosis),
+        "diagnosis": vars(rep.diagnosis),
     }
     return _emit(args, argv, payload, csv_payload=("k,value", rep.checkpoints))
 
@@ -289,8 +279,6 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _cmd_verify(args, argv):
-    from dataclasses import asdict
-
     from . import verify
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
@@ -305,7 +293,7 @@ def _cmd_verify(args, argv):
             {
                 "suite": r.suite,
                 "passed": r.passed,
-                "cases": [asdict(c) for c in r.cases],
+                "cases": [vars(c) for c in r.cases],
             }
             for r in reports
         ],
@@ -471,7 +459,7 @@ def _run_quiet(argv) -> int:
         return run(argv)
 
 
-def self_check(seed: int = 0) -> list:
+def self_check() -> list:
     import tempfile
 
     from .verify import CaseResult
@@ -495,9 +483,10 @@ def self_check(seed: int = 0) -> list:
             name: [name] + [arg.format(**files) for arg in cmd.example.split()]
             for name, cmd in COMMANDS.items()
         }
+        rcs = {}
         for name, argv in invocations.items():
             out = os.path.join(tmp, f"{name}.json")
-            rc = _run_quiet(argv + ["--out", out])
+            rcs[name] = rc = _run_quiet(argv + ["--out", out])
             ok = rc == 0 and os.path.exists(out)
             keys_ok = False
             if ok:
@@ -507,9 +496,8 @@ def self_check(seed: int = 0) -> list:
                 keys_ok = set(doc.keys()) == expected
             check(f"schema-{name}", ok and keys_ok, f"rc={rc}, keys match documented schema: {keys_ok}")
 
-        for name in ("psi", "witness8"):
-            out = os.path.join(tmp, f"{name}-rerun.json")
-            rc = _run_quiet(invocations[name] + ["--out", out])
+        for name in ("psi", "witness8"):  # rerun the reports the loop above wrote
+            out = os.path.join(tmp, f"{name}.json")
             with open(out, "rb") as fh:
                 before = fh.read()
             argv = rerun_config_argv(out)
@@ -517,7 +505,7 @@ def self_check(seed: int = 0) -> list:
             rc2 = _run_quiet(argv)
             with open(out, "rb") as fh:
                 after = fh.read()
-            check(f"rerun-{name}", rc == 0 and rc2 == 0 and before == after,
+            check(f"rerun-{name}", rcs[name] == 0 and rc2 == 0 and before == after,
                   f"byte-identical rerun from embedded config: {before == after}")
 
         wn_csv = os.path.join(tmp, "w2.csv")
@@ -532,8 +520,7 @@ def self_check(seed: int = 0) -> list:
 
         check("exit-usage", _run_quiet(["besov", "--nonsense"]) == 64, "unknown flag exits 64")
         check("exit-domain", _run_quiet(["psi", "--t", "-1"]) == 1, "domain error exits 1")
-        rc_ok = _run_quiet(["verify", "--suite", "besov", "--seed", str(seed)])
-        check("exit-verify-pass", rc_ok == 0, f"passing suite exits {rc_ok}")
+        check("exit-verify-pass", rcs["verify"] == 0, f"passing suite exits {rcs['verify']}")
         rc_bad = _run_quiet(["verify", "--suite", "besov", "--override", "besov.rel_tol=0"])
         check("exit-verify-fail", rc_bad == 2, f"violated threshold exits {rc_bad}")
 

@@ -326,11 +326,11 @@ def _csv_blocks(path, what: str, first, check=None):
     first data line, stripped, before anything is parsed, and returns how
     many data lines it takes (1 for a header) and np.loadtxt's keyword
     arguments.  A row numpy refuses raises InvalidInput naming its file
-    line, in place of numpy's row number, which counts from the block's
-    first row and leaves out comments and blanks; so does the first row of
-    a block for which check(row), if given, returns a reason, before the
-    block is parsed.  A file with no data line, or a byte that is not
-    UTF-8, raises InvalidInput."""
+    line, in place of numpy's row number (which counts from the block's
+    first row and leaves out comments and blanks) and its advice on
+    `usecols`; so does the first row of a block for which check(row), if
+    given, returns a reason, before the block is parsed.  A file with no
+    data line, or a byte that is not UTF-8, raises InvalidInput."""
     done = start = 0  # data rows parsed, lines of the file before `lines`
     args = None
     with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
@@ -349,7 +349,7 @@ def _csv_blocks(path, what: str, first, check=None):
                         # a prefix holding the bad row is refused, a shorter one is not
                         bad = bisect.bisect_left(range(1, len(text)), True,
                                                  key=lambda n: not _parses(text[:n], args))
-                        reason = re.sub(r" at row \d+(, column)?", lambda m: " in column" if m[1] else "", str(exc))
+                        reason = re.sub(r" at row \d+(, column)?|; use `usecols`.*", lambda m: " in column" if m[1] else "", str(exc))
                     if reason:
                         line = [n for n, ln in enumerate(lines, start + 1) if ln and ln[0] != "#"][skip + bad]
                         after = f" after the first {done} data rows" if done else ""

@@ -191,7 +191,8 @@ def lp_norm_detail(
     sum_{j,k} c_j conj(c_k) * (mean of w^(j-k)), and the mean of w^m over the
     G-th roots of unity vanishes for 0 < |m| <= D < G, so it equals
     sum |c_k|^2 (discrete Parseval, no aliasing), as does the circle's
-    squared L^2 norm.  G is still reported, and still checked first.
+    squared L^2 norm.  G is still reported, and still checked first.  Nor
+    does f = 0 take a grid: its grid sum and peak are 0 at every point.
 
     A sum of squares or of |f|^p that under- or overflows, while the largest
     modulus is positive and finite, is taken again divided by that modulus,
@@ -219,7 +220,7 @@ def lp_norm_detail(
         total = np.einsum("i,i->", v, v)
         value = math.sqrt(total) if _TINY <= total < math.inf else _power_root(np.abs(v), 2, np.sqrt)
         return value, 0.0, G
-    total, peak = _grid_power_sum(f, oversample, G, p)
+    total, peak = _grid_power_sum(f, oversample, G, p) if f.coeffs.any() else (0.0, 0.0)
     if not math.isfinite(peak):  # the FFT overflowed: again on f / 2^e, exactly scaled
         e = math.frexp(float(np.abs(f.coeffs).max()))[1] - 1
         value, bound, _ = lp_norm_detail(CoeffSeq._adopt(f.coeffs * 2.0**-e), p, oversample)

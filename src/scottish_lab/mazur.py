@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     CoeffSeq,
     DenseMatrix,
+    _all_finite,
     check_size,
     derive_seed,
     least_squares_line,
@@ -20,7 +21,7 @@ from .core import (
     make_rng,
 )
 from .dyadic import DEFAULT_OVERSAMPLE, _block_detail, dyadic_profile, grid_size, lp_norm_circle
-from .errors import InvalidParameter
+from .errors import InvalidInput, InvalidParameter
 from .extremal import rudin_shapiro
 
 _DIRECT_CONV_LIMIT = 1 << 18  # products up to which direct beats FFT convolution
@@ -47,9 +48,17 @@ def antidiagonal_average(Q: DenseMatrix) -> CoeffSeq:
     J, K = A.shape
     sums = np.zeros(J + K - 1)
     lines = enumerate(A) if J <= K else ((k, A[:, k]) for k in range(K - 1, -1, -1))
-    for i, line in lines:
-        sums[i : i + line.size] += line
-    return CoeffSeq._adopt(sums / (np.arange(J + K - 1) + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, line in lines:
+            sums[i : i + line.size] += line
+    return _cesaro_mean(sums, "antidiagonal")
+
+
+def _cesaro_mean(sums: np.ndarray, what: str) -> CoeffSeq:
+    """sums[n] / (n + 1); a sum of finite terms that is not finite overflowed."""
+    if not _all_finite(sums):
+        raise InvalidInput(f"{what} sum {np.argmin(np.isfinite(sums))} overflows the float range")
+    return CoeffSeq._adopt(sums / (np.arange(sums.size) + 1.0))
 
 
 def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
@@ -58,20 +67,22 @@ def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
     Entrywise equal to antidiagonal_average of the outer product.  Inputs of
     up to 2^18 products convolve directly, exactly for dyadic-rational data;
     larger ones switch to FFT convolution on a power-of-two grid, through the
-    real transform when both inputs are real so the result stays real.
+    real transform when both inputs are real so the result stays real.  The
+    first sum past the float range (by FFT, spoilt by it) raises InvalidInput.
     """
     a, b = x.coeffs, y.coeffs
     size = a.size + b.size - 1
     check_size((size - 1).bit_length(), f"Cesaro product of length {size}")
-    if a.size * b.size <= _DIRECT_CONV_LIMIT:
-        conv = np.convolve(a, b)
-    else:
-        n = 1 << (size - 1).bit_length()
-        if x.is_complex or y.is_complex:
-            conv = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a.size * b.size <= _DIRECT_CONV_LIMIT:
+            conv = np.convolve(a, b)
         else:
-            conv = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
-    return CoeffSeq._adopt(conv / (np.arange(conv.size) + 1.0))
+            n = 1 << (size - 1).bit_length()
+            if x.is_complex or y.is_complex:
+                conv = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
+            else:
+                conv = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
+    return _cesaro_mean(conv, "Cauchy product")
 
 
 @dataclass(frozen=True)

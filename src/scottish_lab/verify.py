@@ -624,7 +624,7 @@ def suite_mazur(seed: int, th: dict) -> list:
 def suite_cli_roundtrip(seed: int, th: dict) -> list:
     from . import cli  # only this suite needs the CLI
 
-    return cli.self_check(seed)
+    return cli.self_check()
 
 
 SUITES = {

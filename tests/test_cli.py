@@ -774,6 +774,22 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1 and "absolute sum" in err, err
         assert not (tmp_path / "r.json").exists()
 
+    # 2 * 2 products convolve directly, 600 * 600 past _DIRECT_CONV_LIMIT by FFT
+    @pytest.mark.parametrize("n", [2, 600])
+    def test_overflowing_sums_are_named(self, n, tmp_path, capsys):
+        # finite inputs once read "coefficients must be finite"
+        m, x = tmp_path / "m.csv", tmp_path / "x.csv"
+        m.write_text("1e308,1e308\n1e308,-1e308\n")
+        write_coeff_csv(x, CoeffSeq(np.full(n, 1e308)))
+        cases = [(["mazur-a", "--input", str(m)], "antidiagonal sum 1"),
+                 (["mazur-b", "--input", str(x), "--input2", str(x)], "Cauchy product sum 0")]
+        for argv, what in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(argv + ["--out", str(tmp_path / "r.json")]) == 1
+            assert capsys.readouterr().err == f"error: {what} overflows the float range\n"
+            assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["--out", "v.csv"],
         ["--format", "csv"],

@@ -620,6 +620,8 @@ class TestCsv:
         (read_coeff_csv, "k,re\n0,1\n1,x\n", 3),
         (read_coeff_csv, "# c\nk,re\n0,1\n\n1,2\n2,x\n", 6),
         (read_coeff_csv, "k,re\n0,1\n# c\n\n1,2\n2,3\n3,4,5\n", 7),
+        (read_coeff_csv, "k,re\n0,1\n1\n", 3),
+        (read_matrix_csv, "1,2\n3\n", 2),
         (read_matrix_csv, "1,2\n3,4,5\n", 2),
         (read_matrix_csv, "1,2\n# c\n3,4\n\n5,6\n7,8,9\n", 6),
         (read_matrix_csv, "1,2\n3,4\n5,6\n\n# c\n7,x\n", 6),
@@ -633,7 +635,8 @@ class TestCsv:
         p.write_text(text)
         with pytest.raises(InvalidInput, match=f"malformed .* row.*: line {line} of ") as err:
             read(p)
-        assert " at row " not in str(err.value)
+        # nor numpy's advice on its own `usecols`, which no caller can pass
+        assert " at row " not in str(err.value) and "usecols" not in str(err.value)
 
     def test_block_of_another_width_names_its_first_line(self, tmp_path, monkeypatch):
         # refused at the block's first row, before the later blocks are read:
@@ -668,7 +671,7 @@ class TestCsv:
             if isinstance(want, str):
                 with pytest.raises(InvalidInput) as err:
                     read(path)
-                assert str(err.value).startswith(want)
+                assert str(err.value).startswith(want) and "usecols" not in str(err.value)
             else:
                 got = read(path)
                 got = got.coeffs if what == "coefficient" else got

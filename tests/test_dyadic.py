@@ -206,6 +206,28 @@ class TestParseval:
         assert len(calls) == 10
 
 
+class TestZeroPolynomial:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(1, 400), st.booleans(), st.integers(2, 16), st.sampled_from([1.0, 1.5, 3.0, math.inf]))
+    @example(4, False, 2, 1.0)  # G = 8 <= 3 pi: no a-priori bound
+    def test_takes_no_grid(self, n, cplx, oversample, p):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the zero polynomial reached the grid")
+
+        f = CoeffSeq(np.zeros(n, np.complex128 if cplx else np.float64))
+        G = grid_size(n, oversample)
+        with mock.patch.object(dyadic, "_grid_power_sum", refuse):
+            got = lp_norm_detail(f, p, oversample)
+        assert got == (0.0, 0.0 if G > math.pi * (n - 1) else math.inf, G)
+
+    def test_profile_transforms_only_nonzero_blocks(self):
+        # z^3 lies in blocks 1 and 2 only; the others are zero polynomials
+        with mock.patch.object(dyadic, "grid_values", wraps=dyadic.grid_values) as spy:
+            prof = dyadic_profile(CoeffSeq([0.0, 0.0, 0.0, 1.0]), 0.0, 1.0, 12)
+        assert [len(call.args[0]) for call in spy.call_args_list] == [4, 8]
+        assert np.flatnonzero(prof.values).tolist() == [1, 2]
+
+
 def full_grid_detail(c, p, oversample):
     """lp_norm_detail's value and bound from the moduli of one full G-point
     numpy.fft.fft, the grid never split."""

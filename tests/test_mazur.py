@@ -20,7 +20,7 @@ from scottish_lab import (
 )
 from scottish_lab import core, dyadic, mazur
 from scottish_lab.dyadic import dyadic_profile
-from scottish_lab.errors import InvalidParameter, TooShort
+from scottish_lab.errors import InvalidInput, InvalidParameter, TooShort
 
 
 class TestAverage:
@@ -74,6 +74,13 @@ class TestAverage:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak  # an index array of the entries takes 32 MiB
+
+    @pytest.mark.parametrize("A", [[[1e308, 1e308], [1e308, -1e308]], [[1e308, 1e308, 1.0]] * 2,
+                                   [[1.0, 1e308], [1e308, 1.0], [1.0, 1.0]]])
+    def test_overflowing_sum_is_named(self, A):
+        # finite entries, by rows and by columns, whose sum lies past the float range
+        with pytest.raises(InvalidInput, match="^antidiagonal sum 1 overflows the float range$"):
+            antidiagonal_average(DenseMatrix(A))
 
 
 class TestProduct:
@@ -134,6 +141,13 @@ class TestProduct:
             z = cesaro_product(CoeffSeq(x), CoeffSeq(y)).coeffs
             assert z.dtype == (np.complex128 if np.iscomplexobj(conv) else np.float64)
             assert np.abs(z - conv / n).max() <= 1e-12 * np.abs(conv).max()
+
+    @pytest.mark.parametrize("n", [2, 600])  # direct, and by FFT past _DIRECT_CONV_LIMIT
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_overflowing_sum_is_named(self, n, dtype):
+        x = CoeffSeq(np.full(n, 1e308, dtype))
+        with pytest.raises(InvalidInput, match="^Cauchy product sum 0 overflows the float range$"):
+            cesaro_product(x, x)
 
     def test_size_cap(self, monkeypatch):
         # the product of two lengths n has 2n - 1 entries and an FFT grid of 2n

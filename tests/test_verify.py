@@ -106,6 +106,50 @@ def test_suite_error_in_a_worker_reaches_the_caller(pin_cpus, small_suites, monk
     assert multiprocessing.active_children() == []
 
 
+# Recorded before zero polynomials stopped taking a grid and self_check
+# stopped running its examples twice: the cases read the same.
+_SCHEMA = "rc=0, keys match documented schema: True"
+_PINNED_CASES = {
+    "besov": [
+        ("besov-monomials", True, "max relative error of besov(z^(2^j)) over j<=14 is 2.220e-16"),
+        ("besov-two-blocks", True, "besov(z^2 + z^8) = 10.000000000 (target 10)"),
+    ],
+    "hankel-shadow": [
+        ("hankel-antidiagonal-norm", True, "norm of the unit antidiagonal equals m+1 for m<=16"),
+        ("monomial-comparability", True, "besov(z^m)/(m+1) within [1/2, 2]; extreme 0.5000 at m=1"),
+    ],
+    "cli-roundtrip": [
+        *((f"schema-{name}", True, _SCHEMA) for name in (
+            "wn besov profile inj-norm proj-norm v2 mazur-a mazur-b witness8 witness88 flatpoly lkk moment psi "
+            "verify").split()),
+        ("rerun-psi", True, "byte-identical rerun from embedded config: True"),
+        ("rerun-witness8", True, "byte-identical rerun from embedded config: True"),
+        ("wn-csv-sparse", True, "W_2 CSV carries 5 coefficient rows (want 5)"),
+        ("csv-round-trip", True, "kernel CSV reads back bit-identical"),
+        ("exit-usage", True, "unknown flag exits 64"),
+        ("exit-domain", True, "domain error exits 1"),
+        ("exit-verify-pass", True, "passing suite exits 0"),
+        ("exit-verify-fail", True, "violated threshold exits 2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_PINNED_CASES))
+def test_cases_match_their_record(suite, suite_report):
+    assert [(c.name, c.passed, c.detail) for c in suite_report(suite).cases] == _PINNED_CASES[suite]
+
+
+def test_cli_roundtrip_runs_the_besov_suite_twice(monkeypatch):
+    # once for the verify example, whose exit code exit-verify-pass reads,
+    # and once with a violated threshold
+    from scottish_lab import cli
+
+    seeds, besov = [], verify.SUITES["besov"]
+    monkeypatch.setitem(verify.SUITES, "besov", lambda seed, th: seeds.append(seed) or besov(seed, th))
+    assert all(case.passed for case in cli.self_check())
+    assert seeds == [0, 0]
+
+
 def test_cost_order_is_a_permutation_of_the_suites():
     assert sorted(verify._COST_ORDER) == sorted(verify.SUITES)
 
