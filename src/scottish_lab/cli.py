@@ -462,12 +462,12 @@ def _run_quiet(argv) -> int:
 def self_check() -> list:
     import tempfile
 
-    from .verify import CaseResult
+    from . import verify
 
     cases = []
 
     def check(name, ok, detail):
-        cases.append(CaseResult(name, bool(ok), detail))
+        cases.append(verify.CaseResult(name, bool(ok), detail))
 
     with tempfile.TemporaryDirectory(prefix="scottish-lab-") as tmp:
         fcsv = os.path.join(tmp, "f.csv")

@@ -95,15 +95,12 @@ def _roots(step: int, G: int, count: int) -> np.ndarray:
 
 def _coset_input(c: np.ndarray, N: int, G: int, s: int) -> np.ndarray:
     """The input d whose N-point DFT is f on the coset j = s (mod G / N)
-    (see _grid_moduli): c itself when s = 0 and c fits in one chunk, else
-    one fresh array of min(c.size, N) entries rounded up to whole rows of
-    R = min(N, _TWIST_ROW), folded by Horner's rule in place.  Entry (j, i)
-    of d as a matrix of such rows is twisted by w^(s R j) * w^(s i): two
-    short tables of exact angles, so rounding does not drift over cosets."""
-    if s == 0 and c.size <= N:
-        return c
+    (see _grid_moduli): c folded by Horner's rule into one fresh array of N
+    entries.  Entry (j, i) of d as a matrix of rows of R = min(N, _TWIST_ROW)
+    entries is twisted by w^(s R j) * w^(s i): two short tables of exact
+    angles, so rounding does not drift over cosets."""
     R = min(_TWIST_ROW, N)
-    d = np.zeros(-(-min(c.size, N) // R) * R, np.complex128 if s else c.dtype)
+    d = np.zeros(N, np.complex128 if s else c.dtype)
     last = (c.size - 1) // N
     d[: c.size - last * N] = c[last * N :]
     a = 2 * math.pi * s / (G // N)
@@ -146,13 +143,10 @@ def _grid_moduli(f: CoeffSeq, oversample: int, G: int):
     if f.is_complex:
         N, cosets = L, range(G // L)
     else:
-        yield None, np.abs(np.fft.rfft(_coset_input(c, L, G, 0), L))
+        yield None, np.abs(np.fft.rfft(_coset_input(c, L, G, 0)))
         N, cosets = L // 2, range(1, G // L)
-    for s in cosets:
-        d = _coset_input(c, N, G, s)
-        spectrum = np.fft.fft(d, N)
-        del d  # before the moduli are allocated
-        yield (1 if f.is_complex else 2), np.abs(spectrum)
+    for s in cosets:  # each input and spectrum goes before the next is made
+        yield (1 if f.is_complex else 2), np.abs(np.fft.fft(_coset_input(c, N, G, s)))
 
 
 def _grid_power_sum(f: CoeffSeq, oversample: int, G: int, p: float, scale: float = 1.0):

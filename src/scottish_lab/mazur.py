@@ -61,6 +61,11 @@ def _cesaro_mean(sums: np.ndarray, what: str) -> CoeffSeq:
     return CoeffSeq._adopt(sums / (np.arange(sums.size) + 1.0))
 
 
+def _ldexp(v: np.ndarray, e: int) -> np.ndarray:
+    """v * 2^e, exact while it stays normal; complex v by parts."""
+    return np.ldexp(v.view(np.float64), e).view(v.dtype)
+
+
 def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
     """Cesaro-normalized Cauchy product: z_n = (1/(n+1)) sum x_k y_{n-k}.
 
@@ -68,7 +73,9 @@ def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
     up to 2^18 products convolve directly, exactly for dyadic-rational data;
     larger ones switch to FFT convolution on a power-of-two grid, through the
     real transform when both inputs are real so the result stays real.  The
-    first sum past the float range (by FFT, spoilt by it) raises InvalidInput.
+    first sum past the float range raises InvalidInput.  An overflow in the
+    FFT spoils every term, so the FFT is taken again on x / 2^ex and y / 2^ey
+    (ex, ey the binary exponents of their largest moduli) and scaled back.
     """
     a, b = x.coeffs, y.coeffs
     size = a.size + b.size - 1
@@ -78,10 +85,11 @@ def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
             conv = np.convolve(a, b)
         else:
             n = 1 << (size - 1).bit_length()
-            if x.is_complex or y.is_complex:
-                conv = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
-            else:
-                conv = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
+            fft, ifft = (np.fft.fft, np.fft.ifft) if x.is_complex or y.is_complex else (np.fft.rfft, np.fft.irfft)
+            conv = ifft(fft(a, n) * fft(b, n), n)[:size]
+            if not _all_finite(conv):
+                ea, eb = (int(np.frexp(np.abs(v).max())[1]) for v in (a, b))
+                conv = _ldexp(ifft(fft(_ldexp(a, -ea), n) * fft(_ldexp(b, -eb), n), n)[:size], ea + eb)
     return _cesaro_mean(conv, "Cauchy product")
 
 

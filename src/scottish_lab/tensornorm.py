@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseMatrix, derive_seed, make_rng
+from .core import SIZE_CAP_LOG2, DenseMatrix, derive_seed, make_rng
 from .errors import InvalidInput, InvalidParameter, TooLargeForExact
 
 EXACT_ENUM_CAP = 26
@@ -277,20 +277,24 @@ def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple
     Depth k strips the leading singular pair of the remainder k times, then
     splits what is left into its rows or its columns, each costing its
     largest entry; a remainder within 1e-14 * scale (= max |A|) of zero costs
-    nothing and ends the search.  Ties keep the first of k = 0 rows, k = 0
-    cols, k = 1 rows, ...; the tag is the split at k = 0 and peel after.
+    nothing and ends the search.  No candidate may hold more than
+    2^SIZE_CAP_LOG2 numbers, (k + nonzero lines) * (J + K); if none fits,
+    InvalidParameter.  Ties keep the first of k = 0 rows, k = 0 cols, k = 1
+    rows, ...; the tag is the split at k = 0 and peel after.
     """
     depth = min(MAX_PEELS, *A.shape)
+    most_pairs = (1 << SIZE_CAP_LOG2) // sum(A.shape)
     R, absR, peeled, peel_cost = A, absA, [], 0.0
     best = None  # (cost, k, split or None for a zero remainder, remainder)
     for k in range(depth + 1):
         if float(absR.max()) <= 1e-14 * scale:  # never at k = 0, where R is A
-            if peel_cost < best[0]:
+            if k <= most_pairs and (best is None or peel_cost < best[0]):
                 best = (peel_cost, k, None, R)
             break
         for split, axis in (("rows", 1), ("cols", 0)):
-            cost = peel_cost + sum(absR.max(axis=axis).tolist())
-            if best is None or cost < best[0]:
+            line_max = absR.max(axis=axis)
+            cost = peel_cost + sum(line_max.tolist())
+            if k + np.count_nonzero(line_max) <= most_pairs and (best is None or cost < best[0]):
                 best = (cost, k, split, R)
         if k == depth:
             break
@@ -301,6 +305,8 @@ def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple
         peel_cost += float(np.abs(a).max() * np.abs(b).max())
         R = R - np.outer(a, b)
         absR = np.abs(R)
+    if best is None:
+        raise InvalidParameter(f"every decomposition of the bracket exceeds the size cap of 2^{SIZE_CAP_LOG2} numbers")
     cost, k, split, R = best
     pairs = peeled[:k] + (_split_pairs(R, split) if split else [])
     return ("peel" if k else split), cost, pairs

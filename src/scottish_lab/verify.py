@@ -16,19 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, dyadic, extremal, mazur, tensornorm
-from .core import CoeffSeq, DenseMatrix, derive_seed, hankel_matrix, make_rng
-from .dyadic import besov_norm, dyadic_kernel, grid_values, hard_block_bound, lp_norm_circle
 from .errors import InvalidParameter
-from .extremal import (
-    assemble_majorant,
-    fit_growth_exponent,
-    problem88_params,
-    problem88_witness,
-    rudin_shapiro,
-    weighted_moment,
-)
-from .mazur import antidiagonal_average, cesaro_product, problem8_witness, range_diagnostic
-from .tensornorm import injective_norm_exact, injective_norm_search, projective_bracket
 
 # log2 of the most coefficients whose grid at the default oversample fits
 # the size cap (dyadic.grid_size)
@@ -141,7 +129,7 @@ def suite_kernel(seed: int, th: dict) -> list:
     nmax = th["kernel.nmax"]
     worst = 0.0
     for n in range(nmax + 1):
-        worst = max(worst, lp_norm_circle(dyadic_kernel(n), 1))
+        worst = max(worst, dyadic.lp_norm_circle(dyadic.dyadic_kernel(n), 1))
     cases.append(
         CaseResult(
             "kernel-l1",
@@ -150,7 +138,7 @@ def suite_kernel(seed: int, th: dict) -> list:
         )
     )
 
-    w0 = lp_norm_circle(dyadic_kernel(0), 1, oversample=th["kernel.w0_oversample"])
+    w0 = dyadic.lp_norm_circle(dyadic.dyadic_kernel(0), 1, oversample=th["kernel.w0_oversample"])
     target = 4.0 / math.pi
     cases.append(
         CaseResult(
@@ -164,7 +152,7 @@ def suite_kernel(seed: int, th: dict) -> list:
     acc = np.zeros(kmax + 1)
     # W_n (n >= 1) is zero below 2^(n-1) + 1: stop at the last that reaches kmax.
     for n in range((kmax - 1).bit_length() + 1):
-        w = dyadic_kernel(n).coeffs[: kmax + 1]
+        w = dyadic.dyadic_kernel(n).coeffs[: kmax + 1]
         acc[: w.size] += w
     dev = float(np.abs(acc - 1.0).max())
     cases.append(
@@ -189,7 +177,7 @@ def suite_besov(seed: int, th: dict) -> list:
     for j in range(th["besov.jmax"] + 1):
         e = np.zeros((1 << j) + 1)
         e[-1] = 1.0
-        v = besov_norm(CoeffSeq(e), 1.0, math.inf, 1.0, j + 1)
+        v = dyadic.besov_norm(core.CoeffSeq(e), 1.0, math.inf, 1.0, j + 1)
         worst = max(worst, abs(v - float(1 << j)) / float(1 << j))
     cases.append(
         CaseResult(
@@ -202,7 +190,7 @@ def suite_besov(seed: int, th: dict) -> list:
     f = np.zeros(9)
     f[2] = 1.0
     f[8] = 1.0
-    v = besov_norm(CoeffSeq(f), 1.0, math.inf, 1.0, 4)
+    v = dyadic.besov_norm(core.CoeffSeq(f), 1.0, math.inf, 1.0, 4)
     cases.append(
         CaseResult(
             "besov-two-blocks",
@@ -232,15 +220,15 @@ def brute_force_norm(A: np.ndarray) -> float:
 
 def suite_inj_oracle(seed: int, th: dict) -> list:
     cases = th["inj.cases"]
-    rng = make_rng(derive_seed(seed, 3001))
+    rng = core.make_rng(core.derive_seed(seed, 3001))
     exact_bad = 0
     search_hits = 0
     for i in range(cases):
         J = int(rng.integers(1, 9))
         K = int(rng.integers(1, 9))
         A = rng.integers(-3, 4, (J, K)).astype(float)
-        Q = DenseMatrix(A)
-        value, x, y = injective_norm_exact(Q)
+        Q = core.DenseMatrix(A)
+        value, x, y = tensornorm.injective_norm_exact(Q)
         oracle = brute_force_norm(A)
         if value != oracle:
             exact_bad += 1
@@ -249,7 +237,7 @@ def suite_inj_oracle(seed: int, th: dict) -> list:
         )
         if certificate != value:
             exact_bad += 1
-        out = injective_norm_search(Q, budget=4 * (1 << J), seed=derive_seed(seed, i))
+        out = tensornorm.injective_norm_search(Q, budget=4 * (1 << J), seed=core.derive_seed(seed, i))
         if out.value == value:
             search_hits += 1
     frac = search_hits / cases
@@ -280,12 +268,12 @@ def suite_hankel_shadow(seed: int, th: dict) -> list:
     for m in range(mmax + 1):
         e = np.zeros(m + 1)
         e[m] = 1.0
-        Q = hankel_matrix(CoeffSeq(e), m + 1)
-        value, _, _ = injective_norm_exact(Q)
+        Q = core.hankel_matrix(core.CoeffSeq(e), m + 1)
+        value, _, _ = tensornorm.injective_norm_exact(Q)
         if value != float(m + 1):
             ok_norm = False
         nmax = 1 if m == 0 else (m.bit_length() - 1) + 1
-        b = besov_norm(CoeffSeq(e), 1.0, math.inf, 1.0, nmax)
+        b = dyadic.besov_norm(core.CoeffSeq(e), 1.0, math.inf, 1.0, nmax)
         ratio = b / (m + 1)
         if not 0.5 <= ratio <= 2.0:
             ok_ratio = False
@@ -328,7 +316,7 @@ def suite_theorem_re(seed: int, th: dict) -> list:
     total = th["re.cases"]
     const = th["re.constant"]
     ts = (1.0, 1.1, 1.25, 1.33)
-    rng = make_rng(derive_seed(seed, 5001))
+    rng = core.make_rng(core.derive_seed(seed, 5001))
     violations = 0
     worst = 0.0
     for i in range(total):
@@ -337,7 +325,7 @@ def suite_theorem_re(seed: int, th: dict) -> list:
         k = np.arange(g.size, dtype=float)
         lhs = float(np.sum(g**t * (1.0 + k) ** (1.5 * t - 1.0)))
         nmax = 0 if g.size <= 1 else (g.size - 1).bit_length() - 1
-        M = hard_block_bound(CoeffSeq(g), nmax)
+        M = dyadic.hard_block_bound(core.CoeffSeq(g), nmax)
         rhs = const * M**t
         if lhs > rhs * (1 + 1e-12):
             violations += 1
@@ -382,7 +370,7 @@ def suite_witness88(seed: int, th: dict) -> list:
     m_lo = th["w88.m_lo"]
     m_hi = th["w88.m_hi"]
 
-    params = problem88_params(t, nmax=m_hi)
+    params = extremal.problem88_params(t, nmax=m_hi)
     g = params.g
 
     tail_nmax = th["w88.tail_nmax"]
@@ -405,8 +393,8 @@ def suite_witness88(seed: int, th: dict) -> list:
         )
     )
 
-    rep = weighted_moment(params, t, 1.5 * t - 1.0, kmax=1 << m_hi)  # streamed, never built
-    p = fit_growth_exponent(rep.checkpoints, m_lo + 1, m_hi)
+    rep = extremal.weighted_moment(params, t, 1.5 * t - 1.0, kmax=1 << m_hi)  # streamed, never built
+    p = extremal.fit_growth_exponent(rep.checkpoints, m_lo + 1, m_hi)
     cases.append(
         CaseResult(
             "moment-growth-exponent",
@@ -415,8 +403,8 @@ def suite_witness88(seed: int, th: dict) -> list:
         )
     )
 
-    alpha14, _ = problem88_witness(t, nmax=th["w88.lkk_nmax"])
-    phi, mrep = assemble_majorant(alpha14, seed=derive_seed(seed, 88))
+    alpha14, _ = extremal.problem88_witness(t, nmax=th["w88.lkk_nmax"])
+    phi, mrep = extremal.assemble_majorant(alpha14, seed=core.derive_seed(seed, 88))
     chain_ok = mrep.besov_value <= mrep.chain_bound + th["w88.chain_slack"]
     cases.append(
         CaseResult(
@@ -445,7 +433,7 @@ def suite_witness8(seed: int, th: dict) -> list:
     nmax = th["w8.nmax"]
     lo = th["w8.block_lo"]
 
-    z_rs, rep_rs = problem8_witness(nmax, seed=seed, sign_mode="rudin_shapiro")
+    z_rs, rep_rs = mazur.problem8_witness(nmax, seed=seed, sign_mode="rudin_shapiro")
     bound_ok = True
     worst_margin = math.inf
     for n in range(lo, nmax + 1):
@@ -465,7 +453,7 @@ def suite_witness8(seed: int, th: dict) -> list:
     slopes = []
     ok_slopes = True
     for s in range(th["w8.seeds"]):
-        _, rep = problem8_witness(nmax, seed=derive_seed(seed, 700 + s), sign_mode="random")
+        _, rep = mazur.problem8_witness(nmax, seed=core.derive_seed(seed, 700 + s), sign_mode="random")
         slopes.append(rep.fit["slope"])
         if not th["w8.exp_lo"] <= rep.fit["slope"] <= th["w8.exp_hi"]:
             ok_slopes = False
@@ -477,7 +465,7 @@ def suite_witness8(seed: int, th: dict) -> list:
         )
     )
 
-    diag = range_diagnostic(z_rs, nmax)
+    diag = mazur.range_diagnostic(z_rs, nmax)
     cases.append(
         CaseResult(
             "witness-classified-growing",
@@ -491,11 +479,11 @@ def suite_witness8(seed: int, th: dict) -> list:
     L = 1 << 12
     n_idx = np.arange(L, dtype=float)
     for i in range(pairs):
-        rng = make_rng(derive_seed(seed, 9000 + i))
+        rng = core.make_rng(core.derive_seed(seed, 9000 + i))
         x = 1.0 + rng.uniform(-1.0, 1.0, L) / (n_idx + 1.0)
         y = 1.0 + rng.uniform(-1.0, 1.0, L) / (n_idx + 1.0)
-        img = cesaro_product(CoeffSeq(x), CoeffSeq(y))
-        if range_diagnostic(img, 12).classification != "growing":
+        img = mazur.cesaro_product(core.CoeffSeq(x), core.CoeffSeq(y))
+        if mazur.range_diagnostic(img, 12).classification != "growing":
             not_growing += 1
     cases.append(
         CaseResult(
@@ -514,7 +502,7 @@ def suite_witness8(seed: int, th: dict) -> list:
 
 def suite_duality(seed: int, th: dict) -> list:
     tol = th["dual.tol"]
-    rng = make_rng(derive_seed(seed, 8001))
+    rng = core.make_rng(core.derive_seed(seed, 8001))
     bad_pairing = 0
     for _ in range(th["dual.pairs"]):
         J = int(rng.integers(1, 9))
@@ -522,8 +510,8 @@ def suite_duality(seed: int, th: dict) -> list:
         A = rng.integers(-3, 4, (J, K)).astype(float)
         B = rng.integers(-3, 4, (J, K)).astype(float)
         pairing = abs(float(np.sum(A * B)))
-        upper = projective_bracket(DenseMatrix(A)).upper
-        value, _, _ = injective_norm_exact(DenseMatrix(B))
+        upper = tensornorm.projective_bracket(core.DenseMatrix(A)).upper
+        value, _, _ = tensornorm.injective_norm_exact(core.DenseMatrix(B))
         if pairing > upper * value + tol:
             bad_pairing += 1
     bad_rank1 = 0
@@ -536,7 +524,7 @@ def suite_duality(seed: int, th: dict) -> list:
             a[0] = 1.0
         if not np.any(b):
             b[0] = 1.0
-        br = projective_bracket(DenseMatrix(np.outer(a, b)))
+        br = tensornorm.projective_bracket(core.DenseMatrix(np.outer(a, b)))
         v = float(np.abs(a).max() * np.abs(b).max())
         if abs(br.upper - br.lower) > tol or abs(br.lower - v) > tol:
             bad_rank1 += 1
@@ -561,13 +549,13 @@ def suite_duality(seed: int, th: dict) -> list:
 
 def suite_mazur(seed: int, th: dict) -> list:
     cases = []
-    rng = make_rng(derive_seed(seed, 9001))
+    rng = core.make_rng(core.derive_seed(seed, 9001))
 
     bad = 0
     for _ in range(th["mazur.seeds"]):
         N = int(rng.integers(1, 65))
         z = rng.integers(-1000, 1001, 2 * N - 1).astype(float) / 256.0
-        avg = antidiagonal_average(hankel_matrix(CoeffSeq(z), N))
+        avg = mazur.antidiagonal_average(core.hankel_matrix(core.CoeffSeq(z), N))
         if not np.array_equal(avg.coeffs[:N], z[:N]):
             bad += 1
     cases.append(
@@ -584,8 +572,8 @@ def suite_mazur(seed: int, th: dict) -> list:
         ly = int(rng.integers(1, 257))
         x = rng.standard_normal(lx)
         y = rng.standard_normal(ly)
-        direct = antidiagonal_average(DenseMatrix(np.outer(x, y)))
-        fast = cesaro_product(CoeffSeq(x), CoeffSeq(y))
+        direct = mazur.antidiagonal_average(core.DenseMatrix(np.outer(x, y)))
+        fast = mazur.cesaro_product(core.CoeffSeq(x), core.CoeffSeq(y))
         worst = max(worst, float(np.abs(direct.coeffs - fast.coeffs).max()))
     cases.append(
         CaseResult(
@@ -598,10 +586,10 @@ def suite_mazur(seed: int, th: dict) -> list:
     flat_ok = True
     worst_rel = 0.0
     for k in range(th["mazur.flat_kmax"] + 1):
-        P, Q = rudin_shapiro(k)
+        P, Q = extremal.rudin_shapiro(k)
         # Real P and Q give the upper half of the grid; |P|^2 + |Q|^2 on the
         # lower half is its mirror image, so every grid point is checked.
-        total = np.abs(grid_values(P)) ** 2 + np.abs(grid_values(Q)) ** 2
+        total = np.abs(dyadic.grid_values(P)) ** 2 + np.abs(dyadic.grid_values(Q)) ** 2
         rel = float(np.abs(total - 2.0 ** (k + 1)).max()) / 2.0 ** (k + 1)
         worst_rel = max(worst_rel, rel)
         if rel > th["mazur.flat_tol"]:
@@ -641,14 +629,15 @@ SUITES = {
 }
 
 
-# Every suite once, the costliest first: seconds per call in process at the
-# default thresholds, measured on 2 cores with BLAS on one thread, were
-# witness8 0.575, inj-oracle 0.19, theorem-re 0.147, cli-roundtrip 0.12,
-# witness88 0.107, kernel 0.042, duality 0.035, besov 0.032, hankel-shadow
-# 0.021 and mazur-id 0.016.  Started longest first, the short suites fill in
-# behind witness8; in table order witness8 would start seventh and end last.
-_COST_ORDER = ("witness8", "inj-oracle", "theorem-re", "cli-roundtrip", "witness88",
-               "kernel", "duality", "besov", "hankel-shadow", "mazur-id")
+# Every suite once, the costliest first: seconds per warm call in process at
+# the default thresholds, the median of 5 on one CPU with BLAS on one thread,
+# were witness8 0.34, inj-oracle 0.15, theorem-re 0.12, witness88 0.071,
+# cli-roundtrip 0.031, kernel 0.029, duality 0.027, hankel-shadow 0.014,
+# mazur-id 0.012 and besov 0.011.  Started longest first, the short suites
+# fill in behind witness8; in table order witness8 would start seventh and
+# end last.
+_COST_ORDER = ("witness8", "inj-oracle", "theorem-re", "witness88", "cli-roundtrip",
+               "kernel", "duality", "hankel-shadow", "mazur-id", "besov")
 
 
 def _run_one(name: str, seed: int, th: dict) -> SuiteReport:

@@ -955,6 +955,20 @@ class TestMemory:
         assert rc == 0, argv
         return kib
 
+    @staticmethod
+    def run_in_1_gib(argv) -> None:
+        """Runs one CLI call in a child whose address space is limited to 1 GiB
+        and checks that it exits 0 and writes nothing to stderr."""
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from scottish_lab.cli import run\n"
+            f"print(run({argv!r}))\n"
+        )
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+        assert out.stdout == "0\n" and out.stderr == "", out.stderr
+
     @pytest.fixture(scope="class")
     def base(self, tmp_path_factory):
         # peak RSS of a bare CLI call, measured once for the cases below
@@ -1047,15 +1061,18 @@ class TestMemory:
         A[:, -1] = [2.0, -2.0, 2.0]
         write_matrix_csv(tmp_path / "wide.csv", DenseMatrix(A))
         argv = ["proj-norm", "--input", str(tmp_path / "wide.csv"), "--out", str(tmp_path / "r.json")]
-        code = (
-            "import resource\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from scottish_lab.cli import run\n"
-            f"print(run({argv!r}))\n"
-        )
-        env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
-        assert out.stdout == "0\n" and out.stderr == "", out.stderr
+        self.run_in_1_gib(argv)
+
+    def test_bracket_of_a_tall_tied_matrix(self, tmp_path):
+        # proj-norm on a 2^13 x 2 matrix whose row split ties its column
+        # split, under a 1 GiB address space: the row split, 2^26 numbers in
+        # 2^13 pairs, was once taken and ended in a MemoryError traceback
+        A = np.full((1 << 13, 2), 1e-300)
+        A[:2] = [[1.0, 2.0], [3.0, -1.0]]
+        write_matrix_csv(tmp_path / "tall.csv", DenseMatrix(A))
+        argv = ["proj-norm", "--input", str(tmp_path / "tall.csv"), "--out", str(tmp_path / "r.json")]
+        self.run_in_1_gib(argv)
+        assert json.loads((tmp_path / "r.json").read_text())["upper"] == 5.0
 
 
 class TestImports:

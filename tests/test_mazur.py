@@ -149,6 +149,24 @@ class TestProduct:
         with pytest.raises(InvalidInput, match="^Cauchy product sum 0 overflows the float range$"):
             cesaro_product(x, x)
 
+    @pytest.mark.parametrize("n", [500, 600])  # direct, and by FFT past _DIRECT_CONV_LIMIT
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_first_overflowing_sum_is_named(self, n, dtype):
+        # sum k is (k + 1) * 1e306, past the float range from k = 179 on; an
+        # overflow inside the FFT once spoilt every term and named sum 0
+        x = CoeffSeq(np.full(n, 1e306, dtype))
+        with pytest.raises(InvalidInput, match="^Cauchy product sum 179 overflows the float range$"):
+            cesaro_product(x, CoeffSeq(np.ones(n)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_fft_overflow_with_finite_sums(self, dtype):
+        # every sum is 1e308 or 0, but the transform of the alternating signs
+        # passes the float range: the product comes from the scaled inputs
+        signs = np.resize(np.array([1.0, -1.0], dtype), 600)
+        z = cesaro_product(CoeffSeq(1e308 * signs), CoeffSeq(np.ones(600)))
+        want = np.convolve(signs, np.ones(600)) * 1e308 / np.arange(1, 1200)
+        assert np.abs(z.coeffs - want).max() <= 1e-12 * 1e308
+
     def test_size_cap(self, monkeypatch):
         # the product of two lengths n has 2n - 1 entries and an FFT grid of 2n
         monkeypatch.setattr(core, "SIZE_CAP_LOG2", 10)

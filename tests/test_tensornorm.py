@@ -515,6 +515,26 @@ class TestBracketMemory:
         assert np.array_equal(rebuilt, A)
         assert peak < 4 << 20, peak
 
+    def test_splits_past_the_size_cap_are_no_candidates(self):
+        # the row split of this 2^13 x 2 matrix ties the column split at cost
+        # 5 and was once taken: 2^13 pairs of 2^13 + 2 numbers, 2^26 in all
+        A = np.full((1 << 13, 2), 1e-300)
+        A[:2] = [[1.0, 2.0], [3.0, -1.0]]
+        br = projective_bracket(DenseMatrix(A))
+        assert br.upper == 5.0 and br.strategies[0] == "cols"
+        assert sum(a.size + b.size for a, b in br.upper_certificate) <= 1 << 25
+        assert_upper_certificate(A, br)
+
+    @pytest.mark.parametrize("log2,shape", [(4, (9, 9)), (3, (2, 3))])
+    def test_no_candidate_within_the_size_cap_is_refused(self, monkeypatch, log2, shape):
+        # no split of the matrix or of a peeled remainder fits the cap, and
+        # eight peels leave a 9 x 9 remainder, while the two peels that end
+        # a 2 x 3 one hold 10 numbers, past 2^3
+        monkeypatch.setattr(tensornorm, "SIZE_CAP_LOG2", log2)
+        A = np.random.default_rng(9).standard_normal(shape)
+        with pytest.raises(InvalidParameter, match=f"size cap of 2\\^{log2} "):
+            projective_bracket(DenseMatrix(A))
+
 
 class TestOverflow:
     # an entrywise absolute sum S past float max / 4 is refused: past it
