@@ -10,12 +10,15 @@ toward the lexicographically smallest canonical sign vector on that side
 (+1 sorts before -1, entry 0 pinned to +1) -- the first maximum the scan
 meets -- which makes every run reproducible.
 
-A matrix of integers whose entrywise absolute sum S is at most 32767 is
-scanned in an int16 table stored by column.  S bounds every partial column
-sum and every candidate value, so the int16 arithmetic is exact, as the
-float64 sums of those integers are: the candidate values, the first
-maximizer and the returned triple are the same bit for bit.  Any other
-matrix is scanned in float64.
+There is one table, cast once to the scan's type and stored along its
+longer side: by column, (K, 2^lo), when the K columns are no more than the
+2^lo low patterns, else by row, (2^lo, K).  A matrix of integers whose
+entrywise absolute sum S is at most 32767 is scanned in int16: S bounds
+every partial column sum and every candidate value, so the int16
+arithmetic is exact, as the float64 sums of those integers are: the
+candidate values, the first maximizer and the returned triple are the same
+bit for bit, in either layout.  Any other matrix is scanned in float64,
+where only sums that round can depend on the layout's order of addition.
 
 Every norm here refuses, with InvalidInput, a matrix whose entrywise absolute
 sum exceeds float max / 4: below that bound none of their sums overflows.
@@ -109,29 +112,21 @@ def _int_table_type(A: np.ndarray, S: float):
     return _INT_TYPE if exact else None
 
 
-def _float_values(low: np.ndarray):
-    """Candidate values of a high row added to the low table, in float64."""
-    buf = np.empty_like(low)
-    ones = np.ones(low.shape[1])
-
-    def values(row):
-        np.add(low, row, out=buf)
-        return np.abs(buf, out=buf) @ ones
-
-    return values
-
-
-def _int_values(low: np.ndarray, dt):
-    """Candidate values of a high row added to the low table, in exact dt
-    arithmetic on the table stored by column."""
-    table = np.ascontiguousarray(low.T, dtype=dt)
+def _scan_values(x_lo: np.ndarray, B: np.ndarray, dt):
+    """Candidate values, in dt, of a high row added to the table of column
+    sums x_lo @ B of the 2^lo low patterns.  The table is built in its
+    layout, never transposed: by column, (K, 2^lo), when K <= 2^lo, else by
+    row."""
+    by_col = B.shape[1] <= x_lo.shape[0]
+    table = (B.T @ x_lo.T if by_col else x_lo @ B).astype(dt, copy=False)
     buf = np.empty_like(table)
-    vals = np.empty(table.shape[1], dtype=dt)
+    vals = np.empty(x_lo.shape[0], dtype=dt)
 
     def values(row):
-        np.add(table, row.astype(dt)[:, None], out=buf)
+        row = row.astype(dt, copy=False)
+        np.add(table, row[:, None] if by_col else row, out=buf)
         np.abs(buf, out=buf)
-        return np.sum(buf, axis=0, dtype=dt, out=vals)  # dtype: no int64 widening
+        return np.sum(buf, axis=0 if by_col else 1, dtype=dt, out=vals)  # dtype: no int64 widening
 
     return values
 
@@ -160,13 +155,12 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
 
     # x = (+1, high bits, low bits).  One table holds the column sums of all
     # low patterns; each high pattern, in ascending order, adds its row to it.
-    dt = _int_table_type(A, S)
-    entries = _SCAN_BYTES // np.dtype(dt or np.float64).itemsize
+    dt = _int_table_type(A, S) or np.float64
+    entries = _SCAN_BYTES // np.dtype(dt).itemsize
     lo = min(J - 1, max(_MIN_LOW_BITS, (entries // K).bit_length() - 1))
     hi = J - 1 - lo
     x_lo = _lex_signs(np.arange(1 << lo), lo)
-    low = x_lo @ A[1 + hi :]
-    values = _float_values(low) if dt is None else _int_values(low, dt)
+    values = _scan_values(x_lo, A[1 + hi :], dt)
     best_val = -1.0
     for q in range(1 << hi):
         x_hi = _lex_signs(q, hi)
@@ -277,25 +271,26 @@ def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple
     Depth k strips the leading singular pair of the remainder k times, then
     splits what is left into its rows or its columns, each costing its
     largest entry; a remainder within 1e-14 * scale (= max |A|) of zero costs
-    nothing and ends the search.  No candidate may hold more than
-    2^SIZE_CAP_LOG2 numbers, (k + nonzero lines) * (J + K); if none fits,
-    InvalidParameter.  Ties keep the first of k = 0 rows, k = 0 cols, k = 1
-    rows, ...; the tag is the split at k = 0 and peel after.
+    nothing and ends the search.  A candidate holds (k + nonzero lines)
+    pairs of J + K numbers each; none may hold more than 2^SIZE_CAP_LOG2
+    numbers, and if none fits, InvalidParameter.  Ties in cost keep the
+    candidate with fewer pairs, then the first of k = 0 rows, k = 0 cols,
+    k = 1 rows, ...; the tag is the split at k = 0 and peel after.
     """
     depth = min(MAX_PEELS, *A.shape)
     most_pairs = (1 << SIZE_CAP_LOG2) // sum(A.shape)
     R, absR, peeled, peel_cost = A, absA, [], 0.0
-    best = None  # (cost, k, split or None for a zero remainder, remainder)
+    best = None  # (cost, pairs, k, split or None for a zero remainder, remainder)
     for k in range(depth + 1):
         if float(absR.max()) <= 1e-14 * scale:  # never at k = 0, where R is A
-            if k <= most_pairs and (best is None or peel_cost < best[0]):
-                best = (peel_cost, k, None, R)
+            if k <= most_pairs and (best is None or (peel_cost, k) < best[:2]):
+                best = (peel_cost, k, k, None, R)
             break
         for split, axis in (("rows", 1), ("cols", 0)):
             line_max = absR.max(axis=axis)
-            cost = peel_cost + sum(line_max.tolist())
-            if k + np.count_nonzero(line_max) <= most_pairs and (best is None or cost < best[0]):
-                best = (cost, k, split, R)
+            cand = (peel_cost + sum(line_max.tolist()), k + int(np.count_nonzero(line_max)))
+            if cand[1] <= most_pairs and (best is None or cand < best[:2]):
+                best = (*cand, k, split, R)
         if k == depth:
             break
         u, sv, vt = np.linalg.svd(R, full_matrices=False)
@@ -307,7 +302,7 @@ def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple
         absR = np.abs(R)
     if best is None:
         raise InvalidParameter(f"every decomposition of the bracket exceeds the size cap of 2^{SIZE_CAP_LOG2} numbers")
-    cost, k, split, R = best
+    cost, _, k, split, R = best
     pairs = peeled[:k] + (_split_pairs(R, split) if split else [])
     return ("peel" if k else split), cost, pairs
 

@@ -1064,15 +1064,19 @@ class TestMemory:
         self.run_in_1_gib(argv)
 
     def test_bracket_of_a_tall_tied_matrix(self, tmp_path):
-        # proj-norm on a 2^13 x 2 matrix whose row split ties its column
-        # split, under a 1 GiB address space: the row split, 2^26 numbers in
-        # 2^13 pairs, was once taken and ended in a MemoryError traceback
-        A = np.full((1 << 13, 2), 1e-300)
-        A[:2] = [[1.0, 2.0], [3.0, -1.0]]
-        write_matrix_csv(tmp_path / "tall.csv", DenseMatrix(A))
-        argv = ["proj-norm", "--input", str(tmp_path / "tall.csv"), "--out", str(tmp_path / "r.json")]
-        self.run_in_1_gib(argv)
-        assert json.loads((tmp_path / "r.json").read_text())["upper"] == 5.0
+        # proj-norm on 2^13 x 2 and 2^12 x 2 matrices whose row split ties
+        # their column split, under a 1 GiB address space: the row split was
+        # once kept on the tie and ended in a MemoryError traceback, past the
+        # size cap at 2^13 (2^26 numbers) and at 2^12 within it (16,785,408
+        # numbers, turned into JSON lists)
+        for rows in (13, 12):
+            A = np.full((1 << rows, 2), 1e-300)
+            A[:2] = [[1.0, 2.0], [3.0, -1.0]]
+            write_matrix_csv(tmp_path / "tall.csv", DenseMatrix(A))
+            argv = ["proj-norm", "--input", str(tmp_path / "tall.csv"), "--out", str(tmp_path / "r.json")]
+            self.run_in_1_gib(argv)
+            report = json.loads((tmp_path / "r.json").read_text())
+            assert report["upper"] == 5.0 and len(report["upper_cert"]) == 2
 
 
 class TestImports:

@@ -225,10 +225,12 @@ class TestIntegerScan:
         assert x.entries.astype(float) @ A @ y.entries.astype(float) == value
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(7, 10), st.integers(10, 64), st.integers(0, 2**32 - 1))
+    @given(st.integers(7, 10), st.integers(10, 600), st.integers(0, 2**32 - 1))
     def test_high_rows_match_the_float_scan(self, J, K, seed):
         # a 64-byte budget leaves 2^5 low patterns, so J - 6 high bits add
-        # their rows to the int16 table; amplitudes reach the int16 limit
+        # their rows to the int16 table; amplitudes reach the int16 limit.
+        # K runs past 2^lo in both scans (2^5 here, at most 2^(J - 1) in the
+        # float64 one), so each stores its table by column and by row.
         rng = make_rng(seed)
         amp = int(rng.integers(0, 32767 // (J * K) + 1))
         A = rng.integers(-amp, amp + 1, (J, K)).astype(float)
@@ -249,6 +251,59 @@ class TestIntegerScan:
         value, x, y = injective_norm_exact(DenseMatrix(A))
         assert value == brute_force_norm(A)
         assert abs(x.entries.astype(float) @ A @ y.entries.astype(float) - value) <= 1e-15 * value
+
+
+def witness_symbol(rng, length):
+    """Problem-8 style symbol: modulus 1/(n+1) on block n, random signs."""
+    z = np.zeros(length)
+    for k in range(1, length):
+        z[k] = 1.0 / k.bit_length()
+    return z * rng.choice([-1.0, 1.0], length)
+
+
+class TestFloatScan:
+    """Matrices that are not int16-admitted integers are scanned in float64."""
+
+    @pytest.mark.parametrize("name, A, pinned", [
+        ("hilbert 12", hankel_matrix(CoeffSeq(1.0 / np.arange(1.0, 24)), 12).entries,
+         (16.145939989027887, "++++++++++++", "++++++++++++")),
+        ("witness hankel 16", hankel_matrix(CoeffSeq(witness_symbol(make_rng(54), 31)), 16).entries,
+         (24.766666666666666, "+--+-+--+-++-+--", "-++-+-++-+--+-++")),
+    ])
+    def test_pinned_outputs(self, name, A, pinned):
+        # (value, x, y) as the float64 scan stored by row gave them
+        assert table_type(A) is None
+        value, x, y = injective_norm_exact(DenseMatrix(A))
+        assert (value, signs(x), signs(y)) == pinned
+
+
+class TestScanLayouts:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 9), st.integers(1, 64), st.sampled_from(["int", "quarter"]),
+           st.integers(0, 56), st.integers(0, 2**32 - 1))
+    def test_first_maximizer_in_both_layouts(self, J, K, kind, amp, seed):
+        # A 64-byte budget leaves 2^min(J - 1, 5) low patterns, so K falls on
+        # both sides of 2^lo and J > 6 adds high rows.  Integers within the
+        # int16 limit (576 entries of at most 56) take the int16 table;
+        # quarters, one of them odd, take the float64 one, where every sum is
+        # exact.  The scan returns the brute force's first maximum.
+        if J > K:
+            J, K = K, J
+        rng = make_rng(seed)
+        A = rng.integers(-amp, amp + 1, (J, K)).astype(float)
+        if kind == "quarter":
+            A = A / 4
+            A[0, 0] = 0.25
+        assert table_type(A) is (np.int16 if kind == "int" else None)
+        xs = [np.concatenate(([1.0], s)) for s in brute_signs(J - 1)]
+        vals = [float(np.abs(xv @ A).sum()) for xv in xs]
+        first = xs[vals.index(max(vals))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensornorm, "_SCAN_BYTES", 64)
+            value, x, y = injective_norm_exact(DenseMatrix(A))
+        assert value == max(vals)
+        assert np.array_equal(x.entries, first)
+        assert np.array_equal(y.entries, np.where(first @ A < 0, -1, 1))
 
 
 class TestSearch:
@@ -516,13 +571,25 @@ class TestBracketMemory:
         assert peak < 4 << 20, peak
 
     def test_splits_past_the_size_cap_are_no_candidates(self):
-        # the row split of this 2^13 x 2 matrix ties the column split at cost
-        # 5 and was once taken: 2^13 pairs of 2^13 + 2 numbers, 2^26 in all
+        # the row split of this 2^13 x 2 matrix costs 4, less than any other
+        # candidate, but holds 2^13 pairs of 2^13 + 2 numbers, 2^26 in all
         A = np.full((1 << 13, 2), 1e-300)
+        A[:2] = [[3.0, 2.0], [1.0, -1.0]]
+        br = projective_bracket(DenseMatrix(A))
+        assert 4.0 < br.upper < 5.0 and br.strategies[0] == "peel"
+        assert sum(a.size + b.size for a, b in br.upper_certificate) <= 1 << 25
+        assert_upper_certificate(A, br)
+
+    @pytest.mark.parametrize("rows", [12, 13])
+    def test_tied_splits_keep_the_fewer_pairs(self, rows):
+        # the row split ties the column split at cost 5: 2^rows pairs of
+        # 2^rows + 2 numbers against 2 pairs; at 2^13 rows the row split
+        # would pass the size cap, at 2^12 it would not
+        A = np.full((1 << rows, 2), 1e-300)
         A[:2] = [[1.0, 2.0], [3.0, -1.0]]
         br = projective_bracket(DenseMatrix(A))
         assert br.upper == 5.0 and br.strategies[0] == "cols"
-        assert sum(a.size + b.size for a, b in br.upper_certificate) <= 1 << 25
+        assert sum(a.size + b.size for a, b in br.upper_certificate) == 2 * ((1 << rows) + 2)
         assert_upper_certificate(A, br)
 
     @pytest.mark.parametrize("log2,shape", [(4, (9, 9)), (3, (2, 3))])
