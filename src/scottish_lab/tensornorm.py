@@ -3,12 +3,13 @@ vectors, certified brackets for the rank-one decomposition norm, and corner
 profiles.
 
 The exact maximizer scans sign vectors in lexicographic order: a table holds
-the column sums of every pattern of the low bits, and each pattern of the
-high bits, in ascending order, adds its row to that table in one reused
-buffer.  Only the shorter side of the matrix is enumerated.  Ties are broken
-toward the lexicographically smallest canonical sign vector on that side
-(+1 sorts before -1, entry 0 pinned to +1) -- the first maximum the scan
-meets -- which makes every run reproducible.
+the column sums of every pattern of the low bits, and each pattern of the high
+bits, in ascending order, adds its row (stacked (1, hi) @ (hi, K) products
+form them in batches, each bit for bit x_hi @ A, as one gemm is not) to that
+table in one reused buffer.  Only the shorter side of the matrix is
+enumerated.  Ties are broken toward the lexicographically smallest canonical
+sign vector on that side (+1 sorts before -1, entry 0 pinned to +1) -- the
+first maximum the scan meets -- which makes every run reproducible.
 
 There is one table, cast once to the scan's type and stored along its
 longer side: by column, (K, 2^lo), when the K columns are no more than the
@@ -113,20 +114,19 @@ def _int_table_type(A: np.ndarray, S: float):
 
 
 def _scan_values(x_lo: np.ndarray, B: np.ndarray, dt):
-    """Candidate values, in dt, of a high row added to the table of column
-    sums x_lo @ B of the 2^lo low patterns.  The table is built in its
-    layout, never transposed: by column, (K, 2^lo), when K <= 2^lo, else by
-    row."""
+    """Candidate values, in dt, of a high row (already in dt) added to the
+    table of column sums x_lo @ B of the 2^lo low patterns.  The table is
+    built in its layout, never transposed: by column, (K, 2^lo), when
+    K <= 2^lo, else by row."""
     by_col = B.shape[1] <= x_lo.shape[0]
     table = (B.T @ x_lo.T if by_col else x_lo @ B).astype(dt, copy=False)
     buf = np.empty_like(table)
     vals = np.empty(x_lo.shape[0], dtype=dt)
 
     def values(row):
-        row = row.astype(dt, copy=False)
         np.add(table, row[:, None] if by_col else row, out=buf)
         np.abs(buf, out=buf)
-        return np.sum(buf, axis=0 if by_col else 1, dtype=dt, out=vals)  # dtype: no int64 widening
+        return np.add.reduce(buf, axis=0 if by_col else 1, dtype=dt, out=vals)  # dtype: no int64 widening
 
     return values
 
@@ -162,13 +162,16 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
     x_lo = _lex_signs(np.arange(1 << lo), lo)
     values = _scan_values(x_lo, A[1 + hi :], dt)
     best_val = -1.0
-    for q in range(1 << hi):
-        x_hi = _lex_signs(q, hi)
-        vals = values(A[0] + x_hi @ A[1 : 1 + hi])
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:  # ties keep the first, lexicographically smallest x
-            best_val = vals[i]
-            best_x = np.concatenate(([1.0], x_hi, x_lo[i]))
+    step = max(1, _SCAN_BYTES // (8 * K))  # high rows per batch: _SCAN_BYTES of float64
+    for q in range(0, 1 << hi, step):
+        X_hi = _lex_signs(np.arange(q, min(q + step, 1 << hi)), hi)
+        rows = (A[0] + np.matmul(X_hi[:, None, :], A[1 : 1 + hi])[:, 0, :]).astype(dt, copy=False)
+        for x_hi, row in zip(X_hi, rows):
+            vals = values(row)
+            i = int(vals.argmax())
+            if vals[i] > best_val:  # ties keep the first, lexicographically smallest x
+                best_val = vals[i]
+                best_x = np.concatenate(([1.0], x_hi, x_lo[i]))
 
     col = best_x @ A
     return float(np.abs(col).sum()), SignVector(best_x), SignVector(_y_from_sums(col))
@@ -200,21 +203,27 @@ def injective_norm_search(Q: DenseMatrix, budget: int, seed: int) -> SearchOutco
     best_val = float(np.abs(best_x @ A).sum())
     evals = 1
 
+    # row j of xA2 = x_j 2 A_j, the step to col of a flip of x_j (x 2, x -1 are exact)
+    A2, buf, cand = 2.0 * A, np.empty(A.shape), np.empty(J)
     restart = 0
     while evals < budget:
         rng = make_rng(derive_seed(seed, restart))
         restart += 1
         x = rng.integers(0, 2, J) * 2.0 - 1.0
         col = x @ A
+        xA2 = x[:, None] * A2
         val = float(np.abs(col).sum())
         evals += 1
         while evals < budget:
-            cand = np.abs(col[None, :] - (2.0 * x)[:, None] * A).sum(axis=1)
+            np.subtract(col, xA2, out=buf)
+            np.abs(buf, out=buf)
+            buf.sum(axis=1, out=cand)
             evals += J
-            j = int(np.argmax(cand))
+            j = int(cand.argmax())
             if cand[j] <= val:
                 break
-            col = col - 2.0 * x[j] * A[j]
+            col -= xA2[j]
+            np.negative(xA2[j], out=xA2[j])
             x[j] = -x[j]
             val = float(cand[j])
         if x[0] < 0:
@@ -270,15 +279,20 @@ def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple
 
     Depth k strips the leading singular pair of the remainder k times, then
     splits what is left into its rows or its columns, each costing its
-    largest entry; a remainder within 1e-14 * scale (= max |A|) of zero costs
-    nothing and ends the search.  A candidate holds (k + nonzero lines)
-    pairs of J + K numbers each; none may hold more than 2^SIZE_CAP_LOG2
-    numbers, and if none fits, InvalidParameter.  Ties in cost keep the
-    candidate with fewer pairs, then the first of k = 0 rows, k = 0 cols,
-    k = 1 rows, ...; the tag is the split at k = 0 and peel after.
+    largest entry.  Peel k takes A's own k-th singular pair while sv[k] is
+    simple (apart from both neighbours by more than 1e-9 * sv[0]), and from
+    the first repeated value on the remainder's leading pair.  A remainder
+    within 1e-14 * scale (= max |A|) of zero costs nothing and ends the
+    search.  A candidate holds (k + nonzero lines) pairs of J + K numbers
+    each; none may hold more than 2^SIZE_CAP_LOG2 numbers, and if none fits,
+    InvalidParameter.  Ties in cost keep the candidate with fewer pairs, then
+    the first of k = 0 rows, k = 0 cols, k = 1 rows, ...; the tag is the
+    split at k = 0 and peel after.
     """
     depth = min(MAX_PEELS, *A.shape)
     most_pairs = (1 << SIZE_CAP_LOG2) // sum(A.shape)
+    u, sv, vt = np.linalg.svd(A, full_matrices=False)
+    own = np.append(np.flatnonzero(sv[:-1] - sv[1:] <= 1e-9 * sv[0]), sv.size)[0]  # first repeated
     R, absR, peeled, peel_cost = A, absA, [], 0.0
     best = None  # (cost, pairs, k, split or None for a zero remainder, remainder)
     for k in range(depth + 1):
@@ -293,9 +307,10 @@ def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple
                 best = (*cand, k, split, R)
         if k == depth:
             break
-        u, sv, vt = np.linalg.svd(R, full_matrices=False)
-        a = sv[0] * u[:, 0]
-        b = vt[0].copy()
+        if k >= own:
+            u, sv, vt = np.linalg.svd(R, full_matrices=False)
+        i = 0 if k >= own else k
+        a, b = sv[i] * u[:, i], vt[i].copy()
         peeled.append((a, b))
         peel_cost += float(np.abs(a).max() * np.abs(b).max())
         R = R - np.outer(a, b)

@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scottish_lab import (
     CoeffSeq,
     DenseMatrix,
     SignVector,
+    derive_seed,
     hankel_matrix,
     injective_norm_exact,
     injective_norm_search,
@@ -306,6 +307,93 @@ class TestScanLayouts:
         assert np.array_equal(y.entries, np.where(first @ A < 0, -1, 1))
 
 
+def per_row_scan(A):
+    """The exact scan with each high row formed alone, x_hi @ A, as
+    (value, x, y, hi)."""
+    J, K = A.shape
+    dt = table_type(A) or np.float64
+    entries = tensornorm._SCAN_BYTES // np.dtype(dt).itemsize
+    lo = min(J - 1, max(tensornorm._MIN_LOW_BITS, (entries // K).bit_length() - 1))
+    hi = J - 1 - lo
+    x_lo = tensornorm._lex_signs(np.arange(1 << lo), lo)
+    values = tensornorm._scan_values(x_lo, A[1 + hi:], dt)
+    best_val = -1.0
+    for q in range(1 << hi):
+        x_hi = tensornorm._lex_signs(q, hi)
+        vals = values((A[0] + x_hi @ A[1:1 + hi]).astype(dt))
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_x = vals[i], np.concatenate(([1.0], x_hi, x_lo[i]))
+    col = best_x @ A
+    return float(np.abs(col).sum()), best_x, np.where(col < 0, -1, 1), hi
+
+
+def scan_case(kind, rng, J):
+    """Tie-prone float matrices (entries +-0.1, a symmetric Hankel, repeated
+    rows) and integers, shaped so that the scan has high rows."""
+    if kind == "tenths":
+        return rng.choice([-0.1, 0.1], (J, J))
+    if kind == "hankel":
+        return rng.choice([-0.1, 0.1, 0.2], 2 * J - 1)[np.add.outer(np.arange(J), np.arange(J))]
+    if kind == "repeated":
+        return rng.choice([-0.1, 0.1, 0.3], (4, J))[rng.integers(0, 4, J)]
+    if kind == "wide":  # 16 high rows per stacked product, in 16 batches
+        return rng.choice([-0.1, 0.1], (14, 4096))
+    return rng.integers(-3, 4, (J, 40)).astype(float)  # int16 table
+
+
+class TestHighRows:
+    @pytest.mark.parametrize("J", [14, 16, 18, 20, 22])
+    @pytest.mark.parametrize("kind", ["tenths", "hankel", "repeated", "int"])
+    def test_stacked_rows_match_a_per_row_scan(self, kind, J):
+        # the high rows are formed in stacked (1, hi) @ (hi, K) products, each
+        # bit for bit the row's own x_hi @ A; one gemm X_hi @ A rounds some
+        # +-0.1 sums otherwise and moves their first maximizer
+        rng = make_rng(61 + J)
+        for _ in range(2):
+            A = scan_case(kind, rng, J)
+            value, x, y, hi = per_row_scan(A)
+            assert hi >= 1
+            assert injective_norm_exact(DenseMatrix(A)) == (value, SignVector(x), SignVector(y))
+
+    def test_rows_formed_in_batches(self):
+        A = scan_case("wide", make_rng(62), 14)
+        value, x, y, hi = per_row_scan(A)
+        assert hi == 8
+        assert injective_norm_exact(DenseMatrix(A)) == (value, SignVector(x), SignVector(y))
+
+
+def per_step_search(A, budget, seed):
+    """The flip search forming col - 2 x A and the moved col afresh at each
+    step, as (value, x, y, evaluations)."""
+    J = A.shape[0]
+    best_x = np.ones(J)
+    best_val = float(np.abs(best_x @ A).sum())
+    evals, restart = 1, 0
+    while evals < budget:
+        rng = make_rng(derive_seed(seed, restart))
+        restart += 1
+        x = rng.integers(0, 2, J) * 2.0 - 1.0
+        col = x @ A
+        val = float(np.abs(col).sum())
+        evals += 1
+        while evals < budget:
+            cand = np.abs(col[None, :] - (2.0 * x)[:, None] * A).sum(axis=1)
+            evals += J
+            j = int(np.argmax(cand))
+            if cand[j] <= val:
+                break
+            col = col - 2.0 * x[j] * A[j]
+            x[j] = -x[j]
+            val = float(cand[j])
+        if x[0] < 0:
+            x = -x
+        if val > best_val or (val == best_val and tensornorm._lex_smaller(x, best_x)):
+            best_val, best_x = val, x.copy()
+    col = best_x @ A
+    return float(np.abs(col).sum()), best_x, np.where(col < 0, -1, 1), evals
+
+
 class TestSearch:
     def test_small_budget_finds_hadamard(self):
         A = DenseMatrix([[1.0, 1.0], [1.0, -1.0]])
@@ -335,6 +423,22 @@ class TestSearch:
         with pytest.raises(InvalidParameter, match="budget must be nonnegative"):
             injective_norm_search(DenseMatrix(np.ones((3, 3))), budget=-3, seed=0)
         assert injective_norm_search(DenseMatrix(np.ones((3, 3))), budget=0, seed=0).evaluations == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 200), st.integers(0, 2**32 - 1),
+           st.sampled_from(["int", "gauss", "tenths"]))
+    @example(1, 5, 40, 7, "gauss")
+    @example(6, 4, 6, 1, "int")
+    def test_matches_a_loop_with_per_step_temporaries(self, J, K, budget, seed, kind):
+        # budgets run from 0 past J + 1, so runs stop at the baseline, inside
+        # the first sweep or after several restarts; J = 1 flips its only entry
+        rng = make_rng(seed)
+        A = {"int": lambda: rng.integers(-3, 4, (J, K)).astype(float),
+             "gauss": lambda: rng.standard_normal((J, K)),
+             "tenths": lambda: rng.choice([-0.1, 0.1], (J, K))}[kind]()
+        value, x, y, evals = per_step_search(A, budget, seed)
+        out = injective_norm_search(DenseMatrix(A), budget, seed)
+        assert (out.value, out.x, out.y, out.evaluations) == (value, SignVector(x), SignVector(y), evals)
 
     def test_canonical_output(self):
         rng = make_rng(32)
@@ -392,6 +496,68 @@ PINNED_BRACKETS = {
         {"kind": "self-exact", "pairing": 55.0, "denominator": 19.0},
     ),
 }
+
+
+def per_depth_peels(A):
+    """The bracket's peel search with one SVD of the remainder per depth,
+    as (tag, cost, pair count)."""
+    absA = np.abs(A)
+    scale = float(absA.max())
+    depth = min(tensornorm.MAX_PEELS, *A.shape)
+    R, absR, peel_cost, best = A, absA, 0.0, None
+    for k in range(depth + 1):
+        if float(absR.max()) <= 1e-14 * scale:
+            if best is None or (peel_cost, k) < best[:2]:
+                best = (peel_cost, k, k, None)
+            break
+        for split, axis in (("rows", 1), ("cols", 0)):
+            line_max = absR.max(axis=axis)
+            cand = (peel_cost + sum(line_max.tolist()), k + int(np.count_nonzero(line_max)))
+            if best is None or cand < best[:2]:
+                best = (*cand, k, split)
+        if k == depth:
+            break
+        u, sv, vt = np.linalg.svd(R, full_matrices=False)
+        a, b = sv[0] * u[:, 0], vt[0]
+        peel_cost += float(np.abs(a).max() * np.abs(b).max())
+        R = R - np.outer(a, b)
+        absR = np.abs(R)
+    cost, pairs, k, split = best
+    return ("peel" if k else split), cost, pairs
+
+
+def hankel_case(rng, jmax=10, kmax=10):
+    sym = rng.integers(-3, 4, jmax + kmax).astype(float)
+    return sym[np.add.outer(np.arange(int(rng.integers(1, jmax + 1))), np.arange(int(rng.integers(1, kmax + 1))))]
+
+
+class TestPeelSearch:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([int_matrix, gauss_matrix, low_rank_matrix, hankel_case]))
+    def test_one_svd_matches_one_svd_per_depth(self, seed, make):
+        A = make(make_rng(seed), 10, 10)
+        if not A.any():
+            return
+        tag, cost, pairs = per_depth_peels(A)
+        got = tensornorm._upper_decomposition(A, np.abs(A), float(np.abs(A).max()))
+        assert (got[0], len(got[2])) == (tag, pairs)
+        assert abs(got[1] - cost) <= 1e-12 * cost
+
+    def test_repeated_value_past_the_first_peel(self):
+        # the pinned 7 x 8 matrix (singular values 3.77, 2, 2, 1.68) behind a
+        # leading 10: peels 0 and 1 come from A's own SVD, peels 2 on from the
+        # remainder's; A's own pairs at depth 2 would cost 17.41, not 15.41
+        B = PINNED_BRACKETS["repeated-singular-values-7x8"][0]()
+        A = np.zeros((8, 9))
+        A[0, 0], A[1:, 1:] = 10.0, B
+        sv = np.linalg.svd(A, compute_uv=False)
+        assert abs(sv[2] - sv[3]) < 1e-12 and sv[1] - sv[2] > 1
+        tag, cost, pairs = per_depth_peels(A)
+        got = tensornorm._upper_decomposition(A, np.abs(A), float(np.abs(A).max()))
+        assert tag == "peel" and pairs > 2
+        assert (got[0], len(got[2])) == (tag, pairs)
+        assert abs(got[1] - cost) <= 1e-12 * cost
+        assert_upper_certificate(A, projective_bracket(DenseMatrix(A)))
 
 
 class TestSignVector:
