@@ -92,8 +92,12 @@ def flat_polynomial(
     if np.any(b < 0):
         raise InvalidTarget("targets must be nonnegative")
 
-    targets_l2 = _power_root(b, 2, np.sqrt)
-    if targets_l2 == 0.0:
+    # the search runs on b / 2^e, whose largest entry lies in [1/2, 1), so no
+    # norm overflows; powers of two scale exactly
+    e = math.frexp(float(b.max(initial=0.0)))[1]
+    scaled = np.ldexp(b, -e)
+    scaled_l2 = _power_root(scaled, 2, np.sqrt)
+    if scaled_l2 == 0.0:
         f = CoeffSeq._adopt(np.zeros(len(beta)))
         return f, FlatPolyReport(0.0, 0.0, 0.0, "rudin_shapiro", seed, 0)
 
@@ -105,7 +109,7 @@ def flat_polynomial(
         signs[lo : lo + run] = rudin_shapiro(run.bit_length() - 1)[0].coeffs
     else:
         signs = make_rng(seed).integers(0, 2, b.size) * 2.0 - 1.0
-    coeffs = signs * b
+    coeffs = signs * scaled
     sup = lp_norm_circle(CoeffSeq(coeffs), math.inf, oversample)
     method, iterations = "rudin_shapiro", 0
     if run is None:
@@ -126,11 +130,13 @@ def flat_polynomial(
             iterations += 1
         method = "random_plus_descent" if evals > 1 else "random_signs"  # a flip was evaluated
 
-    f = CoeffSeq._adopt(coeffs)
+    f = CoeffSeq._adopt(np.copysign(b, coeffs))  # the signs, on targets no scaling rounded
+    with np.errstate(over="ignore"):  # inf past the float range
+        targets_l2, sup_norm = (float(np.ldexp(v, e)) for v in (scaled_l2, sup))
     report = FlatPolyReport(
         targets_l2=targets_l2,
-        sup_norm=sup,
-        ratio=sup / targets_l2,
+        sup_norm=sup_norm,
+        ratio=sup / scaled_l2,
         method=method,
         seed=seed,
         descent_iterations=iterations,
@@ -306,11 +312,14 @@ def weighted_moment(
     are bit for bit those of the full-length pass.  A partial sum that is
     not a finite float raises InvalidRegime: it reports no moment.
 
-    Divergence is diagnosed from the fitted growth exponent over the last
-    third of the checkpoints, never from the size of the sum: finite
-    truncations cannot witness divergence, fitted growth laws can.  A window
-    holding an increment that lies wholly past the last coefficient reads
-    flat for want of data, not by convergence, and is labelled inconclusive.
+    Divergence is diagnosed from the fitted growth exponent p over the last
+    third of the checkpoints, never from the size of the sum: the fitted law
+    inc_m ~ m^(p-1) converges exactly when p < 0, so the label is divergent
+    for p > 0.1, convergent for -inf < p < -0.1 or when every increment in
+    the window is 0, and inconclusive otherwise.  That covers a window with
+    no increment, fewer than two positive ones, or one holding an increment
+    wholly past the last coefficient, which reads flat for want of data.
+    cauchy only records whether the window's increments do not rise.
     """
     if not 0 < t < math.inf:  # NaN too
         raise InvalidRegime("moment exponent t must be positive and finite")
@@ -343,21 +352,15 @@ def weighted_moment(
     window = max(3, (m_hi + 1) // 3)
     m_lo = max(1, m_hi - window + 1)
     inc = np.diff(sums)[m_lo - 1 :]  # increments m = m_lo..m_hi
-    if inc.size and (1 << (m_hi - 1)) >= size - 1:
-        # increment m_hi sums k in (2^(m_hi-1), 2^m_hi], all past index size - 1
-        diag = MomentDiagnosis("inconclusive", None, False, (m_lo, m_hi))
-    elif inc.size == 0 or inc.max() <= 0.0:
-        diag = MomentDiagnosis("convergent", None, True, (m_lo, m_hi))
-    else:
-        p = fit_growth_exponent(checkpoints, m_lo, m_hi)
-        cauchy = bool(np.all(np.diff(inc) <= 1e-12 * max(inc.max(), 1.0)))
-        if p > 0.1:
-            label = "divergent"
-        elif p < 0.05 and cauchy:
-            label = "convergent"
-        else:
-            label = "inconclusive"
-        diag = MomentDiagnosis(label, p, cauchy, (m_lo, m_hi))
+    # increment m_hi sums k in (2^(m_hi-1), 2^m_hi]: past index size - 1 it holds no data
+    past = inc.size > 0 and (1 << (m_hi - 1)) >= size - 1
+    p = fit_growth_exponent(checkpoints, m_lo, m_hi) if inc.any() and not past else None
+    if p is None:  # no data, or every increment exactly 0
+        label = "convergent" if inc.size and not past else "inconclusive"
+    else:  # inc_m ~ m^(p-1) converges iff p < 0 (Cauchy condensation); read with margin 0.1
+        label = "divergent" if p > 0.1 else "convergent" if -math.inf < p < -0.1 else "inconclusive"
+    cauchy = not past and bool(np.all(np.diff(inc) <= 1e-12 * max(inc.max(initial=0.0), 1.0)))
+    diag = MomentDiagnosis(label, p, cauchy, (m_lo, m_hi))
     return MomentReport(t=float(t), beta=float(beta), checkpoints=checkpoints, diagnosis=diag)
 
 

@@ -24,11 +24,15 @@ from scottish_lab.extremal import problem88_witness
 from scottish_lab.mazur import cesaro_product
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(argv, path):
     rc = run(argv + ["--out", str(path)])
     assert rc == 0
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=refuse_constant)
 
 
 @pytest.fixture
@@ -166,6 +170,18 @@ class TestCommands:
         assert doc["fidelity_exact"] is True
         assert doc["besov_value"] <= doc["chain_bound"] + 1e-6
 
+    def test_flatpoly_and_lkk_past_the_float_range(self, tmp_path):
+        # the norms of eight targets of 1e308 overflow, and their ratio once
+        # read NaN (inf / inf); a ratio is scale-free, so it stays finite
+        big = tmp_path / "big.csv"
+        write_coeff_csv(big, CoeffSeq(np.full(8, 1e308)))
+        doc = run_json(["flatpoly", "--input", str(big)], tmp_path / "fp.json")
+        assert doc["targets_l2"] == doc["sup_norm"] == "inf"
+        assert doc["ratio"] == 1.414213562373095
+        doc = run_json(["lkk", "--input", str(big)], tmp_path / "lk.json")
+        assert [round(b["ratio"], 4) for b in doc["blocks"]] == [1.4142, 1.4142, 1.3297]
+        assert doc["fidelity_exact"] is True
+
     def test_moment(self, two_block, tmp_path):
         doc = run_json(
             ["moment", "--input", str(two_block), "--t", "1", "--beta", "0.5", "--kmax", "8"],
@@ -265,7 +281,7 @@ class TestStreamedSequence:
         monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
         out = tmp_path / "w.json"
         assert run(["wn", "--n", "3", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(), parse_constant=refuse_constant)
         want = self.reference(dict(doc, sequence=dyadic_kernel(3)))
         assert out.read_text() == want and len(doc["sequence"]) > 6
 
@@ -279,7 +295,7 @@ class TestStreamedSequence:
         write_coeff_csv(xp, CoeffSeq(x))
         write_coeff_csv(yp, CoeffSeq(y))
         assert run(["mazur-b", "--input", str(xp), "--input2", str(yp), "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(), parse_constant=refuse_constant)
         want = self.reference(dict(doc, sequence=cesaro_product(read_coeff_csv(xp), read_coeff_csv(yp))))
         assert out.read_text() == want and len(doc["sequence"]) > 2 * 7
 
@@ -892,7 +908,7 @@ class TestReproducibility:
         out = tmp_path / "rep.json"
         rc = run(["verify", "--suite", "besov", "--out", str(out)])
         assert rc == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(), parse_constant=refuse_constant)
         assert doc["passed"] is True
         assert doc["suites"][0]["suite"] == "besov"
 
@@ -1075,7 +1091,7 @@ class TestMemory:
             write_matrix_csv(tmp_path / "tall.csv", DenseMatrix(A))
             argv = ["proj-norm", "--input", str(tmp_path / "tall.csv"), "--out", str(tmp_path / "r.json")]
             self.run_in_1_gib(argv)
-            report = json.loads((tmp_path / "r.json").read_text())
+            report = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse_constant)
             assert report["upper"] == 5.0 and len(report["upper_cert"]) == 2
 
 

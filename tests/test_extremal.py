@@ -1,5 +1,8 @@
+import functools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,15 +131,26 @@ class TestFlatPolynomial:
         assert not f.coeffs.any()
         assert rep.ratio == 0.0
 
-    @pytest.mark.parametrize("e", [-600, 600])
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1023])
     def test_targets_whose_squares_leave_the_float_range(self, e):
         # the targets' l2 norm once read 0, which returned the zero
-        # polynomial, or inf after a RuntimeWarning
+        # polynomial, or inf after a RuntimeWarning.  The search runs on the
+        # targets over a power of two, so signs and ratio do not depend on the
+        # scale; at 2^1023 the norms pass the float range and read inf, where
+        # their ratio read NaN (inf / inf)
         beta = make_rng(67).random(40)
         f, rep = flat_polynomial(CoeffSeq(beta), seed=2, descent_budget=30)
         g, scaled = flat_polynomial(CoeffSeq(beta * 2.0**e), seed=2, descent_budget=30)
         assert np.array_equal(g.coeffs, f.coeffs * 2.0**e)
-        assert abs(scaled.ratio - rep.ratio) <= 1e-12 * rep.ratio
+        assert scaled.ratio == rep.ratio and scaled.descent_iterations == rep.descent_iterations
+        assert (scaled.targets_l2 == scaled.sup_norm == math.inf) == (e == 1023)
+
+    def test_moduli_exact_across_the_float_range(self):
+        # targets that scaling by 2^-e rounds to subnormals or 0 keep their moduli
+        beta = CoeffSeq([1e308, 5e-324, 1e-310, 0.0, 3.0, 2.0**-1000])
+        f, rep = flat_polynomial(beta, seed=1, descent_budget=20)
+        assert np.array_equal(np.abs(f.coeffs), beta.coeffs)
+        assert math.isfinite(rep.ratio)
 
     def test_negative_rejected(self):
         # complex targets too, by both builders
@@ -418,6 +432,87 @@ class TestWeightedMoment:
     def test_invalid_kmax(self):
         with pytest.raises(InvalidParameter):
             weighted_moment(CoeffSeq([1.0]), 1.0, 0.0, kmax=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_diagnosis(t, m, delta=0.0):
+    """The streamed moment diagnosis of the witness of nmax m at beta = psi(t)
+    + delta and kmax = 2^m."""
+    return weighted_moment(problem88_params(t, m), t, psi(t) + delta, 1 << m).diagnosis
+
+
+def _series_label(g, kmax=(1 << 16) - 1):
+    return weighted_moment(CoeffSeq(g), 1.0, 0.0, kmax).diagnosis.label
+
+
+class TestRegimeBoundary:
+    # At beta = psi(t) + delta the witness's block n adds about
+    # 2^(n delta) (n+1)^(-(1+t)/2), so its moment diverges for delta >= 0
+    # (like m^((1-t)/2) at delta = 0) and converges for delta < 0.  No label
+    # may contradict that; inconclusive contradicts nothing.
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        # from about t = 0.002 down, the witness entries of the fit window,
+        # 2^(-3n/2) (n+1)^(-(1+1/t)/2), underflow to 0 and the data is flat
+        t=st.floats(0.01, 1.0, exclude_max=True),
+        delta=st.floats(-1.0, 1.0),
+        m=st.integers(12, 20),
+    )
+    def test_no_label_contradicts_the_closed_form(self, t, delta, m):
+        label = _witness_diagnosis(t, m, delta).label
+        if delta >= 0.0:
+            assert label != "convergent", (t, delta, m)
+        if delta <= -0.1:
+            assert label != "divergent", (t, delta, m)
+
+    @pytest.mark.parametrize("m", [22, 24])
+    @pytest.mark.parametrize("t", [0.95, 0.99])
+    def test_slow_growth_at_the_boundary_is_not_convergent(self, t, m):
+        # the fit reads about (1-t)/2 = 0.025 and 0.005: too small to call
+        # divergent, but growth all the same
+        diag = _witness_diagnosis(t, m)
+        assert diag.label == "inconclusive"
+        assert abs(diag.growth_exponent - (1.0 - t) / 2.0) < 0.001
+
+    def test_windows_without_two_positive_increments_are_inconclusive(self):
+        k = np.arange(2, 1 << 16, dtype=float)
+        k_log_k = np.r_[0.0, 0.0, 1.0 / (k * np.log(k))]
+        assert _series_label([1.0, 2.0], kmax=1) == "inconclusive"  # no increment
+        assert _series_label([1.0, 2.0, 3.0], kmax=2) == "inconclusive"  # one increment
+        assert _series_label(k_log_k) == "inconclusive"  # S ~ log log K: p = 0
+
+    def test_summable_series_read_convergent(self):
+        k = np.arange(2, 1 << 16, dtype=float)
+        zigzag = np.where(np.log2(k).astype(int) % 2, 0.25, 1.0)  # increments rise and fall
+        assert _series_label(np.r_[1.0, 0.25, 1.0 / (1.0 + k) ** 2]) == "convergent"
+        assert _series_label(np.r_[1.0, 0.25, zigzag / (1.0 + k) ** 2]) == "convergent"  # cauchy False
+        assert _series_label(np.r_[0.0, 0.0, 1.0 / (k * np.log(k) ** 2)]) == "convergent"  # p = -1
+        assert _series_label(np.r_[1.0, 0.5, 1.0 / (1.0 + k)]) == "divergent"
+
+    def test_moment_command_on_a_witness_file(self, tmp_path):
+        # the witness at t = 0.95 read convergent at fit 0.0251
+        from scottish_lab.cli import run
+
+        csv, out = tmp_path / "a.csv", tmp_path / "m.json"
+        assert run(["witness88", "--t", "0.95", "--nmax", "18", "--format", "csv", "--out", str(csv)]) == 0
+        argv = ["moment", "--input", str(csv), "--t", "0.95", "--beta", repr(psi(0.95)), "--kmax", str(1 << 19)]
+        assert run(argv + ["--out", str(out)]) == 0
+        diag = json.loads(out.read_text(), parse_constant=pytest.fail)["diagnosis"]  # strict JSON
+        assert diag["label"] == "inconclusive" and 0.025 < diag["growth_exponent"] < 0.026
+
+    def test_readme_regime_table(self):
+        # README's table of the witness at beta = psi(t), kmax 2^22, row by row
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        header = "| t | fitted p | law (1-t)/2 | label |"
+        rows = readme.split(header, 1)[1].split("\n")[2:]
+        rows = [row.strip().strip("|").split("|") for row in rows[: rows.index("")]]
+        assert [float(row[0]) for row in rows] == [0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95]
+        for t, fitted, law, label in ([cell.strip() for cell in row] for row in rows):
+            diag = _witness_diagnosis(float(t), 22)
+            assert fitted == f"{diag.growth_exponent:.4f}", t
+            assert law == f"{(1.0 - float(t)) / 2.0:.3g}", t
+            assert label == diag.label, t
 
 
 class TestPsi:
