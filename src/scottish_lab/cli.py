@@ -388,7 +388,7 @@ COMMANDS = {
                         "--input {f} --seed 2", csv=True),
     "lkk": Command(_cmd_lkk, "assemble a coefficient majorant block by block",
                    "--input --seed --budget --oversample --coeffs-out",
-                   "k_achieved besov_value chain_bound block_bound blocks fidelity_exact",
+                   "k_achieved besov_value besov_bound chain_bound block_bound blocks fidelity_exact",
                    "--input {f} --seed 2", csv=True),
     "moment": Command(_cmd_moment, "weighted coefficient moments at dyadic checkpoints",
                       "--input --t --beta --kmax", "t beta kmax checkpoints diagnosis",

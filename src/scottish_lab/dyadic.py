@@ -168,42 +168,39 @@ def _grid_power_sum(f: CoeffSeq, oversample: int, G: int, p: float, scale: float
 def lp_norm_detail(
     f: CoeffSeq, p: float, oversample: int = DEFAULT_OVERSAMPLE
 ) -> tuple[float, float, int]:
-    """Grid L^p norm of f on the unit circle plus an a-priori error bound.
+    """Grid L^p norm of f on the unit circle, a two-sided bound, and G.
 
-    The norm is the normalized p-mean of |f| over G equispaced points, G the
-    smallest power of two >= oversample * (deg + 1); p = inf takes the grid
-    maximum (a lower estimate of the true sup).  For real f the half grid of
-    `grid_values` stands for the whole: its end points j = 0 and G/2 count
-    once and every interior point twice, for its mirror image.  A grid of
-    more than _FFT_POINTS points is never built: its |f|^p sum and maximum
-    are taken one coset of at most _FFT_POINTS points at a time (see
-    _grid_moduli), which changes only the order of the sum.  A smaller grid
-    is one `grid_values` call.
+    The value is the normalized p-mean of |f| over G equispaced points, G the
+    smallest power of two >= oversample * (D + 1), D = deg f; p = inf takes
+    the grid maximum.  For real f the half grid of `grid_values` stands for
+    the whole: its end points j = 0 and G/2 count once and every interior
+    point twice.  A grid of more than _FFT_POINTS points is taken one coset
+    at a time (see _grid_moduli), which changes only the order of the sum.
 
-    p = 2 is exact and needs no grid: the value is sqrt(sum |c_k|^2) and the
-    bound is 0.  On any grid of G > D points the grid mean of |f|^2 is
-    sum_{j,k} c_j conj(c_k) * (mean of w^(j-k)), and the mean of w^m over the
-    G-th roots of unity vanishes for 0 < |m| <= D < G, so it equals
-    sum |c_k|^2 (discrete Parseval, no aliasing), as does the circle's
-    squared L^2 norm.  G is still reported, and still checked first.  Nor
-    does f = 0 take a grid: its grid sum and peak are 0 at every point.
+    p = 2 needs no grid: on any grid of G > D points the mean of |f|^2 is
+    sum |c_k|^2 (discrete Parseval), as is the circle's, so the value is
+    sqrt(sum |c_k|^2) and the bound 0, as for f = 0; G is still checked.
 
-    A sum of squares or of |f|^p that under- or overflows, while the largest
-    modulus is positive and finite, is taken again divided by that modulus,
-    so the value scales with f instead of reading 0, inf or nan.  A grid
-    whose values themselves overflow (a peak of inf or nan, from finite
-    coefficients) is taken again on the coefficients times 2^-e, e the
-    binary exponent of the largest |c_k|, and its value and bound are scaled
-    back by 2^e; they read inf only when they lie past the float range.
+    A sum of squares or of |f|^p that under- or overflows is taken again
+    divided by the peak (the largest modulus), so the value scales with f.
+    A peak that is not a normal float (the FFT overflowed, or ran among
+    subnormals, where rounding is absolute) is taken again on f times 2^-e,
+    e the binary exponent of the largest |c_k|, and value and bound are
+    scaled back by 2^e; they read inf only past the float range.
 
-    For other p the bound pi * D * peak / (G - pi * D), for degree D and grid
-    peak `peak`, covers the gap between the grid value and the true norm.
-    Every point of the circle lies within pi / G of the grid and
-    |f'| <= D * sup|f| (Bernstein), so sup|f| <= peak + pi * D * sup|f| / G,
-    hence sup|f| <= peak * G / (G - pi * D), and both the grid p-mean and
-    the grid maximum lie within pi * D * sup|f| / G of the true norm.  When
-    G <= pi * D the estimate gives nothing and the bound is inf.  Callers
-    add it to their tolerance accounting, never silently absorb it.
+    For other p, |true norm - value| <= bound = (kappa - 1) * value + rho,
+    kappa = G / (G - 2m), m = ceil(D / 2), at most 2 as G >= 2(D + 1).
+    z^-m f has degree m and the modulus of f, and the de la Vallee-Poussin
+    kernel for m and G - m maps its grid samples to it and it to them, with
+    translates summing in modulus to at most kappa, so grid_p / kappa <=
+    ||f||_p <= kappa * grid_p for every p (Marcinkiewicz-Zygmund; Zygmund,
+    Trigonometric Series I, ch. X).  With u = 2^-53 and r = log2 G +
+    G / _FFT_POINTS + 4, each grid value lies within 8ur sum |c_k| <=
+    8ur sqrt(G) peak of f(w_j) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 24.1; a coset folds in at most G / _FFT_POINTS steps), the
+    powers, sum and root add a relative ru (Higham's model, without
+    underflow), and kappa doubles both at most: rho = 32ur sqrt(G) peak,
+    from no pass over the coefficients or the grid.
     """
     p = _validate_exponent(p)
     G = grid_size(len(f), oversample)
@@ -215,9 +212,10 @@ def lp_norm_detail(
         value = math.sqrt(total) if _TINY <= total < math.inf else _power_root(np.abs(v), 2, np.sqrt)
         return value, 0.0, G
     total, peak = _grid_power_sum(f, oversample, G, p) if f.coeffs.any() else (0.0, 0.0)
-    if not math.isfinite(peak):  # the FFT overflowed: again on f / 2^e, exactly scaled
+    if peak and not _TINY <= peak < math.inf:  # again on f / 2^e, exactly scaled
         e = math.frexp(float(np.abs(f.coeffs).max()))[1] - 1
-        value, bound, _ = lp_norm_detail(CoeffSeq._adopt(f.coeffs * 2.0**-e), p, oversample)
+        scaled = np.ldexp(f.coeffs.view(np.float64), -e).view(f.coeffs.dtype)
+        value, bound, _ = lp_norm_detail(CoeffSeq._adopt(scaled), p, oversample)
         return value * 2.0**e, bound * 2.0**e, G
     if math.isinf(p) or peak == 0:
         value = peak
@@ -225,9 +223,9 @@ def lp_norm_detail(
         value = float((total / G) ** (1.0 / p))
     else:  # |f|^p under- or overflows: a second pass, scaled by the peak
         value = peak * float((_grid_power_sum(f, oversample, G, p, peak)[0] / G) ** (1.0 / p))
-    slack = G - math.pi * f.degree
-    bound = math.pi * f.degree * peak / slack if slack > 0 else math.inf
-    return value, bound, G
+    m2 = 2 * ((f.degree + 1) // 2)  # kappa - 1 = 2m / (G - 2m)
+    rho = 2.0**-48 * math.sqrt(G) * (math.log2(G) + G / _FFT_POINTS + 4) * peak
+    return value, m2 / (G - m2) * value + rho, G
 
 
 def lp_norm_circle(f: CoeffSeq, p: float, oversample: int = DEFAULT_OVERSAMPLE) -> float:
@@ -237,7 +235,8 @@ def lp_norm_circle(f: CoeffSeq, p: float, oversample: int = DEFAULT_OVERSAMPLE) 
 
 @dataclass(frozen=True)
 class DyadicProfile:
-    """The weighted block-norm sequence 2^(n*s) * ||f * W_n||_p, n = 0..nmax."""
+    """The weighted block-norm sequence 2^(n*s) * ||f * W_n||_p, n = 0..nmax;
+    error_bounds[n] bounds |true block norm - values[n]| on both sides."""
 
     s: float
     p: float
@@ -330,9 +329,9 @@ def besov_detail(
 
     The norm is the l^q aggregation of the profile values (max for q = inf,
     which is a lower bound for the true sup under truncation).  The error
-    bound aggregates the per-block bounds the same way, which dominates the
-    norm perturbation by the triangle inequality.  At p = 2 the profile is
-    exact and the bound is 0.
+    bound aggregates the per-block two-sided bounds the same way, so by the
+    triangle inequality in l^q it bounds |true norm - norm| on both sides.
+    At p = 2 the profile is exact and the bound is 0.
     """
     q = _validate_exponent(q)
     prof = dyadic_profile(f, s, p, nmax, oversample)

@@ -15,6 +15,7 @@ from . import core
 from .core import CoeffSeq, block_of, check_size, derive_seed, least_squares_line, make_rng
 from .dyadic import (
     DEFAULT_OVERSAMPLE,
+    _TINY,
     _power_root,
     besov_detail,
     grid_size,
@@ -150,6 +151,7 @@ class MajorantReport:
 
     k_achieved: float
     besov_value: float
+    besov_bound: float  # |true besov - besov_value| <= besov_bound
     chain_bound: float  # 4.5 * k_achieved * block bound of the targets
     block_bound: float
     blocks: list  # dicts {n, ratio, method}
@@ -169,7 +171,10 @@ def assemble_majorant(
     The weighted sup-norm profile of the sum is controlled by
     4.5 * K * M where K is the worst per-block flatness ratio achieved and M
     the weighted block-l2 bound of the targets; both sides are measured and
-    reported.
+    reported.  besov_value is the s = 1, p = inf, q = 1 grid norm of the sum
+    and besov_bound its two-sided bound (see besov_detail).  K is a grid
+    flatness ratio, which lies below the true one, so chain_bound is an
+    estimate of the chain's right side, not a bound.
     """
     if descent_budget < 0:
         raise InvalidParameter("budget must be nonnegative")
@@ -200,7 +205,7 @@ def assemble_majorant(
 
     phi_seq = CoeffSeq._adopt(phi)
     k_achieved = max((b["ratio"] for b in blocks), default=0.0)
-    besov_value, _, _ = besov_detail(
+    besov_value, besov_bound, _ = besov_detail(
         phi_seq, 1.0, math.inf, 1.0, top_block + 1, oversample
     )
     block_bound = hard_block_bound(alpha, top_block)
@@ -210,6 +215,7 @@ def assemble_majorant(
     report = MajorantReport(
         k_achieved=k_achieved,
         besov_value=besov_value,
+        besov_bound=besov_bound,
         chain_bound=4.5 * k_achieved * block_bound,
         block_bound=block_bound,
         blocks=blocks,
@@ -303,7 +309,11 @@ def weighted_moment(
     """Partial sums of |gamma_k|^t (1+k)^beta at dyadic checkpoints.
 
     gamma is a CoeffSeq, or the DecayWitnessParams of a Problem-88 witness,
-    whose entries are then computed chunk by chunk and never held whole.
+    whose entries are then computed chunk by chunk and never held whole.  A
+    witness entry delta(n) that is 0 or subnormal (once g log2(n+1) + 1.5 n
+    passes 1022, from block 4 at t = 0.001) has lost its digits, so its term
+    is taken in closed form, 2^(-1.5 n t) (n+1)^(-g t) (1+k)^beta; every
+    other term is computed from the entry as for a CoeffSeq.
     The sums run in one pass over k = 0..min(kmax, len(gamma) - 1),
     core._CHUNK_ROWS indices at a time, so memory does not grow with kmax.
     Each chunk adds the running total into its first term before its
@@ -331,6 +341,7 @@ def weighted_moment(
     top = min(kmax, size - 1)
     m_hi = int(math.floor(math.log2(kmax)))
     marks = [min(1 << m, top) for m in range(m_hi + 1)]
+    witness = isinstance(gamma, DecayWitnessParams)
     sums = []
     run = 0.0
     for lo in range(0, top + 1, core._CHUNK_ROWS):
@@ -341,6 +352,11 @@ def weighted_moment(
         pos = a > 0
         with np.errstate(over="ignore", invalid="ignore"):
             terms[pos] = a[pos] ** t * (1.0 + k[pos]) ** beta
+            if witness:  # a block whose entry underflowed takes its terms in closed form
+                for n in range(max(lo, 1).bit_length() - 1, (hi - 1).bit_length()):
+                    if gamma.delta(n) < _TINY:
+                        j = slice(max(lo, 1 << n) - lo, min(hi, 2 << n) - lo)
+                        terms[j] = 2.0 ** (-1.5 * n * t) * (n + 1.0) ** (-gamma.g * t) * (1.0 + k[j]) ** beta
             terms[0] += run
             cum = np.cumsum(terms)
         run = cum[-1]

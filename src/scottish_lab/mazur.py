@@ -20,7 +20,7 @@ from .core import (
     limit_estimate,
     make_rng,
 )
-from .dyadic import DEFAULT_OVERSAMPLE, _block_detail, dyadic_profile, grid_size, lp_norm_circle
+from .dyadic import DEFAULT_OVERSAMPLE, _block_detail, dyadic_profile, grid_size, lp_norm_detail
 from .errors import InvalidInput, InvalidParameter
 from .extremal import rudin_shapiro
 
@@ -98,7 +98,7 @@ class WitnessReport:
     """Measurements and soft assertions for a decay witness."""
 
     params: dict
-    blocks: list  # dicts {n, l1, linf, l2}
+    blocks: list  # dicts {n, l1, l1_bound, linf, l2}; |true L1 - l1| <= l1_bound
     fit: dict  # {slope, intercept, residual} of log2(l1*(n+1)) against n
     flags: dict = field(default_factory=dict)
 
@@ -124,8 +124,14 @@ def problem8_witness(
     (outside every hard block) is zero.  Random signs give block L1 of order
     2^(n/2)/(n+1) in expectation; Rudin-Shapiro signs give the deterministic
     bound L1 >= 2^(n/2) / ((n+1) sqrt(2)) via the flatness identity.  The
-    report stores per-block measurements and fits the exponent of 2 in
-    l1 * (n+1) against n from block 8 on (block nmax // 2 when nmax < 12).
+    report stores per-block measurements, each block's grid L1 with its
+    two-sided bound l1_bound (see lp_norm_detail), and fits the exponent of 2
+    in l1 * (n+1) against n from block 8 on (block nmax // 2 when nmax < 12).
+    Rudin-Shapiro witnesses with nmax >= 12 also get the profile_growth flag:
+    block nmax of the s = 0, p = 1 profile is at least 2^((nmax - 8) / 2 - 1)
+    times block 0.  It compares grid values, so it is an estimate: read on
+    the certified sides (block nmax less its bound against block 0 plus its
+    bound) the ratio of the two sides falls below 1 from nmax 16 on.
     """
     if not 0 <= nmax <= WITNESS_NMAX_CAP:
         raise InvalidParameter(f"nmax must lie in [0, {WITNESS_NMAX_CAP}]")
@@ -142,10 +148,12 @@ def problem8_witness(
         blk = eps * signs
         z[1 << n : 1 << (n + 1)] = blk
         # L1 of the block is shift-invariant, so measure it unanchored.
+        l1, l1_bound, _ = lp_norm_detail(CoeffSeq._adopt(blk), 1, oversample)
         blocks.append(
             {
                 "n": n,
-                "l1": lp_norm_circle(CoeffSeq._adopt(blk), 1, oversample),
+                "l1": l1,
+                "l1_bound": l1_bound,
                 "linf": float(np.abs(blk).max()),
                 "l2": float(np.sqrt(np.sum(blk**2))),
             }

@@ -287,7 +287,10 @@ def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple
     each; none may hold more than 2^SIZE_CAP_LOG2 numbers, and if none fits,
     InvalidParameter.  Ties in cost keep the candidate with fewer pairs, then
     the first of k = 0 rows, k = 0 cols, k = 1 rows, ...; the tag is the
-    split at k = 0 and peel after.
+    split at k = 0 and peel after.  Each peeled pair (a, b) is signed so
+    that b's first entry of largest modulus is positive: the SVD fixes a
+    singular pair only up to sign, and the certificate should not depend on
+    which sign the LAPACK build returned.
     """
     depth = min(MAX_PEELS, *A.shape)
     most_pairs = (1 << SIZE_CAP_LOG2) // sum(A.shape)
@@ -311,6 +314,8 @@ def _upper_decomposition(A: np.ndarray, absA: np.ndarray, scale: float) -> tuple
             u, sv, vt = np.linalg.svd(R, full_matrices=False)
         i = 0 if k >= own else k
         a, b = sv[i] * u[:, i], vt[i].copy()
+        if b[np.argmax(np.abs(b))] < 0:  # one sign per pair, whatever the SVD's
+            a, b = -a, -b
         peeled.append((a, b))
         peel_cost += float(np.abs(a).max() * np.abs(b).max())
         R = R - np.outer(a, b)

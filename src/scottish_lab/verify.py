@@ -127,14 +127,15 @@ def merged_thresholds(overrides: dict | None) -> dict:
 def suite_kernel(seed: int, th: dict) -> list:
     cases = []
     nmax = th["kernel.nmax"]
-    worst = 0.0
+    worst = 0.0  # the upper side of each enclosure: grid value plus its bound
     for n in range(nmax + 1):
-        worst = max(worst, dyadic.lp_norm_circle(dyadic.dyadic_kernel(n), 1))
+        v, bound, _ = dyadic.lp_norm_detail(dyadic.dyadic_kernel(n), 1)
+        worst = max(worst, v + bound)
     cases.append(
         CaseResult(
             "kernel-l1",
             worst <= th["kernel.l1_bound"],
-            f"max ||W_n||_1 over n<={nmax} is {worst:.6f} (bound {th['kernel.l1_bound']})",
+            f"max ||W_n||_1 over n<={nmax} is at most {worst:.6f} (bound {th['kernel.l1_bound']})",
         )
     )
 
@@ -144,7 +145,7 @@ def suite_kernel(seed: int, th: dict) -> list:
         CaseResult(
             "kernel-w0",
             abs(w0 - target) <= th["kernel.w0_tol"],
-            f"||W_0||_1 = {w0:.8f} vs 4/pi = {target:.8f}",
+            f"grid estimate ||W_0||_1 = {w0:.8f} vs 4/pi = {target:.8f}",
         )
     )
 
@@ -405,7 +406,8 @@ def suite_witness88(seed: int, th: dict) -> list:
 
     alpha14, _ = extremal.problem88_witness(t, nmax=th["w88.lkk_nmax"])
     phi, mrep = extremal.assemble_majorant(alpha14, seed=core.derive_seed(seed, 88))
-    chain_ok = mrep.besov_value <= mrep.chain_bound + th["w88.chain_slack"]
+    besov_upper = mrep.besov_value + mrep.besov_bound
+    chain_ok = besov_upper <= mrep.chain_bound + th["w88.chain_slack"]
     cases.append(
         CaseResult(
             "majorant-fidelity",
@@ -417,7 +419,7 @@ def suite_witness88(seed: int, th: dict) -> list:
         CaseResult(
             "majorant-chain-bound",
             chain_ok,
-            f"besov {mrep.besov_value:.6f} <= 4.5 * K * M = {mrep.chain_bound:.6f}",
+            f"besov at most {besov_upper:.6f} <= 4.5 * K * M = {mrep.chain_bound:.6f}",
         )
     )
     return cases
@@ -437,7 +439,7 @@ def suite_witness8(seed: int, th: dict) -> list:
     bound_ok = True
     worst_margin = math.inf
     for n in range(lo, nmax + 1):
-        l1 = rep_rs.blocks[n]["l1"]
+        l1 = rep_rs.blocks[n]["l1"] - rep_rs.blocks[n]["l1_bound"]  # the lower side
         bound = 2.0 ** (n / 2) / ((n + 1) * math.sqrt(2.0))
         worst_margin = min(worst_margin, l1 / bound)
         if l1 < bound:
@@ -446,7 +448,7 @@ def suite_witness8(seed: int, th: dict) -> list:
         CaseResult(
             "rs-block-lower-bound",
             bound_ok,
-            f"block L1 >= 2^(n/2)/((n+1) sqrt 2) for n={lo}..{nmax}; min margin {worst_margin:.4f}",
+            f"block L1 lower side >= 2^(n/2)/((n+1) sqrt 2) for n={lo}..{nmax}; min margin {worst_margin:.4f}",
         )
     )
 

@@ -407,7 +407,7 @@ _GOLDEN_BESOV = """\
     0.0
   ],
   "norm": 10.000000000000002,
-  "error_bound": 5.496307456242285,
+  "error_bound": 1.4285714285753284,
   "truncated": false
 }
 """
@@ -446,42 +446,49 @@ _GOLDEN_WITNESS8 = """\
     {
       "n": 0,
       "l1": 1.0,
+      "l1_bound": 7.034136878376648e-14,
       "linf": 1.0,
       "l2": 1.0
     },
     {
       "n": 1,
       "l1": 0.6345731492255537,
+      "l1_bound": 0.09065330703233565,
       "linf": 0.5,
       "l2": 0.7071067811865476
     },
     {
       "n": 2,
       "l1": 0.6418487595454624,
+      "l1_bound": 0.09169267993522641,
       "linf": 0.3333333333333333,
       "l2": 0.6666666666666666
     },
     {
       "n": 3,
       "l1": 0.6636200221835061,
+      "l1_bound": 0.09480286031221369,
       "linf": 0.25,
       "l2": 0.7071067811865476
     },
     {
       "n": 4,
       "l1": 0.7612122604115128,
+      "l1_bound": 0.10874460863070533,
       "linf": 0.2,
       "l2": 0.8
     },
     {
       "n": 5,
       "l1": 0.8874131787069045,
+      "l1_bound": 0.1267733112447533,
       "linf": 0.16666666666666666,
       "l2": 0.9428090415820634
     },
     {
       "n": 6,
       "l1": 1.078309900576471,
+      "l1_bound": 0.15404427151260705,
       "linf": 0.14285714285714285,
       "l2": 1.1428571428571428
     }

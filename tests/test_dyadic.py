@@ -114,17 +114,23 @@ class TestLpNorm:
         st.sampled_from([1.0, 2.0, math.inf]),
     )
     def test_quadrature_consistency(self, coeffs, oversample, p):
-        # a grid four times finer moves the value by at most the reported bound
+        # both enclose the true norm, so a grid's and one four times finer overlap
         f = CoeffSeq(coeffs)
         v, bound, G = lp_norm_detail(f, p, oversample)
-        fine, _, fine_G = lp_norm_detail(f, p, 4 * oversample)
+        fine, fine_bound, fine_G = lp_norm_detail(f, p, 4 * oversample)
         assert fine_G == 4 * G
-        assert abs(v - fine) <= bound + 1e-12 * np.abs(f.coeffs).sum()
+        assert abs(v - fine) <= bound + fine_bound
 
-    def test_bound_is_inf_on_coarse_grids(self):
-        # G = 8 <= pi * 3: the derivative estimate bounds nothing
-        assert lp_norm_detail(CoeffSeq([1.0, 0, 0, 1.0]), 1, oversample=2)[1] == math.inf
-        assert lp_norm_detail(CoeffSeq([1.0]), 1, oversample=2)[1] == 0.0
+    def test_bound_is_finite_on_coarse_grids(self):
+        # G = 8, D = 3: kappa = 8 / (8 - 2 * 2) = 2, so the bound is the value
+        # plus rho, and 1 + z^3 has the L1 norm of 1 + z, 4 / pi
+        v, bound, G = lp_norm_detail(CoeffSeq([1.0, 0, 0, 1.0]), 1, oversample=2)
+        rho = 2.0**-48 * math.sqrt(8) * (3 + 8 / dyadic._FFT_POINTS + 4) * 2.0  # the peak is 2
+        assert G == 8 and bound == v + rho
+        assert abs(v - 4 / math.pi) <= bound
+        # one coefficient: kappa = 1, and rho alone covers the rounding
+        v, bound, G = lp_norm_detail(CoeffSeq([1.0]), 1, oversample=2)
+        assert (v, G) == (1.0, 2) and bound == 2.0**-48 * math.sqrt(2) * (1 + 2 / dyadic._FFT_POINTS + 4)
 
 
 class TestHalfGrid:
@@ -209,7 +215,7 @@ class TestParseval:
 class TestZeroPolynomial:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.integers(1, 400), st.booleans(), st.integers(2, 16), st.sampled_from([1.0, 1.5, 3.0, math.inf]))
-    @example(4, False, 2, 1.0)  # G = 8 <= 3 pi: no a-priori bound
+    @example(4, False, 2, 1.0)  # G = 8, kappa = 2
     def test_takes_no_grid(self, n, cplx, oversample, p):
         def refuse(*args, **kwargs):
             raise AssertionError("the zero polynomial reached the grid")
@@ -218,7 +224,7 @@ class TestZeroPolynomial:
         G = grid_size(n, oversample)
         with mock.patch.object(dyadic, "_grid_power_sum", refuse):
             got = lp_norm_detail(f, p, oversample)
-        assert got == (0.0, 0.0 if G > math.pi * (n - 1) else math.inf, G)
+        assert got == (0.0, 0.0, G)
 
     def test_profile_transforms_only_nonzero_blocks(self):
         # z^3 lies in blocks 1 and 2 only; the others are zero polynomials
@@ -228,15 +234,17 @@ class TestZeroPolynomial:
         assert np.flatnonzero(prof.values).tolist() == [1, 2]
 
 
-def full_grid_detail(c, p, oversample):
+def full_grid_detail(c, p, oversample, points=dyadic._FFT_POINTS):
     """lp_norm_detail's value and bound from the moduli of one full G-point
-    numpy.fft.fft, the grid never split."""
+    numpy.fft.fft, the grid never split; the bound is its stated formula,
+    (kappa - 1) * value + rho, for cosets of `points` points."""
     G = grid_size(len(c), oversample)
     mags = np.abs(np.fft.fft(c, G))
     peak = mags.max()
     value = peak if math.isinf(p) else np.mean(mags**p) ** (1 / p)
-    slack = G - math.pi * (len(c) - 1)
-    return value, math.pi * (len(c) - 1) * peak / slack if slack > 0 else math.inf, G
+    kappa = G / (G - 2 * (len(c) // 2))  # len(c) // 2 = ceil(D / 2)
+    rho = 2.0**-48 * math.sqrt(G) * (math.log2(G) + G / points + 4) * peak
+    return value, (kappa - 1) * value + rho, G
 
 
 class TestCosets:
@@ -258,7 +266,7 @@ class TestCosets:
         for c in (np.asarray(re), np.asarray(re[:n]) + 1j * np.asarray(im[:n])):
             with mock.patch.object(dyadic, "_FFT_POINTS", points):
                 v, bound, G = lp_norm_detail(CoeffSeq(c), p, oversample)
-            want, want_bound, want_G = full_grid_detail(c, p, oversample)
+            want, want_bound, want_G = full_grid_detail(c, p, oversample, points)
             assert G == want_G
             assert abs(v - want) <= 1e-12 * want
             assert bound == want_bound or abs(bound - want_bound) <= 1e-12 * want_bound
@@ -313,6 +321,72 @@ class TestCosets:
         assert G == 1 << 25
         assert peak < 16 << 20, peak
         assert abs(v - 4 / math.pi) <= bound + 1e-12
+
+
+def lp_closed_form(c, k, p):
+    """The circle L^p norm of c z^k (|c|), or of W_0 = 1 + z when k is None:
+    |1 + e^(i t)| = 2 |cos(t / 2)|, whose p-th power has mean
+    2^p Gamma((p + 1) / 2) / (sqrt(pi) Gamma(p / 2 + 1)), 4 / pi at p = 1."""
+    if k is not None:
+        return abs(c)
+    if math.isinf(p):
+        return 2.0
+    return 2.0 * (math.gamma((p + 1) / 2) / (math.sqrt(math.pi) * math.gamma(p / 2 + 1))) ** (1 / p)
+
+
+class TestEnclosure:
+    # |true norm - value| <= bound: on random polynomials the enclosure must
+    # overlap that of a grid 256 times finer, and on monomials and W_0 it
+    # must hold the closed form; real and complex, one FFT and cosets of 16
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1, max_size=60),
+        st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1, max_size=60),
+        st.booleans(),
+        st.sampled_from([None, 16]),
+        st.integers(2, 16),
+        st.sampled_from([1.0, 1.5, 3.0, math.inf]),
+    )
+    @example([0.3], [0.0], False, None, 2, 1.5)  # one coefficient: kappa = 1
+    @example([0.3, 0.0, 0.0], [0.7, 0.0, 0.0], True, 16, 3, 3.0)
+    @example([0.5] * 60, [0.25] * 60, True, 16, 16, 1.0)  # folded cosets
+    def test_overlaps_a_finer_grid(self, re, im, cplx, points, oversample, p):
+        n = min(len(re), len(im))
+        c = np.asarray(re[:n]) + 1j * np.asarray(im[:n]) if cplx else np.asarray(re)
+        f = CoeffSeq(c)
+        with mock.patch.object(dyadic, "_FFT_POINTS", points or dyadic._FFT_POINTS):
+            v, bound, G = lp_norm_detail(f, p, oversample)
+        fine, fine_bound, fine_G = lp_norm_detail(f, p, 256 * oversample)
+        assert fine_G == 256 * G
+        assert abs(v - fine) <= bound + fine_bound, (v, bound, fine, fine_bound)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.floats(0, 2 * math.pi),
+        st.one_of(st.none(), st.integers(0, 200)),
+        st.booleans(),
+        st.sampled_from([None, 16]),
+        st.integers(2, 16),
+        st.sampled_from([1.0, 1.5, 3.0, math.inf]),
+    )
+    @example(0.1, 0.0, 0, False, None, 2, 1.5)
+    @example(3.0, 1.0, 0, True, 16, 16, 3.0)
+    @example(1.0, 0.0, None, False, None, 2, 1.0)  # W_0 at G = 4, kappa = 2
+    def test_holds_the_closed_forms(self, modulus, angle, k, cplx, points, oversample, p):
+        if k is None:  # W_0 = 1 + z
+            c, coeffs = 1.0, np.array([1.0, 1.0])
+        else:
+            c = modulus * complex(math.cos(angle), math.sin(angle)) if cplx else modulus
+            coeffs = np.zeros(k + 1, np.complex128 if cplx else np.float64)
+            coeffs[k] = c
+        with mock.patch.object(dyadic, "_FFT_POINTS", points or dyadic._FFT_POINTS):
+            v, bound, G = lp_norm_detail(CoeffSeq(coeffs), p, oversample)
+        want = lp_closed_form(c, k, p)
+        assert abs(v - want) <= bound, (v, bound, want)
+        if k == 0:  # kappa = 1: only rounding separates value and norm
+            assert bound <= 1e-12 * want
 
 
 class TestProfile:
@@ -428,9 +502,10 @@ class TestBesov:
 
     def test_error_bound_dominates_oversample_change(self):
         f = CoeffSeq(np.random.default_rng(9).standard_normal(200))
+        # both enclose the true norm, so the two enclosures overlap
         n1, b1, _ = besov_detail(f, 0.0, 1.0, 1.0, 7, oversample=8)
-        n2, _, _ = besov_detail(f, 0.0, 1.0, 1.0, 7, oversample=16)
-        assert abs(n1 - n2) <= b1
+        n2, b2, _ = besov_detail(f, 0.0, 1.0, 1.0, 7, oversample=16)
+        assert abs(n1 - n2) <= b1 + b2
 
 
 class TestFloatRange:

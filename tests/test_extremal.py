@@ -23,7 +23,7 @@ from scottish_lab import (
     weighted_moment,
 )
 from scottish_lab import core, extremal
-from scottish_lab.dyadic import grid_values
+from scottish_lab.dyadic import besov_detail, grid_values
 from scottish_lab.extremal import fit_growth_exponent
 from scottish_lab.errors import InvalidParameter, InvalidRegime, InvalidTarget
 
@@ -192,7 +192,7 @@ class TestMajorant:
     def test_zero_targets(self):
         phi, rep = assemble_majorant(CoeffSeq(np.zeros(8)))
         assert not phi.coeffs.any()
-        assert rep.besov_value == 0.0
+        assert rep.besov_value == 0.0 and rep.besov_bound == 0.0
 
     def test_fidelity_and_chain_on_random_targets(self):
         rng = make_rng(62)
@@ -207,7 +207,9 @@ class TestMajorant:
         alpha, _ = problem88_witness(0.5, 10)
         phi, rep = assemble_majorant(alpha)
         assert rep.fidelity_exact
-        assert rep.besov_value <= 4.5 * rep.k_achieved * rep.block_bound + 1e-6
+        # the report keeps besov_detail's bound, and the chain holds on its upper side
+        assert (rep.besov_value, rep.besov_bound) == besov_detail(phi, 1.0, math.inf, 1.0, 11)[:2]
+        assert rep.besov_value + rep.besov_bound <= 4.5 * rep.k_achieved * rep.block_bound + 1e-6
 
     def test_size_cap_before_any_block(self, monkeypatch):
         # the final profile's 2^26-point top grid is refused before any block
@@ -454,8 +456,9 @@ class TestRegimeBoundary:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         # from about t = 0.002 down, the witness entries of the fit window,
-        # 2^(-3n/2) (n+1)^(-(1+1/t)/2), underflow to 0 and the data is flat
-        t=st.floats(0.01, 1.0, exclude_max=True),
+        # 2^(-3n/2) (n+1)^(-(1+1/t)/2), underflow, and their terms are taken
+        # in closed form
+        t=st.floats(0.001, 1.0, exclude_max=True),
         delta=st.floats(-1.0, 1.0),
         m=st.integers(12, 20),
     )
@@ -489,6 +492,34 @@ class TestRegimeBoundary:
         assert _series_label(np.r_[1.0, 0.25, zigzag / (1.0 + k) ** 2]) == "convergent"  # cauchy False
         assert _series_label(np.r_[0.0, 0.0, 1.0 / (k * np.log(k) ** 2)]) == "convergent"  # p = -1
         assert _series_label(np.r_[1.0, 0.5, 1.0 / (1.0 + k)]) == "divergent"
+
+    def test_underflowing_entries_take_the_closed_form(self):
+        # delta(n) is 0 from block 4 at t = 0.001 (g = 500.5); the sum at
+        # beta = psi(t) diverges like m^((1-t)/2) all the same
+        params = problem88_params(0.001, 20)
+        assert params.delta(3) > 0.0 and params.delta(4) == params.delta(5) == 0.0
+        diag = weighted_moment(params, 0.001, psi(0.001), 1 << 20).diagnosis
+        assert diag.label == "divergent" and abs(diag.growth_exponent - 0.4995) < 0.001
+        # oracle: each term in log space, summed exactly
+        t, beta, g = 0.001, psi(0.001), params.g
+        rep = weighted_moment(params, t, beta, 1 << 8)
+        for K, S in rep.checkpoints:
+            want = math.fsum(
+                math.exp(-1.5 * (k.bit_length() - 1) * t * math.log(2)
+                         - g * t * math.log(k.bit_length()) + beta * math.log(1 + k))
+                for k in range(1, K + 1)
+            )
+            assert abs(S - want) <= 1e-12 * want, (K, S, want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CHUNK_ROWS", 37)  # chunk edges inside blocks
+            assert weighted_moment(params, t, beta, 1 << 8) == rep
+
+    def test_witness_without_underflow_keeps_its_checkpoints(self):
+        # no entry underflows at t = 0.5: the last checkpoints, bit for bit as
+        # before the closed form
+        rep = weighted_moment(problem88_params(0.5, 22), 0.5, psi(0.5), 1 << 22)
+        assert [S.hex() for _, S in rep.checkpoints[-3:]] == [
+            "0x1.204b155ab597bp+2", "0x1.2639581acf9eep+2", "0x1.2bf38bf2b57d8p+2"]
 
     def test_moment_command_on_a_witness_file(self, tmp_path):
         # the witness at t = 0.95 read convergent at fit 0.0251

@@ -214,7 +214,7 @@ class TestWitness:
         _, rep = problem8_witness(12, sign_mode="rudin_shapiro")
         for n in range(8, 13):
             bound = 2 ** (n / 2) / ((n + 1) * math.sqrt(2))
-            assert rep.blocks[n]["l1"] >= bound
+            assert rep.blocks[n]["l1"] - rep.blocks[n]["l1_bound"] >= bound  # the certified side
 
     def test_rs_growth_flag(self):
         _, rep = problem8_witness(12, sign_mode="rudin_shapiro")
@@ -224,9 +224,11 @@ class TestWitness:
 
     def test_growth_flag_measures_two_profile_blocks(self):
         # 13 hard blocks and profile blocks 0 and 12; the whole profile adds 13
-        with mock.patch.object(dyadic, "lp_norm_detail", wraps=dyadic.lp_norm_detail) as spy:
+        real = dyadic.lp_norm_detail
+        with mock.patch.object(mazur, "lp_norm_detail", wraps=real) as blocks, \
+                mock.patch.object(dyadic, "lp_norm_detail", wraps=real) as profile:
             problem8_witness(12, seed=3, sign_mode="rudin_shapiro")
-        assert spy.call_count == 15
+        assert (blocks.call_count, profile.call_count) == (13, 2)
         for nmax in (12, 13, 14):
             z, rep = problem8_witness(nmax, sign_mode="rudin_shapiro")
             prof = dyadic_profile(z, 0.0, 1.0, nmax).values
@@ -260,7 +262,7 @@ class TestWitness:
             calls.append(args)
             return 1.0
 
-        monkeypatch.setattr(mazur, "lp_norm_circle", counting)
+        monkeypatch.setattr(mazur, "lp_norm_detail", counting)
         with pytest.raises(InvalidParameter, match="size cap"):
             problem8_witness(12, sign_mode="rudin_shapiro", oversample=1 << 13)
         assert calls == []

@@ -560,6 +560,42 @@ class TestPeelSearch:
         assert_upper_certificate(A, projective_bracket(DenseMatrix(A)))
 
 
+class TestPeelSigns:
+    def test_certificates_do_not_depend_on_singular_vector_signs(self, monkeypatch):
+        # an SVD fixes each singular triplet only up to sign; flipping any of
+        # them leaves every peeled pair, and so the certificate bytes, as is
+        rng = make_rng(12)
+        witness, _ = problem88_witness(0.5, 5)
+        cases = [DenseMatrix(rng.standard_normal((12, 12))), hankel_matrix(witness, 12)]
+
+        def certificates(Q):
+            brackets = v2_profile(Q, 11)
+            assert any(br.strategies[0] == "peel" for br in brackets)
+            return [[(a.tobytes(), b.tobytes()) for a, b in br.upper_certificate] for br in brackets]
+
+        want = [certificates(Q) for Q in cases]
+        real_svd = np.linalg.svd
+        flips = make_rng(13)
+
+        def flipped(M, *args, **kwargs):
+            u, sv, vt = real_svd(M, *args, **kwargs)
+            signs = flips.choice([-1.0, 1.0], sv.size)
+            return u * signs, sv, vt * signs[:, None]
+
+        monkeypatch.setattr(np.linalg, "svd", flipped)
+        assert [certificates(Q) for Q in cases] == want
+
+    def test_largest_b_entry_is_positive(self):
+        # the first entry of largest modulus, on ties
+        A = make_rng(14).standard_normal((9, 9))
+        _, _, pairs = tensornorm._upper_decomposition(A, np.abs(A), float(np.abs(A).max()))
+        # a row or column split pairs a line with a unit vector; a peel does not
+        peeled = [(a, b) for a, b in pairs if np.count_nonzero(a) > 1 and np.count_nonzero(b) > 1]
+        assert peeled
+        for _, b in peeled:
+            assert b[np.argmax(np.abs(b))] > 0
+
+
 class TestSignVector:
     def test_validation(self):
         # 1.5 and -1.9 once passed as 1 and -1, cast to int8 before the check

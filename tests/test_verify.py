@@ -110,12 +110,15 @@ def test_suite_error_in_a_worker_reaches_the_caller(pin_cpus, small_suites, monk
 # hankel-shadow and cli-roundtrip were recorded before zero polynomials
 # stopped taking a grid and self_check stopped running its examples twice;
 # the other seven before verify named each library call by its module and
-# every coset took a buffer of one shape.  The cases read the same.
+# every coset took a buffer of one shape.  The cases read the same, except
+# kernel-l1, rs-block-lower-bound and majorant-chain-bound, re-recorded when
+# they began to read the certified side of each grid enclosure, and
+# kernel-w0, whose detail now names its grid estimate.
 _SCHEMA = "rc=0, keys match documented schema: True"
 _PINNED_CASES = {
     "kernel": [
-        ("kernel-l1", True, "max ||W_n||_1 over n<=16 is 1.269146 (bound 1.501)"),
-        ("kernel-w0", True, "||W_0||_1 = 1.27323948 vs 4/pi = 1.27323954"),
+        ("kernel-l1", True, "max ||W_n||_1 over n<=16 is at most 1.450453 (bound 1.501)"),
+        ("kernel-w0", True, "grid estimate ||W_0||_1 = 1.27323948 vs 4/pi = 1.27323954"),
         ("kernel-partition", True, "max |sum_n W_n_hat(k) - 1| over k<=131072 is 0.000e+00"),
     ],
     "besov": [
@@ -139,10 +142,10 @@ _PINNED_CASES = {
         ("moment-growth-exponent", True,
          "fitted growth exponent 0.2502 over K=2^12..2^22 (law 1/4); diagnosis divergent"),
         ("majorant-fidelity", True, "assembled coefficients reproduce the targets exactly"),
-        ("majorant-chain-bound", True, "besov 3.405457 <= 4.5 * K * M = 13.392580"),
+        ("majorant-chain-bound", True, "besov at most 3.891951 <= 4.5 * K * M = 13.392580"),
     ],
     "witness8": [
-        ("rs-block-lower-bound", True, "block L1 >= 2^(n/2)/((n+1) sqrt 2) for n=8..16; min margin 1.3331"),
+        ("rs-block-lower-bound", True, "block L1 lower side >= 2^(n/2)/((n+1) sqrt 2) for n=8..16; min margin 1.1427"),
         ("random-fitted-exponent", True, "fitted exponents 0.500, 0.499, 0.499, 0.499, 0.502 within [0.35, 0.65]"),
         ("witness-classified-growing", True, "witness profile classified growing (slope 0.401)"),
         ("product-images-not-growing", True, "100/100 product images classified not-growing"),
