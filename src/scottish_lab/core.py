@@ -48,6 +48,16 @@ def _all_finite(arr: np.ndarray) -> bool:
     return math.isfinite(v.min()) and math.isfinite(v.max())
 
 
+def _binary_rescale(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v * 2^-e, e), e the binary exponent of the largest |re| or |im| in v
+    (0 when every entry is 0): the parts, as a complex modulus may overflow
+    though they are finite.  The result's largest part lies in [1/2, 1), and
+    powers of two scale exactly while entries stay normal."""
+    parts = v.view(np.float64)
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    return np.ldexp(parts, -e).view(v.dtype), e
+
+
 def _freeze(obj, name: str, arr: np.ndarray, what: str) -> None:
     """Check arr's entries, make it read-only in place and set it as obj.name."""
     if not _all_finite(arr):
@@ -109,10 +119,6 @@ class CoeffSeq:
 
     def __len__(self) -> int:
         return self.coeffs.size
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """Stored entries lo..hi-1, as a read-only view."""
-        return self.coeffs[lo:hi]
 
     def __getitem__(self, k: int):
         if k < 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoeffSeq, check_size
+from .core import CoeffSeq, _binary_rescale, check_size
 from .errors import InvalidExponent, InvalidParameter
 
 DEFAULT_OVERSAMPLE = 8
@@ -213,10 +213,10 @@ def lp_norm_detail(
         return value, 0.0, G
     total, peak = _grid_power_sum(f, oversample, G, p) if f.coeffs.any() else (0.0, 0.0)
     if peak and not _TINY <= peak < math.inf:  # again on f / 2^e, exactly scaled
-        e = math.frexp(float(np.abs(f.coeffs).max()))[1] - 1
-        scaled = np.ldexp(f.coeffs.view(np.float64), -e).view(f.coeffs.dtype)
+        scaled, e = _binary_rescale(f.coeffs)
         value, bound, _ = lp_norm_detail(CoeffSeq._adopt(scaled), p, oversample)
-        return value * 2.0**e, bound * 2.0**e, G
+        with np.errstate(over="ignore"):  # inf past the float range
+            return float(np.ldexp(value, e)), float(np.ldexp(bound, e)), G
     if math.isinf(p) or peak == 0:
         value = peak
     elif _TINY <= total < math.inf:
@@ -245,14 +245,6 @@ class DyadicProfile:
     error_bounds: np.ndarray
     grid: int
     truncated: bool
-
-
-def _block_detail(f: CoeffSeq, n: int, p: float, oversample: int) -> tuple[float, float, int]:
-    """lp_norm_detail of block n of f's profile, before its weight: the
-    coefficient-wise product of f with the n-th kernel."""
-    block = f.padded(2 << n)  # the kernel's length
-    block *= dyadic_kernel(n).coeffs
-    return lp_norm_detail(CoeffSeq._adopt(block), p, oversample)
 
 
 def dyadic_profile(
@@ -285,7 +277,9 @@ def dyadic_profile(
     values = np.zeros(nmax + 1)
     bounds = np.zeros(nmax + 1)
     for n in range(nmax + 1):
-        v, e, _ = _block_detail(f, n, p, oversample)
+        block = f.padded(2 << n)  # the kernel's length
+        block *= dyadic_kernel(n).coeffs
+        v, e, _ = lp_norm_detail(CoeffSeq._adopt(block), p, oversample)
         weight = 2.0 ** (n * s)
         values[n] = weight * v
         bounds[n] = weight * e

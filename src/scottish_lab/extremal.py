@@ -95,8 +95,7 @@ def flat_polynomial(
 
     # the search runs on b / 2^e, whose largest entry lies in [1/2, 1), so no
     # norm overflows; powers of two scale exactly
-    e = math.frexp(float(b.max(initial=0.0)))[1]
-    scaled = np.ldexp(b, -e)
+    scaled, e = core._binary_rescale(b)
     scaled_l2 = _power_root(scaled, 2, np.sqrt)
     if scaled_l2 == 0.0:
         f = CoeffSeq._adopt(np.zeros(len(beta)))
@@ -237,13 +236,6 @@ class DecayWitnessParams:
     def __len__(self) -> int:
         return 1 << (self.nmax + 1)
 
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """Witness entries lo..hi-1: 0 at index 0, delta(n) on hard block n."""
-        out = np.zeros(hi - lo)
-        for n in range(max(lo, 1).bit_length() - 1, (hi - 1).bit_length()):
-            out[max(lo, 1 << n) - lo : min(hi, 2 << n) - lo] = self.delta(n)
-        return out
-
 
 def problem88_params(t: float, nmax: int) -> DecayWitnessParams:
     """The parameters of problem88_witness(t, nmax), checked the same way,
@@ -263,10 +255,18 @@ def problem88_witness(t: float, nmax: int) -> tuple[CoeffSeq, DecayWitnessParams
     the weighted block sums 2^(3n/2) * delta_n = (n+1)^(-g) are summable
     while their t-th powers are not.  Index 0 is zero; block n carries the
     constant delta(n) up to nmax.  weighted_moment takes the parameters in
-    place of the sequence and reads the same entries chunk by chunk.
+    place of the sequence and computes the same terms block by block.  An
+    entry below the smallest normal float (from block 4 at t = 0.001) has
+    lost digits no file could carry: InvalidRegime names its first block.
     """
     params = problem88_params(t, nmax)
-    return CoeffSeq._adopt(params.values(0, len(params))), params
+    deltas = [params.delta(n) for n in range(nmax + 1)]
+    if deltas[-1] < _TINY:  # delta falls with n
+        n = next(n for n, d in enumerate(deltas) if d < _TINY)
+        raise InvalidRegime(f"witness entries underflow from block {n} at t = {t!r}: delta({n}) = {deltas[n]!r}"
+                            " is below the smallest normal float")
+    z = np.repeat([0.0, *deltas], [1, *(1 << n for n in range(nmax + 1))])  # index 0, then block n
+    return CoeffSeq._adopt(z), params
 
 
 @dataclass(frozen=True)
@@ -309,11 +309,10 @@ def weighted_moment(
     """Partial sums of |gamma_k|^t (1+k)^beta at dyadic checkpoints.
 
     gamma is a CoeffSeq, or the DecayWitnessParams of a Problem-88 witness,
-    whose entries are then computed chunk by chunk and never held whole.  A
-    witness entry delta(n) that is 0 or subnormal (once g log2(n+1) + 1.5 n
-    passes 1022, from block 4 at t = 0.001) has lost its digits, so its term
-    is taken in closed form, 2^(-1.5 n t) (n+1)^(-g t) (1+k)^beta; every
-    other term is computed from the entry as for a CoeffSeq.
+    whose entries are never held: a chunk's terms are the weights
+    (1+k)^beta (0 at k = 0), each block's times one factor delta(n)^t, bit
+    for bit the per-index power.  Where delta(n) is 0 or subnormal (from
+    block 4 at t = 0.001) the factor is 2^(-1.5 n t) (n+1)^(-g t).
     The sums run in one pass over k = 0..min(kmax, len(gamma) - 1),
     core._CHUNK_ROWS indices at a time, so memory does not grow with kmax.
     Each chunk adds the running total into its first term before its
@@ -342,21 +341,26 @@ def weighted_moment(
     m_hi = int(math.floor(math.log2(kmax)))
     marks = [min(1 << m, top) for m in range(m_hi + 1)]
     witness = isinstance(gamma, DecayWitnessParams)
+    if witness:  # delta(n)^t as an array power, bit for bit a CoeffSeq's; closed form once delta(n) underflows
+        factors = [np.power(np.full(1, gamma.delta(n)), t)[0] if gamma.delta(n) >= _TINY
+                   else 2.0 ** (-1.5 * n * t) * (n + 1.0) ** (-gamma.g * t) for n in range(gamma.nmax + 1)]
     sums = []
     run = 0.0
     for lo in range(0, top + 1, core._CHUNK_ROWS):
         hi = min(lo + core._CHUNK_ROWS, top + 1)
-        a = np.abs(gamma.values(lo, hi))
         k = np.arange(lo, hi)
-        terms = np.zeros(hi - lo)
-        pos = a > 0
         with np.errstate(over="ignore", invalid="ignore"):
-            terms[pos] = a[pos] ** t * (1.0 + k[pos]) ** beta
-            if witness:  # a block whose entry underflowed takes its terms in closed form
+            if witness:
+                terms = (1.0 + k) ** beta
+                if lo == 0:
+                    terms[0] = 0.0  # index 0 lies outside every block
                 for n in range(max(lo, 1).bit_length() - 1, (hi - 1).bit_length()):
-                    if gamma.delta(n) < _TINY:
-                        j = slice(max(lo, 1 << n) - lo, min(hi, 2 << n) - lo)
-                        terms[j] = 2.0 ** (-1.5 * n * t) * (n + 1.0) ** (-gamma.g * t) * (1.0 + k[j]) ** beta
+                    terms[max(lo, 1 << n) - lo : min(hi, 2 << n) - lo] *= factors[n]
+            else:
+                a = np.abs(gamma.coeffs[lo:hi])
+                terms = np.zeros(hi - lo)
+                pos = a > 0
+                terms[pos] = a[pos] ** t * (1.0 + k[pos]) ** beta
             terms[0] += run
             cum = np.cumsum(terms)
         run = cum[-1]

@@ -14,13 +14,14 @@ from .core import (
     CoeffSeq,
     DenseMatrix,
     _all_finite,
+    _binary_rescale,
     check_size,
     derive_seed,
     least_squares_line,
     limit_estimate,
     make_rng,
 )
-from .dyadic import DEFAULT_OVERSAMPLE, _block_detail, dyadic_profile, grid_size, lp_norm_detail
+from .dyadic import DEFAULT_OVERSAMPLE, dyadic_profile, grid_size, lp_norm_detail
 from .errors import InvalidInput, InvalidParameter
 from .extremal import rudin_shapiro
 
@@ -61,11 +62,6 @@ def _cesaro_mean(sums: np.ndarray, what: str) -> CoeffSeq:
     return CoeffSeq._adopt(sums / (np.arange(sums.size) + 1.0))
 
 
-def _ldexp(v: np.ndarray, e: int) -> np.ndarray:
-    """v * 2^e, exact while it stays normal; complex v by parts."""
-    return np.ldexp(v.view(np.float64), e).view(v.dtype)
-
-
 def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
     """Cesaro-normalized Cauchy product: z_n = (1/(n+1)) sum x_k y_{n-k}.
 
@@ -88,8 +84,9 @@ def cesaro_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
             fft, ifft = (np.fft.fft, np.fft.ifft) if x.is_complex or y.is_complex else (np.fft.rfft, np.fft.irfft)
             conv = ifft(fft(a, n) * fft(b, n), n)[:size]
             if not _all_finite(conv):
-                ea, eb = (int(np.frexp(np.abs(v).max())[1]) for v in (a, b))
-                conv = _ldexp(ifft(fft(_ldexp(a, -ea), n) * fft(_ldexp(b, -eb), n), n)[:size], ea + eb)
+                (a, ea), (b, eb) = _binary_rescale(a), _binary_rescale(b)
+                conv = ifft(fft(a, n) * fft(b, n), n)[:size]
+                conv = np.ldexp(conv.view(np.float64), ea + eb).view(conv.dtype)  # complex by parts
     return _cesaro_mean(conv, "Cauchy product")
 
 
@@ -128,17 +125,13 @@ def problem8_witness(
     two-sided bound l1_bound (see lp_norm_detail), and fits the exponent of 2
     in l1 * (n+1) against n from block 8 on (block nmax // 2 when nmax < 12).
     Rudin-Shapiro witnesses with nmax >= 12 also get the profile_growth flag:
-    block nmax of the s = 0, p = 1 profile is at least 2^((nmax - 8) / 2 - 1)
-    times block 0.  It compares grid values, so it is an estimate: read on
-    the certified sides (block nmax less its bound against block 0 plus its
-    bound) the ratio of the two sides falls below 1 from nmax 16 on.
+    block nmax's l1 - l1_bound is at least 2^((nmax - 8) / 2 - 1) times
+    block 0's l1 + l1_bound, a comparison of certified sides that takes no
+    grid beyond the blocks'.
     """
     if not 0 <= nmax <= WITNESS_NMAX_CAP:
         raise InvalidParameter(f"nmax must lie in [0, {WITNESS_NMAX_CAP}]")
-    profiled = sign_mode == "rudin_shapiro" and nmax >= 12
-    # The largest grid of the call (the profile's top block, else block nmax),
-    # checked before any block is built.
-    grid_size(1 << (nmax + 1 if profiled else nmax), oversample)
+    grid_size(1 << nmax, oversample)  # block nmax's, the largest grid of the call
     length = 1 << (nmax + 1)
     z = np.zeros(length)
     blocks = []
@@ -158,7 +151,6 @@ def problem8_witness(
                 "l2": float(np.sqrt(np.sum(blk**2))),
             }
         )
-    seq = CoeffSeq._adopt(z)
 
     fit_start = 8 if nmax >= 12 else max(1, nmax // 2)
     fit_start = min(fit_start, max(0, nmax - 1))  # keep two or more fit points
@@ -176,9 +168,9 @@ def problem8_witness(
             linfs[i + 1] < linfs[i] for i in range(len(linfs) - 1)
         ),
     }
-    if profiled:  # blocks 0 and nmax of the s = 0, p = 1 profile, whose weights are 1
-        first, last = (_block_detail(seq, n, 1.0, oversample)[0] for n in (0, nmax))
-        flags["profile_growth"] = bool(last >= first * 2.0 ** ((nmax - 8) / 2 - 1))
+    if sign_mode == "rudin_shapiro" and nmax >= 12:  # the lower side of block nmax, the upper of block 0
+        lower, upper = blocks[nmax]["l1"] - blocks[nmax]["l1_bound"], blocks[0]["l1"] + blocks[0]["l1_bound"]
+        flags["profile_growth"] = bool(lower >= upper * 2.0 ** ((nmax - 8) / 2 - 1))
 
     report = WitnessReport(
         params={
@@ -192,7 +184,7 @@ def problem8_witness(
         fit={"slope": slope, "intercept": intercept, "residual": resid},
         flags=flags,
     )
-    return seq, report
+    return CoeffSeq._adopt(z), report
 
 
 @dataclass(frozen=True)

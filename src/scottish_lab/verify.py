@@ -632,14 +632,14 @@ SUITES = {
 
 
 # Every suite once, the costliest first: seconds per warm call in process at
-# the default thresholds, the median of 5 on one CPU with BLAS on one thread,
-# were witness8 0.34, inj-oracle 0.15, theorem-re 0.12, witness88 0.071,
-# cli-roundtrip 0.031, kernel 0.029, duality 0.027, hankel-shadow 0.014,
-# mazur-id 0.012 and besov 0.011.  Started longest first, the short suites
-# fill in behind witness8; in table order witness8 would start seventh and
-# end last.
+# the default thresholds, the median of 5 on one CPU with BLAS on one thread
+# (the middle of three such runs), were witness8 0.33, inj-oracle 0.13,
+# theorem-re 0.11, witness88 0.053, cli-roundtrip 0.029, kernel 0.027,
+# duality 0.026, mazur-id 0.012, hankel-shadow 0.011 and besov 0.009.
+# Started longest first, the short suites fill in behind witness8; in table
+# order witness8 would start seventh and end last.
 _COST_ORDER = ("witness8", "inj-oracle", "theorem-re", "witness88", "cli-roundtrip",
-               "kernel", "duality", "hankel-shadow", "mazur-id", "besov")
+               "kernel", "duality", "mazur-id", "hankel-shadow", "besov")
 
 
 def _run_one(name: str, seed: int, th: dict) -> SuiteReport:

@@ -587,11 +587,15 @@ class TestExitCodes:
         ["flatpoly", "--input", "{f}", "--coeffs-out", "{c}", "--format", "csv"],
         ["witness88", "--t", "0.5", "--nmax", "3", "--coeffs-out", "{c}", "--format", "csv"],
         ["inj-norm", "--input", "{m}", "--out", "{r}"],
+        # entries 0 from block 4: the file would hold zeros, and `moment` on
+        # it read convergent though the witness's moment diverges
+        ["witness88", "--t", "0.001", "--nmax", "20", "--out", "{r}", "--coeffs-out", "{c}", "--format", "csv"],
     ])
     def test_refused_inputs_write_nothing(self, argv, two_block, hadamard, tmp_path, monkeypatch, capsys):
         # a negative target, kmax 0, a CSV report with no --out to go to (the
         # --coeffs-out export included), and a report form the subcommand
-        # lacks, refused before its kernel runs
+        # lacks, refused before its kernel runs; an underflowing witness,
+        # refused before any entry is built
         def scan(Q):
             raise AssertionError("the sign scan ran")
 
@@ -714,8 +718,8 @@ class TestExitCodes:
             # p = 2 takes no grid, but the grid it reports is still checked
             ["profile", "--input", str(small), "--s", "0", "--p", "2", "--nmax", "2",
              "--oversample", str(1 << 40)],
-            # its 2^26-point profile grid is refused before any block is built
-            ["witness8", "--nmax", "20", "--sign-mode", "rudin_shapiro", "--oversample", "32"],
+            # block 20's 2^26-point grid is refused before any block is built
+            ["witness8", "--nmax", "20", "--sign-mode", "rudin_shapiro", "--oversample", "64"],
         ):
             assert run(argv) == 1, argv
             err = capsys.readouterr().err
@@ -887,6 +891,36 @@ def test_every_parameter_is_read():
             read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
             inert += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read]
     assert inert == []
+
+
+def test_every_private_name_is_used():
+    # a module-level private name that nothing else in the package refers to
+    # is dead code, such as a helper folded into its last caller
+    src = Path(scottish_lab.__file__).parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            names = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(path.name, n) for n in names]
+            for node in ast.walk(stmt):  # what this statement refers to, its own names left out
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name not in names:
+                    used.add(name)
+    assert [f"{file} {name}" for file, name in defined if name not in used] == []
 
 
 class TestReproducibility:

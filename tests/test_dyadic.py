@@ -547,6 +547,14 @@ class TestFloatRange:
                 assert abs(bound - 1e308 * b1) <= 4e-16 * 1e308 * b1, (p, bound, b1)
             assert lp_norm_detail(CoeffSeq([1e308, 1e308 * unit]), math.inf)[0] == math.inf
 
+    @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+    def test_coefficient_whose_modulus_is_past_the_float_range(self, p):
+        # |1.5e308 (1 + i)| overflows though both parts are finite: the
+        # rescale reads the parts, so the norm reads inf, past the float range
+        # (the modulus once gave an exponent of 0, and the input was refused
+        # as not finite)
+        assert lp_norm_detail(CoeffSeq([1.5e308 * (1 + 1j), 1.0]), p)[0] == math.inf
+
     def test_aggregate_of_values_whose_squares_underflow(self):
         assert dyadic._lq_aggregate(np.array([3e-170, 4e-170]), 2) == pytest.approx(5e-170, rel=1e-15)
 

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -272,13 +273,18 @@ class TestDecayWitness:
             with pytest.raises(error):
                 problem88_witness(t, nmax)
 
-    def test_values_are_slices_of_the_witness(self):
-        for nmax in (0, 1, 2, 5):
-            params = problem88_params(0.5, nmax)
-            alpha = problem88_witness(0.5, nmax)[0].coeffs
-            for lo in range(len(params) + 1):
-                for hi in range(lo, len(params) + 1):
-                    assert params.values(lo, hi).tolist() == alpha[lo:hi].tolist(), (nmax, lo, hi)
+    def test_underflowing_witness_is_refused(self):
+        # delta(n) falls below the smallest normal float from block 4 at
+        # t = 0.001 and from block 15 at t = 0.002; a built witness would
+        # hold zeros or subnormals there
+        for t, first in ((0.001, 4), (0.002, 15)):
+            with pytest.raises(InvalidRegime, match=f"from block {first} "):
+                problem88_witness(t, 20)
+            alpha, params = problem88_witness(t, first - 1)
+            assert alpha.coeffs[-1] == params.delta(first - 1) >= sys.float_info.min
+            problem88_params(t, 20)  # the parameters, and so the streamed moment, stay
+        # from t = 0.005 on no block within the size cap underflows
+        assert problem88_params(0.005, 24).delta(24) >= sys.float_info.min
 
     def test_built_without_a_copy(self):
         # the fill array is the witness's own: no copy and no finiteness mask
@@ -338,6 +344,7 @@ class TestWeightedMoment:
         (0.25, 5, 63), (0.75, 9, 1 << 9), (0.5, 12, 3000),
         (0.3, 10, 1 << 14),  # past the length: inconclusive
         (0.9, 13, (1 << 13) + 1234),
+        (0.95, 12, 1 << 12), (0.999, 11, 1500),
     ])
     @pytest.mark.parametrize("chunk", [None, 37])
     def test_streamed_witness_matches_the_built_one(self, t, nmax, kmax, chunk):
@@ -351,6 +358,17 @@ class TestWeightedMoment:
                 assert streamed == weighted_moment(alpha, t, beta, kmax)
         if kmax >= 1 << (nmax + 2):
             assert streamed.diagnosis.label == "inconclusive"
+
+    @pytest.mark.parametrize("chunk", [None, 37])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(t=st.floats(0.01, 1.0, exclude_max=True), nmax=st.integers(0, 12), beta=st.floats(-2.0, 1.0))
+    def test_streamed_witness_matches_the_built_one_at_any_t(self, chunk, t, nmax, beta):
+        # each block's one power delta(n)^t equals the per-index power
+        alpha, params = problem88_witness(t, nmax)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(core, "_CHUNK_ROWS", chunk)
+            assert weighted_moment(params, t, beta, len(alpha) - 1) == weighted_moment(alpha, t, beta, len(alpha) - 1)
 
     def test_witness_checkpoints_match_the_full_array_pass(self):
         alpha, _ = problem88_witness(0.5, 18)  # 17 chunks of the default size

@@ -19,7 +19,6 @@ from scottish_lab import (
     range_diagnostic,
 )
 from scottish_lab import core, dyadic, mazur
-from scottish_lab.dyadic import dyadic_profile
 from scottish_lab.errors import InvalidInput, InvalidParameter, TooShort
 
 
@@ -167,6 +166,15 @@ class TestProduct:
         want = np.convolve(signs, np.ones(600)) * 1e308 / np.arange(1, 1200)
         assert np.abs(z.coeffs - want).max() <= 1e-12 * 1e308
 
+    def test_fft_overflow_of_a_modulus_past_the_float_range(self):
+        # |1.5e308 (1 + i)| overflows though both parts are finite: the
+        # rescale reads the parts, so the finite sums come out (the modulus
+        # once gave an exponent of 0, and sum 0 was named as overflowing)
+        z = cesaro_product(CoeffSeq(np.full(600, 1.5e308 * (1 + 1j))), CoeffSeq(np.full(600, 1e-300)))
+        k = np.arange(1199)
+        want = 1.5e8 * (1 + 1j) * np.minimum(k + 1, 1199 - k) / (k + 1)
+        assert np.abs(z.coeffs - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_size_cap(self, monkeypatch):
         # the product of two lengths n has 2n - 1 entries and an FFT grid of 2n
         monkeypatch.setattr(core, "SIZE_CAP_LOG2", 10)
@@ -222,17 +230,23 @@ class TestWitness:
         assert rep.flags["bounded_by_one"]
         assert rep.flags["block_peaks_decreasing"]
 
-    def test_growth_flag_measures_two_profile_blocks(self):
-        # 13 hard blocks and profile blocks 0 and 12; the whole profile adds 13
+    def test_growth_flag_reads_the_report_blocks(self):
+        # the 13 hard blocks of the report and no other grid
         real = dyadic.lp_norm_detail
         with mock.patch.object(mazur, "lp_norm_detail", wraps=real) as blocks, \
                 mock.patch.object(dyadic, "lp_norm_detail", wraps=real) as profile:
             problem8_witness(12, seed=3, sign_mode="rudin_shapiro")
-        assert (blocks.call_count, profile.call_count) == (13, 2)
-        for nmax in (12, 13, 14):
-            z, rep = problem8_witness(nmax, sign_mode="rudin_shapiro")
-            prof = dyadic_profile(z, 0.0, 1.0, nmax).values
-            assert rep.flags["profile_growth"] == bool(prof[-1] >= prof[0] * 2.0 ** ((nmax - 8) / 2 - 1))
+        assert (blocks.call_count, profile.call_count) == (13, 0)
+        # Rudin-Shapiro block n does not depend on nmax, so the blocks of
+        # nmax 20 hold the certified comparison of every nmax from 12 on
+        _, rep = problem8_witness(20, sign_mode="rudin_shapiro")
+        first = rep.blocks[0]["l1"] + rep.blocks[0]["l1_bound"]
+        ratios = []
+        for nmax in range(12, 21):
+            last = rep.blocks[nmax]["l1"] - rep.blocks[nmax]["l1_bound"]
+            ratios.append(last / (first * 2.0 ** ((nmax - 8) / 2 - 1)))
+        assert [f"{r:.2f}" for r in ratios[::2]] == ["1.99", "1.72", "1.52", "1.36", "1.23"]  # README
+        assert min(ratios) >= 1.0 and rep.flags["profile_growth"]
 
     def test_fit_recomputable_from_blocks(self):
         _, rep = problem8_witness(13, seed=2, sign_mode="random")
@@ -255,7 +269,7 @@ class TestWitness:
         assert rep.fit["slope"] is not None  # two blocks suffice
 
     def test_size_cap_before_any_block(self, monkeypatch):
-        # the profile's 2^26-point top grid is refused before block 0 is measured
+        # block 12's 2^26-point grid is refused before block 0 is measured
         calls = []
 
         def counting(*args):
@@ -264,7 +278,7 @@ class TestWitness:
 
         monkeypatch.setattr(mazur, "lp_norm_detail", counting)
         with pytest.raises(InvalidParameter, match="size cap"):
-            problem8_witness(12, sign_mode="rudin_shapiro", oversample=1 << 13)
+            problem8_witness(12, sign_mode="rudin_shapiro", oversample=1 << 14)
         assert calls == []
 
     def test_bad_sign_mode(self):
