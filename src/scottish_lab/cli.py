@@ -108,28 +108,37 @@ def _csv_output(args) -> bool:
     return fmt == "csv"
 
 
-def _emit(args, argv, payload: dict, csv_payload=None) -> int:
-    """Write the report; csv_payload is a CoeffSeq or (header, rows) table."""
+def _emit(args, argv, payload: dict, csv_payload=None, export=None) -> int:
+    """Write the report, and the CoeffSeq export to --coeffs-out when given;
+    csv_payload is a CoeffSeq or (header, rows) table.  Each goes to a
+    temporary file beside its target, and both are renamed into place once
+    both are complete, so a run that fails leaves neither."""
     cfg = _run_config(args, argv)
-    if not _csv_output(args):
-        doc = {"run_config": cfg}
-        doc.update(payload)
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
-        with out as fh:
-            _write_json(fh, doc)
-        return 0
     comment = json.dumps(_jsonable(cfg))
-    if isinstance(csv_payload, _lab.CoeffSeq):
-        _lab.write_coeff_csv(args.out, csv_payload, comment=comment)
-    else:
-        header, rows = csv_payload
-        _lab.write_matrix_csv(args.out, rows, comment=comment, header=header)
+    staged = {}  # target -> its temporary file
+
+    def stage(path):  # a link's target is replaced; a device or a pipe is written in place
+        path = os.path.realpath(path)
+        in_place = os.path.exists(path) and not os.path.isfile(path)
+        return path if in_place else staged.setdefault(path, f"{path}.{os.getpid()}.tmp")
+
+    try:
+        if export is not None and args.coeffs_out:
+            _lab.write_coeff_csv(stage(args.coeffs_out), export, comment=comment)
+        if not _csv_output(args):
+            out = open(stage(args.out), "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+            with out as fh:
+                _write_json(fh, {"run_config": cfg, **payload})
+        elif isinstance(csv_payload, _lab.CoeffSeq):
+            _lab.write_coeff_csv(stage(args.out), csv_payload, comment=comment)
+        else:
+            _lab.write_matrix_csv(stage(args.out), csv_payload[1], comment=comment, header=csv_payload[0])
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in filter(os.path.exists, staged.values()):  # those not renamed
+            os.remove(tmp)
     return 0
-
-
-def _maybe_export(args, seq, argv) -> None:
-    if args.coeffs_out:
-        _lab.write_coeff_csv(args.coeffs_out, seq, comment=json.dumps(_jsonable(_run_config(args, argv))))
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +234,26 @@ def _cmd_mazur_b(args, argv):
 
 def _cmd_witness8(args, argv):
     z, report = _lab.problem8_witness(args.nmax, args.seed, args.sign_mode, oversample=args.oversample)
-    _maybe_export(args, z, argv)
     rows = [(b["n"], b["l1"]) for b in report.blocks]
-    return _emit(args, argv, vars(report), csv_payload=("n,value", rows))
+    return _emit(args, argv, vars(report), csv_payload=("n,value", rows), export=z)
 
 
 def _cmd_witness88(args, argv):
     alpha, params = _lab.problem88_witness(args.t, args.nmax)
-    _maybe_export(args, alpha, argv)
     payload = dict(vars(params), length=len(alpha), block_bound=_lab.hard_block_bound(alpha, params.nmax))
-    return _emit(args, argv, payload, csv_payload=alpha)
+    return _emit(args, argv, payload, csv_payload=alpha, export=alpha)
 
 
 def _cmd_flatpoly(args, argv):
     beta = _lab.read_coeff_csv(args.input)
     f, report = _lab.flat_polynomial(beta, args.seed, args.budget, args.oversample)
-    _maybe_export(args, f, argv)
-    return _emit(args, argv, vars(report), csv_payload=f)
+    return _emit(args, argv, vars(report), csv_payload=f, export=f)
 
 
 def _cmd_lkk(args, argv):
     alpha = _lab.read_coeff_csv(args.input)
     phi, report = _lab.assemble_majorant(alpha, args.seed, args.budget, args.oversample)
-    _maybe_export(args, phi, argv)
-    return _emit(args, argv, vars(report), csv_payload=phi)
+    return _emit(args, argv, vars(report), csv_payload=phi, export=phi)
 
 
 def _cmd_moment(args, argv):

@@ -349,14 +349,13 @@ def hard_block_bound(gamma: CoeffSeq, nmax: int) -> float:
 
     Returns |g_0| + sum over n <= nmax of 2^n * (sum_{k in block n} |g_k|^2)^(1/2).
     The index-0 modulus is carried as a separate term so the bound covers
-    every index; the block sum proper starts at k = 1.
+    every index; the block sum proper starts at k = 1.  Only blocks that hold
+    coefficients are visited, so the time does not grow with nmax.
     """
     if nmax < 0:
         raise InvalidParameter("nmax must be nonnegative")
     c = gamma.coeffs
     total = float(abs(c[0]))
-    for n in range(nmax + 1):
-        blk = c[1 << n : 1 << (n + 1)]
-        if blk.size:
-            total += (2.0**n) * _power_root(np.abs(blk), 2, np.sqrt)
+    for n in range(min(nmax, gamma.degree.bit_length() - 1) + 1):
+        total += (2.0**n) * _power_root(np.abs(c[1 << n : 2 << n]), 2, np.sqrt)
     return total

@@ -24,8 +24,6 @@ from .dyadic import (
 )
 from .errors import InvalidParameter, InvalidRegime, InvalidTarget
 
-RUDIN_SHAPIRO_CAP = 20
-
 
 def rudin_shapiro(k: int) -> tuple[CoeffSeq, CoeffSeq]:
     """The classical +-1 polynomial pair of degree 2^k - 1.
@@ -33,9 +31,11 @@ def rudin_shapiro(k: int) -> tuple[CoeffSeq, CoeffSeq]:
     Built by P -> P + z^(2^k) Q, Q -> P - z^(2^k) Q from P = Q = 1.  On the
     circle |P|^2 + |Q|^2 = 2^(k+1) identically, so both polynomials have sup
     norm at most sqrt(2 * 2^k) while their coefficient l2 norm is 2^(k/2).
+    The size cap bounds the 2^k coefficients: k <= core.SIZE_CAP_LOG2.
     """
-    if not 0 <= k <= RUDIN_SHAPIRO_CAP:
-        raise InvalidParameter(f"recursion depth must lie in [0, {RUDIN_SHAPIRO_CAP}]")
+    if k < 0:
+        raise InvalidParameter("recursion depth must be nonnegative")
+    check_size(k, f"Rudin-Shapiro pair of depth {k}")
     p = np.ones(1)
     q = np.ones(1)
     for _ in range(k):
@@ -57,18 +57,11 @@ class FlatPolyReport:
 
 def _aligned_constant_support(b: np.ndarray, nz: np.ndarray) -> int | None:
     """Power-of-two length of the support nz of b if it is an aligned
-    constant run."""
-    lo, hi = int(nz[0]), int(nz[-1])
-    length = hi - lo + 1
-    if nz.size != length:  # support must be contiguous
-        return None
-    if length & (length - 1):  # and a power of two
-        return None
-    if lo % length:  # starting on a multiple of its length
-        return None
-    if not np.all(b[lo : hi + 1] == b[lo]):
-        return None
-    return length
+    constant run: contiguous, a power of two long, starting on a multiple of
+    its length, and of one value."""
+    lo, length = int(nz[0]), int(nz[-1]) - int(nz[0]) + 1
+    aligned = nz.size == length and not length & (length - 1) and not lo % length
+    return length if aligned and np.all(b[lo : lo + length] == b[lo]) else None
 
 
 def flat_polynomial(
@@ -83,8 +76,10 @@ def flat_polynomial(
     +-1 recursion signs (flatness ratio at most sqrt(2)); anything else takes
     seeded random signs followed by greedy single-flip descent on the grid
     sup norm within the evaluation budget.  The reported ratio is measured,
-    not asserted against any universal constant.
+    not asserted against any universal constant.  The size cap is applied to
+    the grid of len(beta) points first, before any sign is chosen.
     """
+    grid_size(len(beta), oversample)
     if descent_budget < 0:
         raise InvalidParameter("budget must be nonnegative")
     if beta.is_complex:

@@ -26,8 +26,6 @@ from .errors import InvalidInput, InvalidParameter
 from .extremal import rudin_shapiro
 
 _DIRECT_CONV_LIMIT = 1 << 18  # products up to which direct beats FFT convolution
-
-WITNESS_NMAX_CAP = 20
 _SLOPE_THRESHOLD = 0.15  # range_diagnostic: |trailing slope| for a trend
 _RESIDUAL_THRESHOLD = 0.2  # range_diagnostic: largest fit residual for a trend
 
@@ -127,10 +125,12 @@ def problem8_witness(
     Rudin-Shapiro witnesses with nmax >= 12 also get the profile_growth flag:
     block nmax's l1 - l1_bound is at least 2^((nmax - 8) / 2 - 1) times
     block 0's l1 + l1_bound, a comparison of certified sides that takes no
-    grid beyond the blocks'.
+    grid beyond the blocks'.  The size cap bounds block nmax's grid, the
+    largest of the call: nmax <= 22 at the default oversample.
     """
-    if not 0 <= nmax <= WITNESS_NMAX_CAP:
-        raise InvalidParameter(f"nmax must lie in [0, {WITNESS_NMAX_CAP}]")
+    if nmax < 0:
+        raise InvalidParameter("nmax must be nonnegative")
+    check_size(nmax + 1, f"witness of nmax {nmax}")  # before the shift below
     grid_size(1 << nmax, oversample)  # block nmax's, the largest grid of the call
     length = 1 << (nmax + 1)
     z = np.zeros(length)
@@ -208,13 +208,11 @@ def range_diagnostic(z: CoeffSeq, nmax: int) -> RangeDiagnostic:
     decaying is the mirrored slope test; the rest is bounded-flat.  A
     growing label suggests that z is not a coefficient-plus-constant
     sequence of a bounded-profile function, and a decaying one is consistent
-    with membership; neither is proved by a truncated profile.
+    with membership; neither is proved by a truncated profile.  nmax is
+    checked as dyadic_profile checks it, a constant z included.
     """
     d = limit_estimate(z)
-    resid = z.coeffs - d
-    if not np.any(resid):
-        return RangeDiagnostic(d, np.zeros(nmax + 1), 0.0, None, None, "bounded-decaying")
-    prof = dyadic_profile(CoeffSeq._adopt(resid), 0.0, 1.0, nmax)
+    prof = dyadic_profile(CoeffSeq._adopt(z.coeffs - d), 0.0, 1.0, nmax)
     v = prof.values
     sup = float(v.max())
     tail = v[-min(5, v.size):]

@@ -138,16 +138,14 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
     the column sums, so only x is enumerated; global sign symmetry halves the
     search to x_0 = +1.  Returns the optimum value with its optimizer pair.
 
-    When J > K the transpose is solved and the pair swapped, so the cap
-    applies to min(J, K).  The tie-break then picks y (the lexicographically
+    When J > K the transpose (a view) is solved and the pair swapped, so the
+    cap applies to min(J, K).  The tie-break then picks y (the lexicographically
     smallest canonical maximizer) and x holds the signs of the row sums A y,
     zero sums getting +1; for J <= K the roles are as described above.
     """
-    A = Q.entries
+    swap = Q.entries.shape[0] > Q.entries.shape[1]
+    A = Q.entries.T if swap else Q.entries
     J, K = A.shape
-    if J > K:
-        value, y, x = injective_norm_exact(DenseMatrix(A.T))
-        return value, x, y
     if J > EXACT_ENUM_CAP:
         raise TooLargeForExact(f"shorter side {J} exceeds the cap {EXACT_ENUM_CAP}")
 
@@ -174,7 +172,8 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
                 best_x = np.concatenate(([1.0], x_hi, x_lo[i]))
 
     col = best_x @ A
-    return float(np.abs(col).sum()), SignVector(best_x), SignVector(_y_from_sums(col))
+    x, y = SignVector(best_x), SignVector(_y_from_sums(col))
+    return (float(np.abs(col).sum()), *((y, x) if swap else (x, y)))
 
 
 @dataclass(frozen=True)

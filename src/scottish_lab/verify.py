@@ -49,7 +49,7 @@ THRESHOLDS = {
     "w88.m_hi": (22, 0, core.SIZE_CAP_LOG2 - 1),  # a witness of 2^(m_hi+1) entries
     "w88.lkk_nmax": (14, 0, _GRID_LOG2 - 2),  # its majorant's profile to block lkk_nmax + 1
     "w88.chain_slack": (1e-6, 0.0, math.inf),
-    "w8.nmax": (16, 1, mazur.WITNESS_NMAX_CAP),  # the fit needs blocks 0 and 1
+    "w8.nmax": (16, 1, _GRID_LOG2 - 1),  # the fit needs blocks 0 and 1; the profile to block nmax
     "w8.block_lo": (8, 0, math.inf),
     "w8.exp_lo": (0.35, -_BIG, _BIG),
     "w8.exp_hi": (0.65, -_BIG, _BIG),
@@ -61,7 +61,7 @@ THRESHOLDS = {
     "dual.rank1": (50, 1, math.inf),
     "mazur.seeds": (100, 1, math.inf),
     "mazur.b_tol": (1e-12, 0.0, math.inf),
-    "mazur.flat_kmax": (12, 0, extremal.RUDIN_SHAPIRO_CAP),
+    "mazur.flat_kmax": (12, 0, _GRID_LOG2),  # the grid of P with 2^k coefficients
     "mazur.flat_tol": (1e-9, 0.0, math.inf),
 }
 DEFAULT_THRESHOLDS = {key: default for key, (default, _, _) in THRESHOLDS.items()}

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,15 +22,18 @@ from scottish_lab import (
     write_coeff_csv,
     write_matrix_csv,
 )
-from scottish_lab import core
-from scottish_lab.extremal import problem88_witness
-from scottish_lab.mazur import cesaro_product
+from scottish_lab import core, tensornorm
+from scottish_lab.dyadic import dyadic_profile
+from scottish_lab.extremal import flat_polynomial, problem88_params, problem88_witness, rudin_shapiro
+from scottish_lab.mazur import cesaro_product, problem8_witness, range_diagnostic
+from scottish_lab.tensornorm import injective_norm_exact
 from scottish_lab.errors import (
     ComplexNotSupported,
     DomainError,
     EmptyDimension,
     InvalidInput,
     InvalidParameter,
+    TooLargeForExact,
     TooShort,
 )
 
@@ -334,6 +339,54 @@ class TestHankel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * Q.entries.nbytes, peak
+
+
+# Every public entry that takes a size, as (name, entry(v) -> a call of it at
+# size v, largest v admitted at size cap c and enumeration cap e).  The
+# inputs are built before the call, so that a refusal's trace holds only
+# what the entry itself allocates.
+_TALL_ROWS = 1 << 13  # at 27 columns 1.7 MiB, so that a copy would show in the trace
+SIZE_RULE = [
+    ("rudin_shapiro", lambda v: lambda: rudin_shapiro(v), lambda c, e: c),
+    ("problem8_witness", lambda v: lambda: problem8_witness(v), lambda c, e: c - 3),  # block v's grid
+    ("flat_polynomial", lambda v: functools.partial(flat_polynomial, CoeffSeq(np.ones(v))),
+     lambda c, e: 1 << (c - 3)),
+    ("dyadic_kernel", lambda v: lambda: dyadic_kernel(v), lambda c, e: c - 1),
+    ("dyadic_profile", lambda v: lambda: dyadic_profile(CoeffSeq([1.0, 2.0]), 0.0, 1.0, v),
+     lambda c, e: c - 4),  # the top block's grid
+    ("problem88_params", lambda v: lambda: problem88_params(0.5, v), lambda c, e: c - 1),
+    ("range_diagnostic", lambda v: lambda: range_diagnostic(CoeffSeq(np.ones(8)), v), lambda c, e: c - 4),
+    ("hankel_matrix", lambda v: lambda: hankel_matrix(CoeffSeq([1.0]), v), lambda c, e: math.isqrt(1 << c)),
+    ("injective_norm_exact", lambda v: functools.partial(injective_norm_exact, DenseMatrix(np.ones((_TALL_ROWS, v)))),
+     lambda c, e: e),
+]
+
+
+def _cap_text(name, c, e):
+    return f"cap {e}" if name == "injective_norm_exact" else f"size cap of 2^{c} "
+
+
+@pytest.mark.parametrize("name, entry, largest", SIZE_RULE, ids=[row[0] for row in SIZE_RULE])
+def test_size_rule_refuses_one_past_the_cap_before_any_work(name, entry, largest, monkeypatch):
+    # at the library's caps: the value one past the largest is refused, naming
+    # its cap, before anything of its size is allocated
+    c, e = core.SIZE_CAP_LOG2, tensornorm.EXACT_ENUM_CAP
+    call = entry(largest(c, e) + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises((InvalidParameter, TooLargeForExact), match=re.escape(_cap_text(name, c, e))):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # at caps small enough to run: the largest value is accepted, one past refused
+    c, e = 12, 6
+    monkeypatch.setattr(core, "SIZE_CAP_LOG2", c)
+    monkeypatch.setattr(tensornorm, "EXACT_ENUM_CAP", e)
+    entry(largest(c, e))()
+    with pytest.raises((InvalidParameter, TooLargeForExact), match=re.escape(_cap_text(name, c, e))):
+        entry(largest(c, e) + 1)()
 
 
 class TestBlocks:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -15,6 +16,7 @@ from scottish_lab import (
     hard_block_bound,
     lp_norm_circle,
     lp_norm_detail,
+    make_rng,
     problem88_witness,
 )
 from scottish_lab import dyadic
@@ -562,6 +564,14 @@ class TestFloatRange:
 class TestHardBlockBound:
     def test_unit_at_zero(self):
         assert hard_block_bound(CoeffSeq([1.0]), 10) == 1.0
+
+    def test_visits_only_blocks_that_hold_coefficients(self):
+        # the loop once ran to nmax, past the last block of the sequence
+        start = time.perf_counter()
+        assert hard_block_bound(CoeffSeq([1.0, 2.0]), 10**6) == 3.0
+        assert time.perf_counter() - start < 1.0
+        g = CoeffSeq(make_rng(4).standard_normal(1000))
+        assert hard_block_bound(g, 9) == hard_block_bound(g, 10**6) != hard_block_bound(g, 8)
 
     def test_single_block_coefficient(self):
         for j in range(0, 12):

@@ -63,7 +63,7 @@ class TestRudinShapiro:
 
     def test_cap(self):
         with pytest.raises(InvalidParameter):
-            rudin_shapiro(21)
+            rudin_shapiro(26)
 
 
 class TestFlatPolynomial:

@@ -260,7 +260,7 @@ class TestWitness:
 
     def test_nmax_cap(self):
         with pytest.raises(InvalidParameter):
-            problem8_witness(21)
+            problem8_witness(23)
 
     def test_tiny_nmax_has_no_fit(self):
         _, rep = problem8_witness(0, seed=1)
@@ -292,6 +292,13 @@ class TestRangeDiagnostic:
         assert diag.classification == "bounded-decaying"
         assert diag.sup == 0.0
         assert diag.limit == 3.25
+        assert diag.values.tolist() == [0.0] * 6 and diag.trailing_slope is None
+
+    @pytest.mark.parametrize("nmax", [-1, -2])
+    def test_constant_sequence_refuses_negative_nmax(self, nmax):
+        # a constant sequence once skipped the profile's checks: -2 ended in a ValueError
+        with pytest.raises(InvalidParameter, match="nonnegative"):
+            range_diagnostic(CoeffSeq(np.full(64, 3.25)), nmax)
 
     def test_single_block_is_flat(self):
         # one profile value admits no trailing fit

@@ -246,7 +246,7 @@ DOMAIN_PROBES = [
     ("w88.m_hi", [24], [-1, 25, *BAD_INT]),
     ("w88.lkk_nmax", [0], [-1, 25, *BAD_INT]),
     ("w88.chain_slack", [0.0, INF], [-TINY, *BAD_FLOAT]),
-    ("w8.nmax", [1, 20], [0, 21, *BAD_INT]),
+    ("w8.nmax", [1, 21], [0, 22, *BAD_INT]),
     ("w8.block_lo", [0], [-1, *BAD_INT]),
     ("w8.exp_lo", [-BIG, BIG], [INF, *BAD_FLOAT]),
     ("w8.exp_hi", [-BIG, BIG], [INF, *BAD_FLOAT]),
@@ -258,7 +258,7 @@ DOMAIN_PROBES = [
     ("dual.rank1", [1], [0, *BAD_INT]),
     ("mazur.seeds", [1], [0, *BAD_INT]),
     ("mazur.b_tol", [0.0, INF], [-TINY, *BAD_FLOAT]),
-    ("mazur.flat_kmax", [0, 20], [-1, 21, *BAD_INT]),
+    ("mazur.flat_kmax", [0, 22], [-1, 23, *BAD_INT]),
     ("mazur.flat_tol", [0.0, INF], [-TINY, *BAD_FLOAT]),
 ]
 # w8.nmax is probed down to 1, so its window starts at block 0
@@ -282,10 +282,10 @@ def test_each_key_accepts_and_refuses_what_it_did():
      ("w88.tail_factor", "0"), ("w8.nmax", "0"), ("w8.block_lo", "-1"),
      ("inj.match_min", "1.5"), ("besov.rel_tol", "nan"), ("w8.exp_lo", "inf"),
      # past the library's own caps
-     ("mazur.flat_kmax", "21"), ("w8.nmax", "21"), ("w88.m_hi", "25"), ("w88.lkk_nmax", "25"),
+     ("mazur.flat_kmax", "23"), ("w88.m_hi", "25"), ("w88.lkk_nmax", "25"),
      ("kernel.partition_kmax", str(1 << 25)),
      # past the sizes their suites can run
-     ("kernel.nmax", "22"), ("besov.jmax", "21"), ("hankel.mmax", "26"),
+     ("kernel.nmax", "22"), ("besov.jmax", "21"), ("hankel.mmax", "26"), ("w8.nmax", "22"),
      ("kernel.w0_oversample", "16777217"), ("kernel.partition_kmax", str((1 << 24) + 1)),
      ("w88.lkk_nmax", "21"),
      # windows that cannot be checked: no block, or fewer than two increments
