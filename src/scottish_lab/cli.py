@@ -64,9 +64,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
-    if np is not None and isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
@@ -81,15 +78,18 @@ def _run_config(args, argv) -> dict:
 
 
 def _write_json(fh, doc: dict) -> None:
-    """Write json.dumps(doc, indent=2) and a newline.  The CoeffSeq under the
-    top-level key "sequence", if there is one, is written as the list of its
-    nonzero [k, value] or [k, re, im] rows, chunk by chunk, never as one list
-    or string."""
+    """Write json.dumps(doc, indent=2)'s bytes and a newline piece by piece as
+    the encoder makes them, never as one string; an array becomes its list
+    where the encoder meets it.  The CoeffSeq under the top-level key
+    "sequence", if there is one, is written as its nonzero [k, value] or
+    [k, re, im] rows, chunk by chunk, never as one list or string."""
+    encoder = json.JSONEncoder(indent=2, default=lambda a: _jsonable(a.tolist()))
     if "sequence" not in doc:
-        fh.write(json.dumps(_jsonable(doc), indent=2) + "\n")
+        fh.writelines(encoder.iterencode(_jsonable(doc)))
+        fh.write("\n")
         return
     seq = doc["sequence"]
-    text = json.dumps(_jsonable(dict(doc, sequence=[])), indent=2) + "\n"
+    text = encoder.encode(_jsonable(dict(doc, sequence=[]))) + "\n"
     key = '\n  "sequence":'
     head, _, tail = text.partition(key + " []")
     row = "\n    [\n      %d,\n      %s\n    ]"
@@ -187,8 +187,8 @@ def _cmd_inj_norm(args, argv):
     payload = {
         "value": value,
         "method": args.method,
-        "x": x.entries.tolist(),
-        "y": y.entries.tolist(),
+        "x": x.entries,
+        "y": y.entries,
         "evaluations": evals,
     }
     return _emit(args, argv, payload)
@@ -199,7 +199,7 @@ def _bracket_json(br) -> dict:
         "lower": br.lower,
         "upper": br.upper,
         "lower_cert": br.lower_certificate,
-        "upper_cert": [{"a": a.tolist(), "b": b.tolist()} for a, b in br.upper_certificate],
+        "upper_cert": [{"a": a, "b": b} for a, b in br.upper_certificate],
         "strategies": list(br.strategies),
     }
 

@@ -415,13 +415,13 @@ def write_matrix_csv(path, mat, comment: str | None = None, header: str | None =
     """Write a DenseMatrix, or any rows of values, as comma-separated lines
     after an optional '# ' comment and an optional header; floats are
     written by format_float, other values by str."""
-    lines = [] if comment is None else ["# " + comment]
-    if header is not None:
-        lines.append(header)
-    for row in mat.entries if isinstance(mat, DenseMatrix) else mat:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if comment is not None:
+            fh.write("# " + comment + "\n")
+        if header is not None:
+            fh.write(header + "\n")
+        for row in mat.entries if isinstance(mat, DenseMatrix) else mat:
+            fh.write(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def read_matrix_csv(path) -> DenseMatrix:

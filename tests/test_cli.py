@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 import scottish_lab
 from scottish_lab import CoeffSeq, read_coeff_csv, read_matrix_csv, write_coeff_csv, write_matrix_csv, DenseMatrix
 from scottish_lab import core, dyadic_kernel, tensornorm, verify
-from scottish_lab.cli import COMMANDS, _jsonable, _options, _write_json, build_parser, rerun_config_argv, run
+from scottish_lab.cli import COMMANDS, _options, _write_json, build_parser, rerun_config_argv, run
 from scottish_lab.dyadic import dyadic_profile
 from scottish_lab.errors import InvalidInput, InvalidParameter
 from scottish_lab.extremal import problem88_witness
@@ -248,34 +249,60 @@ class TestCommands:
 class TestStreamedSequence:
     @staticmethod
     def reference(doc):
-        # the one-shot emit that streaming replaced: every nonzero entry as a list, then one dumps
-        seq = doc["sequence"]
-        rows = []
-        for k in np.nonzero(seq.coeffs)[0].tolist():
-            v = seq.coeffs[k]
-            if seq.is_complex:
-                rows.append([int(k), float(v.real), float(v.imag)])
-            else:
-                rows.append([int(k), float(v)])
-        return json.dumps(_jsonable(dict(doc, sequence=rows)), indent=2) + "\n"
+        # the one-shot emit that streaming replaced: every nonzero entry as a
+        # list, every array .tolist()'d and inf as "inf", then one dumps
+        def plain(obj):
+            if isinstance(obj, np.ndarray):
+                obj = obj.tolist()
+            if isinstance(obj, dict):
+                return {str(k): plain(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [plain(v) for v in obj]
+            if isinstance(obj, float) and math.isinf(obj):
+                return "inf" if obj > 0 else "-inf"
+            return obj
 
-    @pytest.mark.parametrize("values", [
-        [0.0, 1.5, -0.0, 2.0, 0.0, 0.0, 3e-300, 1.0, -2.0, 1 / 3, 5e-324],
-        [1 + 2j, -0.0 + 1j, 0j, 3 - 0j, 0j, complex(-0.0, -2.0), -1e300 + 0j, 1 + 1j],
-        [0.0] * 5,
-        [-0.0, 0.0],
-        [0j, complex(-0.0, 0.0)],
+        if "sequence" in doc:
+            seq = doc["sequence"]
+            rows = []
+            for k in np.nonzero(seq.coeffs)[0].tolist():
+                v = seq.coeffs[k]
+                if seq.is_complex:
+                    rows.append([int(k), float(v.real), float(v.imag)])
+                else:
+                    rows.append([int(k), float(v)])
+            doc = dict(doc, sequence=rows)
+        return json.dumps(plain(doc), indent=2) + "\n"
+
+    @pytest.mark.parametrize("values, arrays", [
+        pytest.param([0.0, 1.5, -0.0, 2.0, 0.0, 0.0, 3e-300, 1.0, -2.0, 1 / 3, 5e-324], {}, id="values0"),
+        pytest.param([1 + 2j, -0.0 + 1j, 0j, 3 - 0j, 0j, complex(-0.0, -2.0), -1e300 + 0j, 1 + 1j], {},
+                     id="values1"),
+        pytest.param([0.0] * 5, {}, id="values2"),
+        pytest.param([-0.0, 0.0], {}, id="values3"),
+        pytest.param([0j, complex(-0.0, 0.0)], {}, id="values4"),
+        pytest.param([0.0, 2.0, -1.0], {"x": np.array([math.inf, -0.0, 1 / 3])}, id="array-beside-sequence"),
+        # no sequence: arrays become lists where the encoder meets them
+        pytest.param(None, {"v": np.array([1.5, math.inf, -math.inf, -0.0, 5e-324, 1e300])}, id="float64"),
+        pytest.param(None, {"v": np.array([-128, 0, 1, 127], dtype=np.int8)}, id="int8"),
+        pytest.param(None, {"m": np.array([[1.0, -0.0, 2.5], [math.inf, -1e-300, 7.0]])}, id="2-d"),
+        pytest.param(None, {"e": np.array([]), "e2": np.zeros((2, 0)), "e3": np.zeros((0, 3))}, id="empty"),
+        pytest.param(None, {"upper_cert": [{"a": np.array([1.0, -0.0]), "b": np.array([3.0, -2.0])},
+                                           {"a": np.array([0.0, 1.0]), "b": np.array([-math.inf, 0.5])}],
+                            "strategies": ["rows"]}, id="nested-in-dicts"),
     ])
-    def test_bytes_match_one_shot_dump(self, values, monkeypatch):
+    def test_bytes_match_one_shot_dump(self, values, arrays, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ROWS", 3)  # chunk boundaries inside every case
-        for n in range(1, len(values) + 1):
-            seq = CoeffSeq(np.array(values[:n]))
-            doc = {"run_config": {"argv": ["wn", '"sequence": []'], "options": {"q": math.inf}},
-                   "length": n, "sequence": seq}
+        run_config = {"argv": ["wn", '"sequence": []'], "options": {"q": math.inf}}
+        for n in range(1, len(values) + 1) if values else [None]:
+            doc = {"run_config": run_config}
+            if n is not None:
+                doc.update(length=n, sequence=CoeffSeq(np.array(values[:n])))
+            doc.update(arrays)
             out = io.StringIO()
             _write_json(out, doc)
             assert out.getvalue() == self.reference(doc), n
-            if not np.any(seq.coeffs):
+            if n is not None and not np.any(doc["sequence"].coeffs):
                 assert '"sequence": []' in out.getvalue()
 
     def test_cli_report(self, tmp_path, monkeypatch):
@@ -1177,6 +1204,26 @@ class TestMemory:
             self.run_in_1_gib(argv)
             report = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse_constant)
             assert report["upper"] == 5.0 and len(report["upper_cert"]) == 2
+
+    def test_bracket_report_streams(self, tmp_path):
+        # proj-norm on a 1024 x 2 matrix whose row split is strictly cheapest
+        # (4.0 against 5.0): its certificate holds 1024 pairs of 1026 numbers,
+        # 8.0 MiB of arrays.  The report once turned them into Python floats
+        # twice and built its whole text before writing (134.3 MiB traced);
+        # it is now streamed, within twice the certificate's bytes
+        A = np.full((1024, 2), 1e-300)
+        A[:2] = [[3.0, 2.0], [1.0, -1.0]]
+        write_matrix_csv(tmp_path / "tall.csv", DenseMatrix(A))
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            assert run(["proj-norm", "--input", str(tmp_path / "tall.csv"), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+        report = json.loads(out.read_text(), parse_constant=refuse_constant)
+        assert report["upper"] == 4.0 and len(report["upper_cert"]) == 1024
 
 
 class TestImports:
