@@ -21,6 +21,24 @@ candidate values, the first maximizer and the returned triple are the same
 bit for bit, in either layout.  Any other matrix is scanned in float64,
 where only sums that round can depend on the layout's order of addition.
 
+The scan skips groups of candidates that cannot win.  Split the low bits
+into their top g and the last `rest` (7, more past J = 24 so that the
+bounds fill at most one scan buffer): for a high row r and a group prefix
+P_G (the column sums of the top g low rows), every candidate of the group
+is at most ||r + P_G||_1 + T_rest, T_rest the exact norm of the last rest
+rows.  int16 bounds are exact; a float64 bound adds 8 (J + K) 2^-52 S,
+more than the rounding of any scan value and bound (see
+_pruned_first_max).  The groups are evaluated best-first, in descending
+order of bound, until the next bound lies strictly below the best value;
+each is summed in the dense scan's layout and axis, so every value keeps
+its bits, and among the candidates at the maximum the smallest index
+q_hi 2^lo + q_lo -- the dense scan's first maximizer -- is kept.  The
+triple is the dense scan's bit for bit.  Measured switch-off rule: the
+scan stays dense with fewer than 2^6 high rows (hi = 0 included), with
+its table stored by row, and with fewer than 2 groups per high row; and
+it hands over to the dense scan when, after the first chunk, more than
+half of the groups have bounds at or above the best value.
+
 Every norm here refuses, with InvalidInput, a matrix whose entrywise absolute
 sum exceeds float max / 4: below that bound none of their sums overflows.
 """
@@ -33,13 +51,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIZE_CAP_LOG2, DenseMatrix, derive_seed, make_rng
+from .core import SIZE_CAP_LOG2, DenseMatrix, check_size, derive_seed, make_rng
 from .errors import InvalidInput, InvalidParameter, TooLargeForExact
 
 EXACT_ENUM_CAP = 26
 _SCAN_BYTES = 1 << 19  # per scan buffer, unless K is wider
 _INT_TYPE = np.int16
 _MIN_LOW_BITS = 5  # so each block's high row costs little next to its 2^lo x K scan
+_PRUNE_MIN_HIGH_BITS = 6  # fewer high rows keep the dense scan
+_REST_BITS = 7  # low bits under one group bound: 128 candidates per group
+_DENSE_LIVE_SHARE = 0.5  # more groups live after the first chunk: dense scan
 _RANK_ONE_TOL = 1e-10
 MAX_PEELS = 8  # deepest singular-pair peel of the bracket's upper side
 # Largest entrywise absolute sum S = sum |a_jk| that the sign-form norms
@@ -113,22 +134,114 @@ def _int_table_type(A: np.ndarray, S: float):
     return _INT_TYPE if exact else None
 
 
-def _scan_values(x_lo: np.ndarray, B: np.ndarray, dt):
-    """Candidate values, in dt, of a high row (already in dt) added to the
-    table of column sums x_lo @ B of the 2^lo low patterns.  The table is
-    built in its layout, never transposed: by column, (K, 2^lo), when
-    K <= 2^lo, else by row."""
-    by_col = B.shape[1] <= x_lo.shape[0]
-    table = (B.T @ x_lo.T if by_col else x_lo @ B).astype(dt, copy=False)
+def _scan_table(A: np.ndarray, lo: int, dt) -> np.ndarray:
+    """The column sums x_lo @ A[J - lo:] of the 2^lo low patterns, in dt.  The
+    table is built in its layout, never transposed: by column, (K, 2^lo),
+    when K <= 2^lo, else by row."""
+    x_lo = _lex_signs(np.arange(1 << lo), lo)
+    B = A[A.shape[0] - lo :]
+    return (B.T @ x_lo.T if B.shape[1] <= x_lo.shape[0] else x_lo @ B).astype(dt, copy=False)
+
+
+def _high_rows(A: np.ndarray, hi: int, q: np.ndarray, dt) -> np.ndarray:
+    """The rows A[0] + x_hi @ A[1 : 1 + hi] of the high patterns q, in dt,
+    formed in stacked (1, hi) @ (hi, K) products: each is bit for bit the
+    row's own x_hi @ A, as one gemm is not."""
+    X_hi = _lex_signs(q, hi)
+    return (A[0] + np.matmul(X_hi[:, None, :], A[1 : 1 + hi])[:, 0, :]).astype(dt, copy=False)
+
+
+def _dense_first_max(A: np.ndarray, table: np.ndarray, lo: int) -> int:
+    """Index q_hi 2^lo + q_lo of the first maximizer: each high row, in
+    ascending order, is added to the whole table in one reused buffer."""
+    J, K = A.shape
+    hi, dt, by_col = J - 1 - lo, table.dtype, K <= 1 << lo
     buf = np.empty_like(table)
-    vals = np.empty(x_lo.shape[0], dtype=dt)
+    vals = np.empty(1 << lo, dtype=dt)
+    best_val, best_q = -1, 0
+    step = max(1, _SCAN_BYTES // (8 * K))  # high rows per batch: _SCAN_BYTES of float64
+    for q in range(0, 1 << hi, step):
+        for q_hi, row in enumerate(_high_rows(A, hi, np.arange(q, min(q + step, 1 << hi)), dt), q):
+            np.add(table, row[:, None] if by_col else row, out=buf)
+            np.abs(buf, out=buf)
+            np.add.reduce(buf, axis=0 if by_col else 1, dtype=dt, out=vals)  # dtype: no int64 widening
+            i = int(vals.argmax())
+            if vals[i] > best_val:  # ties keep the first, lexicographically smallest x
+                best_val, best_q = vals[i], (q_hi << lo) + i
+    return best_q
 
-    def values(row):
-        np.add(table, row[:, None] if by_col else row, out=buf)
+
+def _pruned_first_max(A: np.ndarray, S: float, table: np.ndarray, lo: int, rest: int) -> int | None:
+    """_dense_first_max's index, from the groups of candidates whose bounds
+    (see the module docstring) reach the best value, or None when, after
+    the first chunk, more than a _DENSE_LIVE_SHARE of the groups do.  A
+    chunk holds 2^g groups, 2^lo candidates: one dense row's worth."""
+    J, K = A.shape
+    hi, g, dt, by_col = J - 1 - lo, lo - rest, table.dtype, K <= 1 << lo
+    prefixes = _lex_signs(np.arange(1 << g), g) @ A[1 + hi : 1 + hi + g]
+    t_rest = float(np.abs(_lex_signs(np.arange(1 << rest), rest) @ A[J - rest :]).sum(axis=1).max())
+    bounds = np.empty((1 << hi, 1 << g))
+    step = max(1, _SCAN_BYTES // (8 * K << g))  # high rows per batch of (row, group) sums
+    for q in range(0, 1 << hi, step):
+        sums = _high_rows(A, hi, np.arange(q, min(q + step, 1 << hi)), np.float64)[:, None, :] + prefixes
+        np.abs(sums, out=sums).sum(axis=2, out=bounds[q : q + step])
+    # The int16 scan and these integer bounds are exact.  In float64 each
+    # column sum of J terms, on either side, lies within (J - 1) u S_k of its
+    # exact value (u = 2^-53, S_k the column's absolute sum), and a sum of K
+    # moduli adds at most (K - 1) u S.  So a scan value, ||r + P_G||_1 and
+    # T_rest (the largest of the rest's float values) each lie within
+    # (J + K) u S of the exact ones, and the two additions below add 4 u S:
+    # the margin 8 (J + K) 2^-52 S = 16 (J + K) u S covers them all.
+    margin = 0.0 if dt == _INT_TYPE else 8 * (J + K) * 2.0**-52 * S
+    bounds = bounds.ravel() + (t_rest + margin)
+    order = np.argsort(-bounds)
+    m = 1 << rest
+    groups = table.reshape(K, -1, m) if by_col else table.reshape(-1, m, K)
+    best_val, best_q = -1, 0
+    for c in range(0, order.size, 1 << g):  # 2^lo candidates per chunk, as per dense row
+        if bounds[order[c]] < best_val:  # no group left can hold a maximum
+            break
+        pairs = order[c : c + (1 << g)]  # pair r 2^g + G: candidates q = pair 2^rest + t
+        r, G = np.divmod(pairs, 1 << g)
+        rows = _high_rows(A, hi, r, dt)
+        buf = np.take(groups, G, axis=1 if by_col else 0)  # C order: the reshape below is a view
+        buf += rows.T[:, :, None] if by_col else rows[:, None, :]
         np.abs(buf, out=buf)
-        return np.add.reduce(buf, axis=0 if by_col else 1, dtype=dt, out=vals)  # dtype: no int64 widening
+        vals = np.add.reduce(buf.reshape(K, -1) if by_col else buf.reshape(-1, K), axis=0 if by_col else 1, dtype=dt)
+        top = vals.max()
+        if top >= best_val:
+            q = int(((pairs[:, None] << rest) + np.arange(m)).ravel()[vals == top].min())
+            best_q = q if top > best_val else min(best_q, q)
+            best_val = top
+        if c == 0 and np.count_nonzero(bounds >= best_val) > _DENSE_LIVE_SHARE * bounds.size:
+            return None
+    return best_q
 
-    return values
+
+def _first_max(A: np.ndarray, S: float) -> int:
+    """Index q_hi 2^lo + q_lo, over the J - 1 free signs of x, of the first
+    maximizer of the scan of A (J <= K), whose absolute sum is S."""
+    J, K = A.shape
+    dt = _int_table_type(A, S) or np.float64
+    entries = _SCAN_BYTES // np.dtype(dt).itemsize
+    lo = min(J - 1, max(_MIN_LOW_BITS, (entries // K).bit_length() - 1))
+    rest = max(_REST_BITS, J - (_SCAN_BYTES // 8).bit_length())  # the bounds fill at most _SCAN_BYTES
+    table = _scan_table(A, lo, dt)
+    q = None
+    if J - 1 - lo >= _PRUNE_MIN_HIGH_BITS and K <= 1 << lo and lo > rest:
+        q = _pruned_first_max(A, S, table, lo, rest)
+    return _dense_first_max(A, table, lo) if q is None else q
+
+
+def _exact(A: np.ndarray, S: float) -> tuple[float, SignVector, SignVector]:
+    """injective_norm_exact of the entries A, whose absolute sum is S."""
+    swap = A.shape[0] > A.shape[1]
+    if swap:
+        A = A.T
+    best_x = np.concatenate(([1.0], _lex_signs(_first_max(A, S), A.shape[0] - 1)))
+    col = best_x @ A
+    x, y = SignVector(best_x), SignVector(_y_from_sums(col))
+    return (float(np.abs(col).sum()), *((y, x) if swap else (x, y)))
 
 
 def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]:
@@ -143,37 +256,10 @@ def injective_norm_exact(Q: DenseMatrix) -> tuple[float, SignVector, SignVector]
     smallest canonical maximizer) and x holds the signs of the row sums A y,
     zero sums getting +1; for J <= K the roles are as described above.
     """
-    swap = Q.entries.shape[0] > Q.entries.shape[1]
-    A = Q.entries.T if swap else Q.entries
-    J, K = A.shape
-    if J > EXACT_ENUM_CAP:
-        raise TooLargeForExact(f"shorter side {J} exceeds the cap {EXACT_ENUM_CAP}")
-
-    S = _abs_sum(np.abs(A))
-
-    # x = (+1, high bits, low bits).  One table holds the column sums of all
-    # low patterns; each high pattern, in ascending order, adds its row to it.
-    dt = _int_table_type(A, S) or np.float64
-    entries = _SCAN_BYTES // np.dtype(dt).itemsize
-    lo = min(J - 1, max(_MIN_LOW_BITS, (entries // K).bit_length() - 1))
-    hi = J - 1 - lo
-    x_lo = _lex_signs(np.arange(1 << lo), lo)
-    values = _scan_values(x_lo, A[1 + hi :], dt)
-    best_val = -1.0
-    step = max(1, _SCAN_BYTES // (8 * K))  # high rows per batch: _SCAN_BYTES of float64
-    for q in range(0, 1 << hi, step):
-        X_hi = _lex_signs(np.arange(q, min(q + step, 1 << hi)), hi)
-        rows = (A[0] + np.matmul(X_hi[:, None, :], A[1 : 1 + hi])[:, 0, :]).astype(dt, copy=False)
-        for x_hi, row in zip(X_hi, rows):
-            vals = values(row)
-            i = int(vals.argmax())
-            if vals[i] > best_val:  # ties keep the first, lexicographically smallest x
-                best_val = vals[i]
-                best_x = np.concatenate(([1.0], x_hi, x_lo[i]))
-
-    col = best_x @ A
-    x, y = SignVector(best_x), SignVector(_y_from_sums(col))
-    return (float(np.abs(col).sum()), *((y, x) if swap else (x, y)))
+    shorter = min(Q.entries.shape)
+    if shorter > EXACT_ENUM_CAP:
+        raise TooLargeForExact(f"shorter side {shorter} exceeds the cap {EXACT_ENUM_CAP}")
+    return _exact(Q.entries, _abs_sum(np.abs(Q.entries)))
 
 
 @dataclass(frozen=True)
@@ -187,12 +273,14 @@ class SearchOutcome:
 def injective_norm_search(Q: DenseMatrix, budget: int, seed: int) -> SearchOutcome:
     """Random-restart steepest-ascent over sign flips of x.
 
-    Budget counts objective evaluations (one per candidate flip); the result
-    is a certified lower bound on the exact norm and is deterministic for a
-    given seed because each restart draws from its own derived stream.
+    Budget counts objective evaluations (one per candidate flip), at most
+    2^SIZE_CAP_LOG2 under the size rule; the result is a certified lower
+    bound on the exact norm and is deterministic for a given seed because
+    each restart draws from its own derived stream.
     """
     if budget < 0:
         raise InvalidParameter("budget must be nonnegative")
+    check_size((budget - 1).bit_length(), f"search budget {budget}")
     A = Q.entries
     J = A.shape[0]
     _abs_sum(np.abs(A))
@@ -341,7 +429,7 @@ def projective_bracket(Q: DenseMatrix) -> NormBracket:
     A = Q.entries
     J, K = A.shape
     absA = np.abs(A)
-    _abs_sum(absA)
+    S = _abs_sum(absA)
     j_star, k_star = np.unravel_index(int(np.argmax(absA)), A.shape)
     scale = float(absA[j_star, k_star])
 
@@ -371,7 +459,7 @@ def projective_bracket(Q: DenseMatrix) -> NormBracket:
     if min(J, K) <= EXACT_ENUM_CAP:
         with np.errstate(over="ignore"):
             frob2 = float(np.sum(A * A))
-        denom, _, _ = injective_norm_exact(Q)
+        denom, _, _ = _exact(A, S)
         if math.isfinite(frob2) and frob2 / denom > scale:
             lower = frob2 / denom
             lower_cert = {"kind": "self-exact", "pairing": frob2, "denominator": denom}

@@ -598,10 +598,12 @@ class TestExitCodes:
         ["inj-norm", "--input", "{m}", "--method", "search", "--budget", "-3"],
         ["flatpoly", "--input", "{f}", "--budget", "-7"],
         ["lkk", "--input", "{f}", "--budget", "-7"],
+        ["inj-norm", "--input", "{m}", "--method", "search", "--budget", "99999999999"],
     ])
     def test_nan_and_overflowing_parameters(self, argv, two_block, hadamard, tmp_path, capsys):
         # each once wrote NaN or inf into its JSON with exit 0, ran a negative
-        # budget as budget 0 with exit 0, or ended in an OverflowError traceback
+        # budget as budget 0 with exit 0, ran a budget past the size cap for
+        # days, or ended in an OverflowError traceback
         out = tmp_path / "r.json"
         assert run([a.format(f=two_block, m=hadamard) for a in argv] + ["--out", str(out)]) == 1
         err = capsys.readouterr().err

@@ -26,7 +26,7 @@ from scottish_lab import core, tensornorm
 from scottish_lab.dyadic import dyadic_profile
 from scottish_lab.extremal import flat_polynomial, problem88_params, problem88_witness, rudin_shapiro
 from scottish_lab.mazur import cesaro_product, problem8_witness, range_diagnostic
-from scottish_lab.tensornorm import injective_norm_exact
+from scottish_lab.tensornorm import injective_norm_exact, injective_norm_search
 from scottish_lab.errors import (
     ComplexNotSupported,
     DomainError,
@@ -359,6 +359,8 @@ SIZE_RULE = [
     ("hankel_matrix", lambda v: lambda: hankel_matrix(CoeffSeq([1.0]), v), lambda c, e: math.isqrt(1 << c)),
     ("injective_norm_exact", lambda v: functools.partial(injective_norm_exact, DenseMatrix(np.ones((_TALL_ROWS, v)))),
      lambda c, e: e),
+    ("injective_norm_search", lambda v: functools.partial(injective_norm_search, DenseMatrix(np.ones((3, 3))), v, 0),
+     lambda c, e: 1 << c),  # evaluations
 ]
 
 

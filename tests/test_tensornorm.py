@@ -308,19 +308,21 @@ class TestScanLayouts:
 
 
 def per_row_scan(A):
-    """The exact scan with each high row formed alone, x_hi @ A, as
-    (value, x, y, hi)."""
+    """The exact scan with each high row formed alone, x_hi @ A, and added
+    to the whole table, as (value, x, y, hi)."""
     J, K = A.shape
     dt = table_type(A) or np.float64
     entries = tensornorm._SCAN_BYTES // np.dtype(dt).itemsize
     lo = min(J - 1, max(tensornorm._MIN_LOW_BITS, (entries // K).bit_length() - 1))
     hi = J - 1 - lo
     x_lo = tensornorm._lex_signs(np.arange(1 << lo), lo)
-    values = tensornorm._scan_values(x_lo, A[1 + hi:], dt)
+    table = tensornorm._scan_table(A, lo, dt)
+    by_col = K <= 1 << lo
     best_val = -1.0
     for q in range(1 << hi):
         x_hi = tensornorm._lex_signs(q, hi)
-        vals = values((A[0] + x_hi @ A[1:1 + hi]).astype(dt))
+        row = (A[0] + x_hi @ A[1:1 + hi]).astype(dt)
+        vals = np.add.reduce(np.abs(table + (row[:, None] if by_col else row)), axis=0 if by_col else 1, dtype=dt)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_x = vals[i], np.concatenate(([1.0], x_hi, x_lo[i]))
@@ -361,6 +363,89 @@ class TestHighRows:
         value, x, y, hi = per_row_scan(A)
         assert hi == 8
         assert injective_norm_exact(DenseMatrix(A)) == (value, SignVector(x), SignVector(y))
+
+
+def scan_triple(A, q):
+    """(value, x, y) as bytes, for the scan index q over the J - 1 free
+    signs of x, formed as injective_norm_exact forms them."""
+    x = np.concatenate(([1.0], tensornorm._lex_signs(q, A.shape[0] - 1)))
+    col = x @ A
+    return float(np.abs(col).sum()).hex(), x.tobytes(), np.where(col < 0, -1, 1).tobytes()
+
+
+def pruned_and_dense(A, lo, rest):
+    """The scan indices of the pruned path, never handing over, and of the
+    dense path, on one table split at lo low bits and rest bits."""
+    table = tensornorm._scan_table(A, lo, table_type(A) or np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensornorm, "_DENSE_LIVE_SHARE", 1.0)
+        pruned = tensornorm._pruned_first_max(A, float(np.abs(A).sum()), table, lo, rest)
+    return pruned, tensornorm._dense_first_max(A, table, lo)
+
+
+class TestPrunedScan:
+    """The pruned path returns the dense path's first maximizer bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(["tenths", "hankel", "repeated", "int", "gauss"]), st.integers(3, 12),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_matches_the_dense_path(self, kind, J, seed, data):
+        # small splits put K on both sides of 2^lo, so the table is stored
+        # by column and by row; integer kinds take the int16 table, the
+        # others, ties and rounding sums included, the float64 one
+        rng = make_rng(seed)
+        A = rng.standard_normal((J, int(rng.integers(J, 49)))) if kind == "gauss" else scan_case(kind, rng, J)
+        lo = data.draw(st.integers(2, A.shape[0] - 1))
+        rest = data.draw(st.integers(1, lo - 1))
+        pruned, dense = pruned_and_dense(A, lo, rest)
+        assert scan_triple(A, pruned) == scan_triple(A, dense)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 10]))
+    @example(25, 1)  # stopping at a bound equal to the best value skips the first maximum
+    @example(75, 1)
+    @example(99, 1)
+    @example(247, 10)  # a float bound without its margin rounds below the scan value
+    @example(287, 10)
+    @example(534, 10)
+    def test_tight_bounds_keep_the_first_of_tied_maxima(self, seed, divisor):
+        # s_j t_k b_jk with zero rows: the maxima tie, and the bound of each
+        # one's group equals the best value in int16 (divisor 1) and lies a
+        # rounding below it in float64 (divisor 10) but for the margin
+        rng = np.random.default_rng(seed)
+        J = int(rng.integers(6, 13))
+        K = int(rng.integers(2, 12))
+        A = np.outer(rng.choice([-1.0, 1.0], J), rng.choice([-1.0, 1.0], K)) * rng.choice([1, 3, 7], (J, K)) / divisor
+        A[rng.integers(1, J, int(rng.integers(1, 4)))] = 0.0
+        lo = int(rng.integers(3, J))
+        pruned, dense = pruned_and_dense(A, lo, int(rng.integers(1, lo)))
+        assert scan_triple(A, pruned) == scan_triple(A, dense)
+
+    @pytest.mark.parametrize("lo, rest", [(11, r) for r in range(1, 11)] + [(8, 3), (5, 2)])
+    def test_float_hankel_with_tied_maxima(self, lo, rest):
+        # maxima that tie in exact arithmetic: a gather reduced in another
+        # order than the dense scan's moved x, though not the value
+        A = hankel_matrix(CoeffSeq(witness_symbol(np.random.default_rng(3), 31)), 16).entries
+        pruned, dense = pruned_and_dense(A, lo, rest)
+        assert scan_triple(A, pruned) == scan_triple(A, dense)
+        value, x, y = injective_norm_exact(DenseMatrix(A))
+        assert (value, signs(x), signs(y)) == (25.1, "+++---+++--++---", "+---+++---++---+")
+
+    @pytest.mark.parametrize("kind, hands_over", [
+        ("tenths", False), ("hankel", False), ("repeated", False), ("int", True),
+    ])
+    def test_default_split_at_full_size(self, kind, hands_over):
+        # at J = 22 the rule takes the pruned path with its default split;
+        # +-3 integers over 40 columns leave more than half of the groups
+        # live after the first chunk, and the dense scan takes over
+        A = scan_case(kind, make_rng(71), 22)
+        value, x, y, hi = per_row_scan(A)
+        assert hi >= tensornorm._PRUNE_MIN_HIGH_BITS
+        assert injective_norm_exact(DenseMatrix(A)) == (value, SignVector(x), SignVector(y))
+        lo = A.shape[0] - 1 - hi
+        table = tensornorm._scan_table(A, lo, table_type(A) or np.float64)
+        pruned = tensornorm._pruned_first_max(A, float(np.abs(A).sum()), table, lo, tensornorm._REST_BITS)
+        assert (pruned is None) == hands_over
 
 
 def per_step_search(A, budget, seed):
