@@ -2,9 +2,10 @@
 and hard-block coefficient bounds.
 
 Space membership is never reported as a boolean: sequences here are finite
-truncations, so callers get a profile plus fitted trends and decide from
-those.  Profiles whose top block cannot cover the polynomial's degree are
-flagged as truncated and the associated norms are lower bounds.
+truncations, so callers get a profile with two-sided error bounds and decide
+from its certified sides.  Profiles whose top block cannot cover the
+polynomial's degree are flagged as truncated and the associated norms are
+lower bounds.
 """
 
 from __future__ import annotations

@@ -26,8 +26,22 @@ from .errors import InvalidInput, InvalidParameter
 from .extremal import rudin_shapiro
 
 _DIRECT_CONV_LIMIT = 1 << 18  # products up to which direct beats FFT convolution
-_SLOPE_THRESHOLD = 0.15  # range_diagnostic: |trailing slope| for a trend
-_RESIDUAL_THRESHOLD = 0.2  # range_diagnostic: largest fit residual for a trend
+_GROWTH_FACTOR = 1.5  # growing: the certified top/early ratio reaches this
+
+
+def _certified_growth(lower, upper) -> tuple[float | None, bool]:
+    """The certified top/early ratio of a block profile, with lower[n] <= block
+    n <= upper[n], and whether it reaches _GROWTH_FACTOR: block nmax's lower
+    side (at least 0, as a norm is) over the largest upper side of the blocks
+    n < nmax // 2; inf over an early side of 0, and None when nmax < 2 or
+    both sides are 0.  Growing means the true top block is at least the
+    factor times every true early block."""
+    nmax = len(lower) - 1
+    if nmax < 2:
+        return None, False
+    top, early = max(float(lower[nmax]), 0.0), float(max(upper[: nmax // 2]))
+    ratio = top / early if early > 0.0 else np.inf if top > 0.0 else None
+    return ratio, ratio is not None and ratio >= _GROWTH_FACTOR
 
 
 def antidiagonal_average(Q: DenseMatrix) -> CoeffSeq:
@@ -122,23 +136,20 @@ def problem8_witness(
     report stores per-block measurements, each block's grid L1 with its
     two-sided bound l1_bound (see lp_norm_detail), and fits the exponent of 2
     in l1 * (n+1) against n from block 8 on (block nmax // 2 when nmax < 12).
-    Rudin-Shapiro witnesses with nmax >= 12 also get the profile_growth flag:
-    block nmax's l1 - l1_bound is at least 2^((nmax - 8) / 2 - 1) times
-    block 0's l1 + l1_bound, a comparison of certified sides that takes no
-    grid beyond the blocks'.  The size cap bounds block nmax's grid, the
-    largest of the call: nmax <= 22 at the default oversample.
+    The profile_growth flag compares certified sides of those blocks, with
+    no grid beyond theirs: it is true when block nmax's l1 - l1_bound is at
+    least _GROWTH_FACTOR = 1.5 times every l1 + l1_bound of the blocks
+    n < nmax // 2 (never when nmax < 2).  The size cap bounds block nmax's
+    grid, the largest of the call: nmax <= 22 at the default oversample.
     """
     if nmax < 0:
         raise InvalidParameter("nmax must be nonnegative")
     check_size(nmax + 1, f"witness of nmax {nmax}")  # before the shift below
     grid_size(1 << nmax, oversample)  # block nmax's, the largest grid of the call
-    length = 1 << (nmax + 1)
-    z = np.zeros(length)
+    z = np.zeros(2 << nmax)
     blocks = []
     for n in range(nmax + 1):
-        eps = 1.0 / (n + 1)
-        signs = _block_signs(sign_mode, n, seed)
-        blk = eps * signs
+        blk = _block_signs(sign_mode, n, seed) / (n + 1)
         z[1 << n : 1 << (n + 1)] = blk
         # L1 of the block is shift-invariant, so measure it unanchored.
         l1, l1_bound, _ = lp_norm_detail(CoeffSeq._adopt(blk), 1, oversample)
@@ -162,15 +173,12 @@ def problem8_witness(
         slope = intercept = resid = None
 
     linfs = [b["linf"] for b in blocks]
+    lower, upper = [b["l1"] - b["l1_bound"] for b in blocks], [b["l1"] + b["l1_bound"] for b in blocks]
     flags = {
         "bounded_by_one": bool(np.abs(z).max() <= 1.0),
-        "block_peaks_decreasing": all(
-            linfs[i + 1] < linfs[i] for i in range(len(linfs) - 1)
-        ),
+        "block_peaks_decreasing": all(a > b for a, b in zip(linfs, linfs[1:])),
+        "profile_growth": _certified_growth(lower, upper)[1],
     }
-    if sign_mode == "rudin_shapiro" and nmax >= 12:  # the lower side of block nmax, the upper of block 0
-        lower, upper = blocks[nmax]["l1"] - blocks[nmax]["l1_bound"], blocks[0]["l1"] + blocks[0]["l1_bound"]
-        flags["profile_growth"] = bool(lower >= upper * 2.0 ** ((nmax - 8) / 2 - 1))
 
     report = WitnessReport(
         params={
@@ -189,43 +197,29 @@ def problem8_witness(
 
 @dataclass(frozen=True)
 class RangeDiagnostic:
-    """Profile shape of a sequence after removing its estimated limit."""
+    """Profile of a sequence after removing its estimated limit."""
 
     limit: complex | float
     values: np.ndarray
-    sup: float
-    trailing_slope: float | None
-    fit_residual: float | None
-    classification: str  # growing | bounded-flat | bounded-decaying
+    sup: float  # the largest certified upper side, values + error_bounds
+    growth_ratio: float | None  # the certified top/early ratio
+    classification: str  # growing | bounded
 
 
 def range_diagnostic(z: CoeffSeq, nmax: int) -> RangeDiagnostic:
-    """Classify the dyadic (s=0, p=1) profile of z minus its estimated limit.
+    """Label the dyadic (s=0, p=1) profile of z minus its estimated limit.
 
-    The label is an estimate from finite data: a least-squares line through
-    the last five profile values (fewer when nmax < 4), tested against fixed
-    thresholds.  Growing needs trailing slope > 0.15 with fit residual < 0.2;
-    decaying is the mirrored slope test; the rest is bounded-flat.  A
-    growing label suggests that z is not a coefficient-plus-constant
-    sequence of a bounded-profile function, and a decaying one is consistent
-    with membership; neither is proved by a truncated profile.  nmax is
-    checked as dyadic_profile checks it, a constant z included.
+    growing: block nmax's lower side (value - error bound) is at least
+    _GROWTH_FACTOR = 1.5 times the upper side (value + error bound) of every
+    block n < nmax // 2.  Otherwise bounded, which claims only sup, the
+    largest upper side over the blocks computed, and no trend past them;
+    nmax < 2 leaves no early block, so growth_ratio is None.  A growing label
+    suggests that z is not a coefficient-plus-constant sequence of a
+    bounded-profile function; a truncated profile proves neither answer.
+    nmax is checked as dyadic_profile checks it, a constant z included.
     """
     d = limit_estimate(z)
     prof = dyadic_profile(CoeffSeq._adopt(z.coeffs - d), 0.0, 1.0, nmax)
-    v = prof.values
-    sup = float(v.max())
-    tail = v[-min(5, v.size):]
-    ns = np.arange(v.size - tail.size, v.size)
-    if tail.max() <= 1e-12 * max(sup, 1.0):
-        return RangeDiagnostic(d, v, sup, None, None, "bounded-decaying")
-    if tail.size < 2:
-        return RangeDiagnostic(d, v, sup, None, None, "bounded-flat")
-    slope, _, fit_resid = least_squares_line(ns, np.log2(np.maximum(tail, 1e-300)))
-    if slope > _SLOPE_THRESHOLD and fit_resid < _RESIDUAL_THRESHOLD:
-        label = "growing"
-    elif slope < -_SLOPE_THRESHOLD and fit_resid < _RESIDUAL_THRESHOLD:
-        label = "bounded-decaying"
-    else:
-        label = "bounded-flat"
-    return RangeDiagnostic(d, v, sup, slope, fit_resid, label)
+    upper = prof.values + prof.error_bounds
+    ratio, grows = _certified_growth(prof.values - prof.error_bounds, upper)
+    return RangeDiagnostic(d, prof.values, float(upper.max()), ratio, "growing" if grows else "bounded")

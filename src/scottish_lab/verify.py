@@ -468,16 +468,18 @@ def suite_witness8(seed: int, th: dict) -> list:
     )
 
     diag = mazur.range_diagnostic(z_rs, nmax)
+    growing, ratio = diag.classification == "growing", diag.growth_ratio
+    ratio_text = "none" if ratio is None else f"{ratio:.3f} {'>=' if growing else '<'} {mazur._GROWTH_FACTOR}"
     cases.append(
         CaseResult(
             "witness-classified-growing",
-            diag.classification == "growing",
-            f"witness profile classified {diag.classification} (slope {diag.trailing_slope:.3f})",
+            growing,
+            f"witness profile classified {diag.classification} (certified top/early ratio {ratio_text})",
         )
     )
 
     pairs = th["w8.pairs"]
-    not_growing = 0
+    not_growing, largest = 0, 0.0
     L = 1 << 12
     n_idx = np.arange(L, dtype=float)
     for i in range(pairs):
@@ -485,13 +487,15 @@ def suite_witness8(seed: int, th: dict) -> list:
         x = 1.0 + rng.uniform(-1.0, 1.0, L) / (n_idx + 1.0)
         y = 1.0 + rng.uniform(-1.0, 1.0, L) / (n_idx + 1.0)
         img = mazur.cesaro_product(core.CoeffSeq(x), core.CoeffSeq(y))
-        if mazur.range_diagnostic(img, 12).classification != "growing":
-            not_growing += 1
+        diag = mazur.range_diagnostic(img, 12)
+        not_growing += diag.classification != "growing"
+        largest = max(largest, diag.growth_ratio or 0.0)
     cases.append(
         CaseResult(
             "product-images-not-growing",
             not_growing >= th["w8.notgrow_min"],
-            f"{not_growing}/{pairs} product images classified not-growing",
+            f"{not_growing}/{pairs} product images classified not-growing; "
+            f"largest certified top/early ratio {largest:.3f}",
         )
     )
     return cases

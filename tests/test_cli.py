@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import io
 import json
 import math
@@ -6,8 +7,10 @@ import multiprocessing
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -15,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scottish_lab
 from scottish_lab import CoeffSeq, read_coeff_csv, read_matrix_csv, write_coeff_csv, write_matrix_csv, DenseMatrix
 from scottish_lab import core, dyadic_kernel, tensornorm, verify
-from scottish_lab.cli import COMMANDS, _options, _write_json, build_parser, rerun_config_argv, run
+from scottish_lab.cli import COMMANDS, FLAGS, _options, _write_json, build_parser, rerun_config_argv, run
 from scottish_lab.dyadic import dyadic_profile
 from scottish_lab.errors import InvalidInput, InvalidParameter
 from scottish_lab.extremal import problem88_witness
@@ -528,7 +532,8 @@ _GOLDEN_WITNESS8 = """\
   },
   "flags": {
     "bounded_by_one": true,
-    "block_peaks_decreasing": true
+    "block_peaks_decreasing": true,
+    "profile_growth": false
   }
 }
 """
@@ -993,6 +998,91 @@ def test_every_private_name_is_used():
                 if name not in names:
                     used.add(name)
     assert [f"{file} {name}" for file, name in defined if name not in used] == []
+
+
+# The seeded CLI fuzz: edge-case input files, each in a coefficient form and
+# a matrix form, and the flag values each numeric flag is drawn from.
+_FUZZ_FILES = {
+    "empty": ("", ""),
+    "header-only": ("k,re\n", "k,re\n"),
+    "nan": ("k,re\n0,1\n1,nan\n", "1,nan\n2,3\n"),
+    "inf": ("k,re\n0,inf\n1,-inf\n", "inf,1\n-inf,2\n"),
+    "huge": ("k,re\n0,1e308\n1,1e308\n", "1e308,1e308\n1e308,-1e308\n"),
+    "subnormal": ("k,re\n0,5e-324\n3,1e-310\n", "5e-324,1e-310\n0,5e-324\n"),
+    "complex": ("k,re,im\n0,1,2\n2,-1,0.5\n", "1+2j,3\n4,5\n"),
+    "ragged": ("k,re\n0,1\n1,2,3\n", "1,2\n3\n"),
+    "text": ("k,re\n0,abc\n", "a,b\nc,d\n"),
+    "duplicate": ("k,re\n0,1\n0,2\n", "1,1\n1,1\n"),
+    "negative": ("k,re\n-1,1\n0,2\n", "-1,-2\n-3,-4\n"),
+    "1x40": ("k,re\n" + "".join(f"{k},{(-1) ** k}\n" for k in range(40)),
+             ",".join(str((-1) ** k) for k in range(40)) + "\n"),
+    "zero": ("k,re\n0,0\n1,0\n", "0,0\n0,0\n"),
+}
+_FUZZ_VALUES = ("1", "2", "0.5", "0", "-1", "1e308", "nan", "inf", "-inf", "1e-320", "99999999999", "-0", "1.5")
+_FUZZ_INTS = ("1", "2", "0", "-1", "99999999999", "-0", "1.5")  # for int flags: all but one parse
+_MATRIX_INPUT = {"inj-norm", "proj-norm", "v2", "mazur-a"}
+
+
+@st.composite
+def _fuzz_call(draw, name):
+    """A subcommand's argv, each flag drawn or left out (a required one always
+    drawn): a number from _FUZZ_INTS or _FUZZ_VALUES, a choice from its own,
+    an edge-case file for --input and --input2, and a fresh path for --out
+    and --coeffs-out; with the text of each input file."""
+    argv, files = [name], {}
+    for flag in COMMANDS[name].flags.split() + ["--out", "--format"]:
+        spec = FLAGS[flag]
+        if not spec.get("required") and not draw(st.booleans()):
+            continue
+        if flag in ("--input", "--input2"):
+            files[flag[2:]] = _FUZZ_FILES[draw(st.sampled_from(sorted(_FUZZ_FILES)))][name in _MATRIX_INPUT]
+        if flag in ("--input", "--input2", "--out", "--coeffs-out"):
+            argv.append(f"{flag}={{{flag[2:]}}}")
+        elif "choices" in spec:
+            argv.append(f"{flag}={draw(st.sampled_from(spec['choices']))}")
+        else:
+            argv.append(f"{flag}={draw(st.sampled_from(_FUZZ_INTS if spec.get('type') is int else _FUZZ_VALUES))}")
+    return argv, files
+
+
+def _time_out(signum, frame):
+    pytest.fail("a fuzzed call ran past its 5 s limit")  # not an OSError, which run() would report
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if name != "verify"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_calls_keep_the_exit_contract(name, data):
+    """Every drawn call exits 0, 1 or 64 within 5 s; exit 1 prints exactly one
+    `error:` line and leaves no --out or --coeffs-out; exit 0 writes strict
+    JSON with the schema's keys (or a CSV whose first line is its strict
+    JSON run configuration)."""
+    argv, files = data.draw(_fuzz_call(name))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: os.path.join(tmp, key) for key in ("out", "coeffs-out", *files)}
+        for key, text in files.items():
+            Path(paths[key]).write_text(text)
+        argv = [a.format(**paths) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _time_out)
+        signal.alarm(5)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = run(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc in (0, 1, 64), (argv, rc)
+        if rc == 1:
+            assert re.fullmatch("error: [^\n]*\n", stderr.getvalue()), (argv, stderr.getvalue())
+            assert not any(os.path.exists(paths[key]) for key in ("out", "coeffs-out")), argv
+        if rc == 0:
+            text = Path(paths["out"]).read_text() if os.path.exists(paths["out"]) else stdout.getvalue()
+            if text.startswith("# "):
+                json.loads(text.splitlines()[0][2:], parse_constant=refuse_constant)
+            else:
+                doc = json.loads(text, parse_constant=refuse_constant)
+                assert set(doc) == set(COMMANDS[name].schema.split()) | {"run_config"}, argv
 
 
 class TestReproducibility:

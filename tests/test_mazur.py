@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -238,15 +239,21 @@ class TestWitness:
             problem8_witness(12, seed=3, sign_mode="rudin_shapiro")
         assert (blocks.call_count, profile.call_count) == (13, 0)
         # Rudin-Shapiro block n does not depend on nmax, so the blocks of
-        # nmax 20 hold the certified comparison of every nmax from 12 on
+        # nmax 20 hold the certified top/early ratio of every smaller nmax
         _, rep = problem8_witness(20, sign_mode="rudin_shapiro")
-        first = rep.blocks[0]["l1"] + rep.blocks[0]["l1_bound"]
-        ratios = []
-        for nmax in range(12, 21):
-            last = rep.blocks[nmax]["l1"] - rep.blocks[nmax]["l1_bound"]
-            ratios.append(last / (first * 2.0 ** ((nmax - 8) / 2 - 1)))
-        assert [f"{r:.2f}" for r in ratios[::2]] == ["1.99", "1.72", "1.52", "1.36", "1.23"]  # README
-        assert min(ratios) >= 1.0 and rep.flags["profile_growth"]
+        lower = [b["l1"] - b["l1_bound"] for b in rep.blocks]
+        upper = [b["l1"] + b["l1_bound"] for b in rep.blocks]
+        ratios = {nmax: lower[nmax] / max(upper[: nmax // 2]) for nmax in range(2, 21)}
+        assert {n: f"{ratios[n]:.2f}" for n in (8, 9, 12, 16, 20)} == {
+            8: "1.44", 9: "1.83", 12: "3.92", 16: "8.00", 20: "16.16"}
+        # README's table of the ratio and the flag
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        head, _, ratio_row, flag_row = readme.split("  | `nmax` |", 1)[1].splitlines()[:4]
+        ns = [int(c) for c in head.strip(" |").split("|")]
+        assert ratio_row.strip(" |").split(" | ")[1:] == [f"{ratios[n]:.2f}" for n in ns]
+        assert flag_row.strip(" |").split(" | ")[1:] == [str(ratios[n] >= 1.5).lower() for n in ns]
+        assert rep.flags["profile_growth"]
+        assert not problem8_witness(8, sign_mode="rudin_shapiro")[1].flags["profile_growth"]
 
     def test_fit_recomputable_from_blocks(self):
         _, rep = problem8_witness(13, seed=2, sign_mode="random")
@@ -267,6 +274,9 @@ class TestWitness:
         assert rep.fit["slope"] is None
         _, rep = problem8_witness(1, seed=1)
         assert rep.fit["slope"] is not None  # two blocks suffice
+        # every witness carries the flag; below nmax 2 no block precedes nmax // 2
+        for nmax in (0, 1):
+            assert problem8_witness(nmax, sign_mode="rudin_shapiro")[1].flags["profile_growth"] is False
 
     def test_size_cap_before_any_block(self, monkeypatch):
         # block 12's 2^26-point grid is refused before block 0 is measured
@@ -289,10 +299,10 @@ class TestWitness:
 class TestRangeDiagnostic:
     def test_constant_sequence(self):
         diag = range_diagnostic(CoeffSeq(np.full(64, 3.25)), 5)
-        assert diag.classification == "bounded-decaying"
+        assert diag.classification == "bounded"
         assert diag.sup == 0.0
         assert diag.limit == 3.25
-        assert diag.values.tolist() == [0.0] * 6 and diag.trailing_slope is None
+        assert diag.values.tolist() == [0.0] * 6 and diag.growth_ratio is None
 
     @pytest.mark.parametrize("nmax", [-1, -2])
     def test_constant_sequence_refuses_negative_nmax(self, nmax):
@@ -300,16 +310,17 @@ class TestRangeDiagnostic:
         with pytest.raises(InvalidParameter, match="nonnegative"):
             range_diagnostic(CoeffSeq(np.full(64, 3.25)), nmax)
 
-    def test_single_block_is_flat(self):
-        # one profile value admits no trailing fit
+    def test_single_block_is_bounded(self):
+        # one profile value leaves no early block to compare
         diag = range_diagnostic(CoeffSeq([1.0, 2.0, 3.0, 4.0]), 0)
-        assert diag.classification == "bounded-flat"
-        assert diag.trailing_slope is None
+        assert diag.classification == "bounded"
+        assert diag.growth_ratio is None
 
     def test_witness_is_growing(self):
         z, _ = problem8_witness(12, sign_mode="rudin_shapiro")
         diag = range_diagnostic(z, 12)
         assert diag.classification == "growing"
+        assert f"{diag.growth_ratio:.2f}" == "2.34"
 
     def test_product_image_not_growing(self):
         rng = make_rng(54)
@@ -317,12 +328,22 @@ class TestRangeDiagnostic:
         x = CoeffSeq(1.0 + rng.uniform(-1, 1, 2048) / (n + 1))
         y = CoeffSeq(1.0 + rng.uniform(-1, 1, 2048) / (n + 1))
         diag = range_diagnostic(cesaro_product(x, y), 11)
-        assert diag.classification != "growing"
+        assert diag.classification == "bounded"
+        assert f"{diag.growth_ratio:.3f}" == "0.535"
 
     def test_decaying_profile(self):
+        # the top blocks are zero, so the certified ratio is 0
         k = np.arange(4096, dtype=float)
         diag = range_diagnostic(CoeffSeq(2.0 ** (-np.minimum(k, 60))), 11)
-        assert diag.classification == "bounded-decaying"
+        assert diag.classification == "bounded"
+        assert diag.growth_ratio == 0.0
+
+    def test_sup_is_the_certified_upper_side(self):
+        z = CoeffSeq(make_rng(56).standard_normal(256))
+        diag = range_diagnostic(z, 6)
+        prof = dyadic.dyadic_profile(CoeffSeq(z.coeffs - diag.limit), 0.0, 1.0, 6)
+        assert np.array_equal(diag.values, prof.values)
+        assert diag.sup == (prof.values + prof.error_bounds).max()
 
     def test_complex_sequence(self):
         # the removed limit may be complex
@@ -330,7 +351,26 @@ class TestRangeDiagnostic:
         z = CoeffSeq((2.0 + 1.0j) + rng.standard_normal(512) / (np.arange(512) + 5.0))
         diag = range_diagnostic(z, 8)
         assert abs(diag.limit - (2.0 + 1.0j)) < 0.1
-        assert diag.classification in ("bounded-flat", "bounded-decaying")
+        assert diag.classification == "bounded"
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(2, 9), st.one_of(st.just("witness"), st.floats(-1.0, 0.5)), st.integers(0, 2**31))
+    def test_growing_agrees_with_a_finer_grid(self, nmax, law, seed):
+        # block n: random signs times one random modulus, which follows the
+        # witness's 1/(n+1) or 2^(law n) (block L1 near 2^((law + 1/2) n))
+        rng = make_rng(seed)
+        z = np.zeros(2 << nmax)
+        for n in range(nmax + 1):
+            scale = 1.0 / (n + 1) if law == "witness" else 2.0 ** (law * n)
+            z[1 << n : 2 << n] = scale * rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0], 1 << n)
+        diag = range_diagnostic(CoeffSeq(z), nmax)
+        ratio = diag.growth_ratio
+        assert (diag.classification == "growing") == (ratio is not None and ratio >= 1.5)
+        fine = dyadic.dyadic_profile(CoeffSeq(z - diag.limit), 0.0, 1.0, nmax, oversample=128)
+        lower, upper = fine.values - fine.error_bounds, fine.values + fine.error_bounds
+        assert diag.sup >= lower.max()
+        if diag.classification == "growing":
+            assert upper[nmax] >= 1.5 * lower[: nmax // 2].max()
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -343,5 +383,5 @@ class TestRangeDiagnostic:
         z = CoeffSeq(rng.standard_normal(256))
         a = range_diagnostic(z, 6)
         b = range_diagnostic(z, 6)
-        assert a.classification == b.classification
+        assert (a.classification, a.growth_ratio) == (b.classification, b.growth_ratio)
         assert np.array_equal(a.values, b.values)

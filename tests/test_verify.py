@@ -147,8 +147,10 @@ _PINNED_CASES = {
     "witness8": [
         ("rs-block-lower-bound", True, "block L1 lower side >= 2^(n/2)/((n+1) sqrt 2) for n=8..16; min margin 1.1427"),
         ("random-fitted-exponent", True, "fitted exponents 0.500, 0.499, 0.499, 0.499, 0.502 within [0.35, 0.65]"),
-        ("witness-classified-growing", True, "witness profile classified growing (slope 0.401)"),
-        ("product-images-not-growing", True, "100/100 product images classified not-growing"),
+        ("witness-classified-growing", True,
+         "witness profile classified growing (certified top/early ratio 7.116 >= 1.5)"),
+        ("product-images-not-growing", True,
+         "100/100 product images classified not-growing; largest certified top/early ratio 0.789"),
     ],
     "duality": [
         ("pairing-bound", True, "100/100 pairings within upper * norm"),
