@@ -59,48 +59,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
-
-
 def _options(args) -> dict:
-    return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "command"}
+    return {k: str(v) if isinstance(v, float) and math.isinf(v) else v
+            for k, v in sorted(vars(args).items()) if k != "command"}
 
 
-def _run_config(args, argv) -> dict:
-    return {"subcommand": args.command, "argv": list(argv), "options": _options(args)}
+def _text(v) -> str:
+    """json.dumps(v), with inf as "inf" and a float by float.__repr__, not numpy's repr."""
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else json.dumps(str(v) if math.isinf(v) else v)
+    return json.dumps(v)
+
+
+def _pieces(obj, pad: str):
+    """The text of json.dumps(obj, indent=2), with inf as "inf", piece by
+    piece, for obj on a line that starts with pad (a newline and indent).
+    Arrays, told by duck type, are written as their .tolist() would be: a
+    1-D one, like a CoeffSeq's nonzero [k, value] or [k, re, im] rows,
+    _CHUNK_ROWS entries at a time, each distinct value formatted once."""
+    if getattr(obj, "ndim", None) == 0:  # a numpy scalar
+        obj = obj.tolist()
+    if isinstance(obj, (str, int, float)) or obj is None:
+        yield _text(obj)
+        return
+    inner, sep = pad + "  ", "," + pad + "  "
+    if isinstance(obj, dict):
+        brackets, items = "{}", ((json.dumps(str(k)) + ": ", _pieces(v, inner)) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)) or getattr(obj, "ndim", 0) > 1:
+        brackets, items = "[]", (("", _pieces(v, inner)) for v in obj)
+    elif isinstance(obj, _lab.CoeffSeq):
+        row = "[" + inner + "  " + (sep + "  ").join(["%d", "%s", "%s"][: 2 + obj.is_complex]) + inner + "]"
+        chunks = _lab.core._row_chunks(obj, pin_last=False)
+        brackets, items = "[]", ((sep.join([row] * rows) % fields, ()) for rows, fields in chunks)
+    else:  # a 1-D array
+        n = _lab.core._CHUNK_ROWS
+        chunks = (_lab.core._texts(obj[i : i + n], _text).tolist() for i in range(0, obj.size, n))
+        brackets, items = "[]", ((sep.join(texts), ()) for texts in chunks)
+    head = brackets[0] + inner
+    for text, rest in items:
+        yield head + text
+        yield from rest
+        head = sep
+    yield pad + brackets[1] if head == sep else brackets
 
 
 def _write_json(fh, doc: dict) -> None:
-    """Write json.dumps(doc, indent=2)'s bytes and a newline piece by piece as
-    the encoder makes them, never as one string; an array becomes its list
-    where the encoder meets it.  The CoeffSeq under the top-level key
-    "sequence", if there is one, is written as its nonzero [k, value] or
-    [k, re, im] rows, chunk by chunk, never as one list or string."""
-    encoder = json.JSONEncoder(indent=2, default=lambda a: _jsonable(a.tolist()))
-    if "sequence" not in doc:
-        fh.writelines(encoder.iterencode(_jsonable(doc)))
-        fh.write("\n")
-        return
-    seq = doc["sequence"]
-    text = encoder.encode(_jsonable(dict(doc, sequence=[]))) + "\n"
-    key = '\n  "sequence":'
-    head, _, tail = text.partition(key + " []")
-    row = "\n    [\n      %d,\n      %s\n    ]"
-    if seq.is_complex:
-        row = "\n    [\n      %d,\n      %s,\n      %s\n    ]"
-    fh.write(head + key)
-    sep = " ["
-    for rows, fields in _lab.core._row_chunks(seq, pin_last=False):
-        fh.write((sep + row + ("," + row) * (rows - 1)) % fields)
-        sep = ","
-    fh.write((" []" if sep == " [" else "\n  ]") + tail)
+    """Write doc's text and a newline piece by piece as _pieces makes them."""
+    fh.writelines(_pieces(doc, "\n"))
+    fh.write("\n")
 
 
 def _csv_output(args) -> bool:
@@ -109,12 +115,12 @@ def _csv_output(args) -> bool:
 
 
 def _emit(args, argv, payload: dict, csv_payload=None, export=None) -> int:
-    """Write the report, and the CoeffSeq export to --coeffs-out when given;
-    csv_payload is a CoeffSeq or (header, rows) table.  Each goes to a
-    temporary file beside its target, and both are renamed into place once
-    both are complete, so a run that fails leaves neither."""
-    cfg = _run_config(args, argv)
-    comment = json.dumps(_jsonable(cfg))
+    """Write the report, as JSON by _write_json or as CSV (a CoeffSeq or
+    (header, rows) csv_payload) under json.dumps of the run config, and the
+    CoeffSeq export to --coeffs-out when given.  Each is staged beside its
+    target and renamed once both are complete, so a failed run leaves neither."""
+    cfg = {"subcommand": args.command, "argv": list(argv), "options": _options(args)}
+    comment = json.dumps(cfg)
     staged = {}  # target -> its temporary file
 
     def stage(path):  # a link's target is replaced; a device or a pipe is written in place

@@ -285,33 +285,26 @@ def least_squares_line(x, y) -> tuple[float, float, float]:
 _CHUNK_ROWS = 1 << 14
 
 
-def format_float(v: float) -> str:
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(v))
+def _texts(vals: np.ndarray, text=repr) -> np.ndarray:
+    """text(v) of each entry v of the 1-D array vals, as an object array;
+    text runs once per distinct bit pattern, so -0.0 and 0.0 keep theirs."""
+    bits, inv = np.unique(vals.view(f"i{vals.itemsize}"), return_inverse=True)
+    return np.array(list(map(text, bits.view(vals.dtype).tolist())), dtype=object)[inv]
 
 
 def _row_chunks(seq: CoeffSeq, pin_last: bool):
     """The stored rows of seq, _CHUNK_ROWS at a time, as (rows, fields):
-    fields holds each row's index (an int) and then the format_float texts
-    of its value or of its re and im, row after row, so that
-    (template * rows) % fields formats the chunk in one call.  repr runs
-    once per distinct value in the chunk, so the cost grows with the number
-    of distinct values, not of rows.  A row is stored when its entry is
-    nonzero; pin_last also stores the last index."""
+    each row's index (an int) and the _texts of its value or its re and im,
+    so that (template * rows) % fields formats the chunk in one call.  A row
+    is stored when its entry is nonzero; pin_last also stores the last index."""
     c = seq.coeffs
     ks = np.flatnonzero(c)
     if pin_last and (ks.size == 0 or ks[-1] != seq.degree):
         ks = np.append(ks, seq.degree)
     for start in range(0, ks.size, _CHUNK_ROWS):
         idx = ks[start : start + _CHUNK_ROWS]
-        vals = c[idx].view(np.float64)  # complex entries as (re, im) pairs
-        # distinct bit patterns, so that -0.0 and 0.0 keep their own texts
-        bits, inv = np.unique(vals.view(np.int64), return_inverse=True)
-        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-        fields = np.empty((idx.size, 2 + seq.is_complex), dtype=object)
-        fields[:, 0] = idx
-        fields[:, 1:] = texts[inv].reshape(idx.size, -1)
-        yield idx.size, tuple(fields.ravel().tolist())
+        texts = _texts(c[idx].view(np.float64)).reshape(idx.size, -1)  # complex as (re, im)
+        yield idx.size, tuple(np.column_stack((idx.astype(object), texts)).ravel().tolist())
 
 
 def write_coeff_csv(path, seq: CoeffSeq, comment: str | None = None) -> None:
@@ -413,15 +406,16 @@ def read_coeff_csv(path) -> CoeffSeq:
 
 def write_matrix_csv(path, mat, comment: str | None = None, header: str | None = None) -> None:
     """Write a DenseMatrix, or any rows of values, as comma-separated lines
-    after an optional '# ' comment and an optional header; floats are
-    written by format_float, other values by str."""
+    after an optional '# ' comment and an optional header; values are
+    written by str (a float's shortest round-trip decimal), a matrix row
+    from its .tolist()."""
     with open(path, "w", encoding="utf-8") as fh:
         if comment is not None:
             fh.write("# " + comment + "\n")
         if header is not None:
             fh.write(header + "\n")
-        for row in mat.entries if isinstance(mat, DenseMatrix) else mat:
-            fh.write(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        for row in (row.tolist() for row in mat.entries) if isinstance(mat, DenseMatrix) else mat:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def read_matrix_csv(path) -> DenseMatrix:

@@ -256,7 +256,7 @@ class TestStreamedSequence:
         # the one-shot emit that streaming replaced: every nonzero entry as a
         # list, every array .tolist()'d and inf as "inf", then one dumps
         def plain(obj):
-            if isinstance(obj, np.ndarray):
+            if isinstance(obj, (np.ndarray, np.generic)):
                 obj = obj.tolist()
             if isinstance(obj, dict):
                 return {str(k): plain(v) for k, v in obj.items()}
@@ -294,6 +294,11 @@ class TestStreamedSequence:
         pytest.param(None, {"upper_cert": [{"a": np.array([1.0, -0.0]), "b": np.array([3.0, -2.0])},
                                            {"a": np.array([0.0, 1.0]), "b": np.array([-math.inf, 0.5])}],
                             "strategies": ["rows"]}, id="nested-in-dicts"),
+        # NaN is written as json writes it, so that strict readers refuse it
+        pytest.param(None, {"v": np.array([1.0, math.nan, -math.nan, math.inf]), "f": math.nan}, id="nan"),
+        # numpy scalars are written as their Python values, never by their repr
+        pytest.param(None, {"f": np.float64(1 / 3), "g": np.float64(-math.inf), "h": np.float64(math.nan),
+                            "i": np.int64(-7), "b": np.bool_(True)}, id="numpy-scalars"),
     ])
     def test_bytes_match_one_shot_dump(self, values, arrays, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ROWS", 3)  # chunk boundaries inside every case
@@ -308,6 +313,19 @@ class TestStreamedSequence:
             assert out.getvalue() == self.reference(doc), n
             if n is not None and not np.any(doc["sequence"].coeffs):
                 assert '"sequence": []' in out.getvalue()
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_example_report_is_its_own_dump(self, name, two_block, hadamard, ones, tmp_path):
+        # every subcommand's example, as the cli-roundtrip suite runs it, reads
+        # back to a document whose indent-2 dump is the report's text: v2's
+        # arrays under brackets -> upper_cert -> a/b, inj-norm's int8 x and y
+        # and moment's tuples included
+        argv = [a.format(f=two_block, m=hadamard, x=ones) for a in COMMANDS[name].example.split()]
+        out = tmp_path / "r.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run([name] + argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
     def test_cli_report(self, tmp_path, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
